@@ -265,17 +265,14 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
             seen.add(f.mul(s, a))
 
     params = Params(m, m ** (h - 1))
-    squares = []
-    for a in reps:
-        for b in range(1, q):
-            grid = [
-                [
-                    trace_symbol[f.add(f.mul(a, x), f.mul(b, y))]
-                    for y in range(q)
-                ]
-                for x in range(q)
-            ]
-            squares.append(FSquare(params, grid))
+    add = np.array(f.add_table, dtype=np.int64)
+    mul = np.array(f.mul_table, dtype=np.int64)
+    symbols = np.array(trace_symbol, dtype=np.int64)
+    # grids[i, b - 1][x, y] = trace_symbol[a x + b y] with a = reps[i].
+    ax = mul[reps][:, None, :, None]
+    by = mul[1:][None, :, None, :]
+    grids = symbols[add[ax, by]].reshape(-1, q, q)
+    squares = [FSquare(params, grid) for grid in grids]
 
     expected = (q - 1) ** 2 // (m - 1) if m > 1 else 1
     if len(squares) != expected:

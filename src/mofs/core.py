@@ -129,16 +129,22 @@ def _validate_regularity(params: Params, arr: np.ndarray) -> None:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
-    for a in range(1, m + 1):
-        mask = arr == a
-        row_counts = mask.sum(axis=1)
-        if (row_counts != lam).any():
-            i = int(np.argwhere(row_counts != lam)[0][0])
-            raise RowRegularityViolation(i, a, int(row_counts[i]), lam)
-        col_counts = mask.sum(axis=0)
-        if (col_counts != lam).any():
-            j = int(np.argwhere(col_counts != lam)[0][0])
-            raise ColumnRegularityViolation(j, a, int(col_counts[j]), lam)
+    # counts[i, a - 1]: occurrences of symbol a in row (column) i.
+    index = np.arange(n) * m
+    sym = arr - 1
+    row_counts = np.bincount((index[:, None] + sym).ravel(), minlength=n * m)
+    col_counts = np.bincount((index[None, :] + sym).ravel(), minlength=n * m)
+    row_counts, col_counts = row_counts.reshape(n, m), col_counts.reshape(n, m)
+    bad_rows, bad_cols = row_counts != lam, col_counts != lam
+    bad_symbols = bad_rows.any(axis=0) | bad_cols.any(axis=0)
+    if bad_symbols.any():
+        # The lowest symbol first, its rows before its columns, lowest index.
+        a = int(np.argmax(bad_symbols))
+        if bad_rows[:, a].any():
+            i = int(np.argmax(bad_rows[:, a]))
+            raise RowRegularityViolation(i, a + 1, int(row_counts[i, a]), lam)
+        j = int(np.argmax(bad_cols[:, a]))
+        raise ColumnRegularityViolation(j, a + 1, int(col_counts[j, a]), lam)
 
 
 def make_fsquare(params: Params, grid) -> FSquare:

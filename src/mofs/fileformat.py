@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .core import FSquare, MofsError, Params
 from .verify import MofsSet, verify_mofs
 
@@ -33,9 +35,22 @@ def encode(mset: MofsSet) -> str:
     for idx, s in enumerate(mset.squares):
         if idx:
             lines.append("")
-        for row in s.grid:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines.extend(" ".join(map(str, row)) for row in s.grid.tolist())
     return "\n".join(lines) + "\n"
+
+
+def _parse_rows(block, n: int) -> list:
+    """Parse numbered lines one by one, raising at the first bad line."""
+    rows = []
+    for line_no, line in block:
+        try:
+            row = [int(v) for v in line.split()]
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer entry: {line!r}") from exc
+        if len(row) != n:
+            raise ParseError(line_no, f"expected {n} entries, got {len(row)}")
+        rows.append(row)
+    return rows
 
 
 def decode(text: str) -> MofsSet:
@@ -70,29 +85,26 @@ def decode(text: str) -> MofsSet:
     for _ in range(count):
         while pos < len(numbered) and numbered[pos][1] == "":
             pos += 1
-        rows = []
-        first_line = None
-        for _ in range(n):
-            if pos >= len(numbered) or numbered[pos][1] == "":
-                raise ParseError(
-                    numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
-                    f"square {len(squares) + 1} is truncated",
-                )
-            line_no, line = numbered[pos]
-            if first_line is None:
-                first_line = line_no
-            try:
-                row = [int(v) for v in line.split()]
-            except ValueError as exc:
-                raise ParseError(line_no, f"non-integer entry: {line!r}") from exc
-            if len(row) != n:
-                raise ParseError(line_no, f"expected {n} entries, got {len(row)}")
-            rows.append(row)
+        block = []
+        while len(block) < n and pos < len(numbered) and numbered[pos][1] != "":
+            block.append(numbered[pos])
             pos += 1
+        if len(block) < n:
+            _parse_rows(block, n)  # a bad line before the gap is reported first
+            raise ParseError(
+                numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
+                f"square {len(squares) + 1} is truncated",
+            )
         try:
-            squares.append(FSquare(params, rows))
+            grid = np.array([line.split() for _, line in block], dtype=np.int64)
+        except (ValueError, OverflowError):
+            grid = None
+        if grid is None or grid.shape != (n, n):
+            grid = _parse_rows(block, n)
+        try:
+            squares.append(FSquare(params, grid))
         except MofsError as exc:
-            raise ParseError(first_line, str(exc)) from exc
+            raise ParseError(block[0][0], str(exc)) from exc
 
     while pos < len(numbered) and numbered[pos][1] == "":
         pos += 1

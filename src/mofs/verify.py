@@ -6,14 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FSquare,
-    MofsError,
-    Params,
-    indicator,
-    indicators,
-    inner,
-)
+from .core import FSquare, MofsError, Params
 
 
 class ParamMismatch(MofsError):
@@ -78,34 +71,85 @@ def superposition_counts(s: FSquare, s2: FSquare) -> np.ndarray:
     if s.params != s2.params:
         raise ParamMismatch(f"{s.params} vs {s2.params}")
     m = s.params.m
-    counts = np.zeros((m, m), dtype=np.int64)
-    np.add.at(counts, (s.grid - 1, s2.grid - 1), 1)
-    return counts
+    codes = (s.grid - 1) * m + (s2.grid - 1)
+    return np.bincount(codes.ravel(), minlength=m * m).reshape(m, m)
 
 
 def orthogonal(s: FSquare, s2: FSquare, *, reduced: bool = False) -> bool:
     """True iff every ordered symbol pair appears exactly lam^2 times
     in the superposition of ``s`` on ``s2``.
 
-    With ``reduced=True`` only the (m-1)^2 symbol pairs over 2..m are
-    checked; row and column regularity forces the remaining counts.
+    ``reduced`` is kept for compatibility and gives the same verdict:
+    checking only the (m-1)^2 symbol pairs over 2..m is equivalent,
+    because row and column regularity force the remaining counts.
     """
-    if s.params != s2.params:
-        raise ParamMismatch(f"{s.params} vs {s2.params}")
-    m, lam = s.params.m, s.params.lam
+    lam = s.params.lam
+    return bool((superposition_counts(s, s2) == lam * lam).all())
+
+
+# Squares per tile of the Gram product, capped so that one tile's indicator
+# rows hold at most _TILE_ENTRIES entries whatever the square's size.
+_TILE = 64
+_TILE_ENTRIES = 1 << 20
+
+
+def _indicator_rows(grids: np.ndarray, symbols: np.ndarray, dtype) -> np.ndarray:
+    """Flattened indicator squares of ``grids`` (one grid per row), one row
+    per (square, symbol) with the symbols varying fastest."""
+    hits = grids[:, None, :] == symbols[None, :, None]
+    return hits.reshape(-1, grids.shape[1]).astype(dtype)
+
+
+def _first_failing_pair(squares, params: Params):
+    """0-based (k, l) of the lexicographically first non-orthogonal pair,
+    or None when the set is pairwise orthogonal.
+
+    Stacks the grids once, then multiplies reduced indicator matrices
+    (symbols 2..m; symbol 1 when m = 1) tile by tile, X_k X_l^T, and
+    checks every off-diagonal (m-1) x (m-1) block against lam^2.  For
+    regular squares the reduced counts decide orthogonality: the row and
+    column sums of the superposition counts then force the counts that
+    involve symbol 1.  Floats are exact since every count is at most n^2.
+    """
+    m, lam, n = params.m, params.lam, params.n
+    t, cells = len(squares), n * n
+    grids = np.empty((t, cells), dtype=np.min_scalar_type(m))
+    for i, s in enumerate(squares):
+        grids[i] = s.grid.ravel()
+    symbols = np.arange(2 if m >= 2 else 1, m + 1, dtype=grids.dtype)
+    r = len(symbols)
+    dtype = np.float32 if cells < 1 << 24 else np.float64
+    tile = max(1, min(_TILE, _TILE_ENTRIES // (r * cells)))
     target = lam * lam
-    lo = 2 if reduced and m >= 2 else 1
-    for a in range(lo, m + 1):
-        ia = indicator(s, a)
-        for b in range(lo, m + 1):
-            if inner(ia, indicator(s2, b)) != target:
-                return False
-    return True
+    for k0 in range(0, t, tile):
+        xk = _indicator_rows(grids[k0 : k0 + tile], symbols, dtype)
+        kt = len(xk) // r
+        # The whole row strip is scanned before reporting, so a failure at a
+        # lower k in a later column tile wins over a higher k in an earlier one.
+        bad = np.zeros((kt, t), dtype=bool)
+        for l0 in range(k0, t, tile):
+            if l0 == k0:
+                xl = xk
+            else:
+                xl = _indicator_rows(grids[l0 : l0 + tile], symbols, dtype)
+            lt = len(xl) // r
+            gram = (xk @ xl.T).reshape(kt, r, lt, r)
+            bad[:, l0 : l0 + lt] = (gram != target).any(axis=(1, 3))
+        bad &= np.arange(t)[None, :] > np.arange(k0, k0 + kt)[:, None]
+        if bad.any():
+            k, l = np.unravel_index(np.argmax(bad), bad.shape)
+            return k0 + int(k), int(l)
+    return None
 
 
 def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
     """Validate a list of FSquares as a MOFS set, or raise on the first
-    failing pair (1-based indices in the error)."""
+    failing pair (1-based indices in the error).
+
+    ``reduced`` is kept for compatibility and gives the same verdict; see
+    :func:`orthogonal`.  The failure reported is the lexicographically first
+    pair (k, l) and, within it, the first symbol pair (a, b) over 1..m.
+    """
     squares = tuple(squares)
     if not squares:
         raise MofsError("a MOFS set needs at least one square")
@@ -113,29 +157,27 @@ def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
     for s in squares[1:]:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
-    m, lam = params.m, params.lam
-    target = lam * lam
-    lo = 2 if reduced and m >= 2 else 1
-    inds = [
-        {a: indicator(s, a) for a in range(lo, m + 1)} for s in squares
-    ]
+    # A set larger than the bound always has a failing pair with k below the
+    # bound, and the kernel stops at the first row tile holding a failure, so
+    # such a set costs O(bound * t) pair checks, not O(t^2).
+    pair = _first_failing_pair(squares, params)
+    if pair is not None:
+        k, l = pair
+        target = params.lam * params.lam
+        counts = superposition_counts(squares[k], squares[l])
+        a, b = np.argwhere(counts != target)[0]
+        raise NotOrthogonal(
+            k + 1, l + 1, int(a) + 1, int(b) + 1, int(counts[a, b]), target
+        )
     t = len(squares)
-    for k in range(t):
-        for l in range(k + 1, t):
-            for a in range(lo, m + 1):
-                for b in range(lo, m + 1):
-                    c = inner(inds[k][a], inds[l][b])
-                    if c != target:
-                        raise NotOrthogonal(k + 1, l + 1, a, b, c, target)
-    mset = MofsSet(params, squares)
-    if m >= 2:
+    if params.m >= 2:
         bound = upper_bound(params)
         if t > bound.value:
             raise MofsError(
                 f"impossible: {t} pairwise-orthogonal squares exceeds the"
                 f" bound {bound.value}"
             )
-    return mset
+    return MofsSet(params, squares)
 
 
 def upper_bound(params: Params) -> UpperBound:

@@ -55,6 +55,15 @@ class TestDecode:
             decode("\n".join(lines) + "\n")
         assert exc.value.line_no == 4
 
+    def test_non_integer_in_second_square_reports_its_line(self, federer4):
+        lines = encode(federer4).split("\n")
+        # Line 1 is the header, lines 2-5 the first square, line 6 blank.
+        lines[7] = lines[7].replace("1", "x", 1)
+        with pytest.raises(ParseError) as exc:
+            decode("\n".join(lines))
+        assert exc.value.line_no == 8
+        assert "non-integer entry" in str(exc.value)
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             decode("MOLS m=2 lambda=1 count=1\n1 2\n2 1\n")

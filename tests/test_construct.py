@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,14 @@ class TestConstructPrimePower:
     def test_too_large(self):
         with pytest.raises(UnsupportedSize):
             mofs.construct_prime_power(2, 6)
+
+    def test_gf32_set_builds_and_verifies_quickly(self):
+        start = time.perf_counter()
+        mset = mofs.construct_prime_power(2, 5)
+        mofs.verify_mofs(mset.squares)
+        elapsed = time.perf_counter() - start
+        assert mset.t == 961 and mset.params == mofs.Params(2, 16)
+        assert elapsed < 5
 
     def test_deterministic(self):
         a = mofs.construct_prime_power(2, 2)

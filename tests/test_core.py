@@ -23,6 +23,21 @@ def random_square(m, lam, seed):
     return mofs.random_fsquare(mofs.Params(m, lam), random.Random(seed))
 
 
+def regularity_reference(params, grid):
+    """First violation as (error class, row or column, symbol, count), found
+    by a loop over the symbols: rows before columns, lowest index first."""
+    for a in range(1, params.m + 1):
+        mask = grid == a
+        for error, counts in (
+            (RowRegularityViolation, mask.sum(axis=1)),
+            (ColumnRegularityViolation, mask.sum(axis=0)),
+        ):
+            for i, c in enumerate(counts):
+                if c != params.lam:
+                    return error, i, a, int(c)
+    return None
+
+
 params_strategy = st.tuples(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=3),
@@ -56,6 +71,46 @@ class TestMakeFSquare:
     def test_bad_row_counts_rejected(self):
         with pytest.raises(RowRegularityViolation):
             mofs.make_fsquare(mofs.Params(2, 1), [[1, 1], [2, 2]])
+
+    @pytest.mark.parametrize(
+        "grid,error,fields",
+        [
+            # Symbol 1 only breaks column 1; symbol 2 breaks row 0.
+            ([[2, 1, 2], [3, 1, 3], [1, 3, 3]], ColumnRegularityViolation, (1, 1, 2)),
+            # Symbol 1 breaks column 0 and row 2: its rows come first.
+            ([[2, 3, 1], [1, 2, 3], [1, 1, 2]], RowRegularityViolation, (2, 1, 2)),
+        ],
+    )
+    def test_first_of_several_violations(self, grid, error, fields):
+        with pytest.raises(error) as exc:
+            mofs.make_fsquare(mofs.Params(3, 1), grid)
+        e = exc.value
+        index = e.row if error is RowRegularityViolation else e.col
+        assert (index, e.symbol, e.count) == fields
+        assert regularity_reference(mofs.Params(3, 1), np.array(grid)) == (
+            error, *fields
+        )
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_violation_matches_loop_reference(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        p = mofs.Params(rng.randint(2, 4), rng.randint(1, 3))
+        grid = mofs.random_fsquare(p, rng).grid.copy()
+        for _ in range(rng.randint(1, 4)):
+            grid[rng.randrange(p.n), rng.randrange(p.n)] = rng.randint(1, p.m)
+        expected = regularity_reference(p, grid)
+        try:
+            mofs.make_fsquare(p, grid)
+        except (RowRegularityViolation, ColumnRegularityViolation) as e:
+            index = e.row if isinstance(e, RowRegularityViolation) else e.col
+            assert (type(e), index, e.symbol, e.count, e.expected) == (
+                *expected,
+                p.lam,
+            )
+        else:
+            assert expected is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -126,6 +126,83 @@ class TestVerifyMofs:
             mofs.verify_mofs([])
 
 
+def brute_force_first_failure(squares):
+    """(k, l, a, b, count), 1-based, of the first failing pair by a direct
+    scan over every pair's superposition counts."""
+    target = squares[0].params.lam ** 2
+    for k in range(len(squares)):
+        for l in range(k + 1, len(squares)):
+            counts = mofs.superposition_counts(squares[k], squares[l])
+            bad = np.argwhere(counts != target)
+            if len(bad):
+                a, b = bad[0]
+                return k + 1, l + 1, a + 1, b + 1, counts[a, b]
+    return None
+
+
+@pytest.fixture(scope="module")
+def multi_tile_sets():
+    """Complete sets larger than one tile of the orthogonality kernel."""
+    return {
+        "federer12": mofs.construct_federer(mofs.hadamard(12)).squares,  # 121, m = 2
+        "pp33": mofs.construct_prime_power(3, 3).squares,  # 338, m = 3
+    }
+
+
+class TestKernelAgainstBruteForce:
+    @pytest.mark.parametrize("name", ["federer12", "pp33"])
+    def test_first_failure_over_the_whole_row_strip(self, multi_tile_sets, name):
+        squares = list(multi_tile_sets[name])
+        # (6, 101) fails in the second column tile; (11, 21) has a larger k
+        # but sits in the first column tile.
+        squares[100] = squares[5]
+        squares[20] = squares[10]
+        with pytest.raises(NotOrthogonal) as exc:
+            mofs.verify_mofs(squares)
+        e = exc.value
+        assert (e.k, e.l, e.a, e.b, e.count) == brute_force_first_failure(squares)
+        assert (e.k, e.l) == (6, 101)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_replacements(self, multi_tile_sets, seed):
+        rng = random.Random(seed)
+        squares = list(multi_tile_sets["federer12" if seed % 2 else "pp33"])
+        for _ in range(3):
+            squares[rng.randrange(len(squares))] = mofs.random_fsquare(
+                squares[0].params, rng
+            )
+        expected = brute_force_first_failure(squares)
+        with pytest.raises(NotOrthogonal) as exc:
+            mofs.verify_mofs(squares, reduced=bool(seed % 3))
+        e = exc.value
+        assert (e.k, e.l, e.a, e.b, e.count) == expected
+        assert e.expected == squares[0].params.lam ** 2
+
+    def test_orthogonal_matches_counts_on_random_pairs(self, multi_tile_sets):
+        rng = random.Random(11)
+        pairs = [
+            (mofs.random_fsquare(p, rng), mofs.random_fsquare(p, rng))
+            for p in (mofs.Params(m, lam) for m in (1, 2, 3, 4) for lam in (1, 2, 3))
+            for _ in range(5)
+        ]
+        complete = multi_tile_sets["pp33"]
+        pairs += [tuple(rng.sample(complete, 2)) for _ in range(10)]
+        verdicts = set()
+        for s1, s2 in pairs:
+            expected = bool(
+                (mofs.superposition_counts(s1, s2) == s1.params.lam**2).all()
+            )
+            verdicts.add(expected)
+            for reduced in (False, True):
+                assert mofs.orthogonal(s1, s2, reduced=reduced) == expected
+        assert verdicts == {False, True}
+
+    def test_whole_sets_verify(self, multi_tile_sets):
+        for squares in multi_tile_sets.values():
+            for reduced in (False, True):
+                assert mofs.verify_mofs(squares, reduced=reduced).t == len(squares)
+
+
 class TestUpperBound:
     @pytest.mark.parametrize(
         "m,lam,value,exact",
