@@ -39,6 +39,12 @@ def _cmd_construct(args):
     return 0
 
 
+def _print_completeness(report):
+    exact = "exact" if report.bound.exact else "floor"
+    print(f"upper bound: {report.bound.value} ({exact})")
+    print(f"complete: {'yes' if report.is_complete else 'no'}")
+
+
 def _cmd_verify(args):
     mset = _read_set(args.file)
     report = None
@@ -46,10 +52,7 @@ def _cmd_verify(args):
         report = completeness_structure(mset)
     print(f"OK: {mset.t} mutually orthogonal squares of type {mset.params}")
     if report is not None:
-        bound = report.bound
-        exact = "exact" if bound.exact else "floor"
-        print(f"upper bound: {bound.value} ({exact})")
-        print(f"complete: {'yes' if report.is_complete else 'no'}")
+        _print_completeness(report)
     return 0
 
 
@@ -73,9 +76,7 @@ def _cmd_analyze(args):
     print(f"type {params}: {mset.t} mutually orthogonal squares")
     if params.m >= 2:
         report = completeness_structure(mset)
-        exact = "exact" if report.bound.exact else "floor"
-        print(f"upper bound: {report.bound.value} ({exact})")
-        print(f"complete: {'yes' if report.is_complete else 'no'}")
+        _print_completeness(report)
         print(f"completeness block structure matches: {report.structure_matches}")
     for a in range(1, params.m + 1):
         pm = maximality.parity_matrix(mset, (a,) * mset.t)

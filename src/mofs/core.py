@@ -83,7 +83,8 @@ class Params:
 
 
 def _as_grid(params: Params, grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=np.int64)
+    # Always a private copy: the square must not share a caller's memory.
+    arr = np.array(grid, dtype=np.int64)
     if arr.shape != (params.n, params.n):
         raise DimensionMismatch(
             f"expected a {params.n}x{params.n} grid, got shape {arr.shape}"

@@ -1,10 +1,12 @@
 """Enumeration, extension search, greedy growth, and the exhaustive
 maximality oracle.
 
-Squares are generated in lexicographic grid order by row-by-row
-backtracking over the valid row patterns, with per-column symbol
-capacities.  For two symbols the rows are bitmasks and extension search
-prunes on running popcount inner products against every member.
+Squares are generated in lexicographic grid order by one row-by-row
+backtracking engine over the valid row patterns, for every m.  It keeps
+per-column symbol counts and, against every member of the set being
+extended, the running count of each ordered symbol pair, all packed into
+two ints so that adding a row and checking every bound is a few integer
+operations.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
-from .core import FSquare, MofsError, Params, indicator
+import numpy as np
+
+from .core import FSquare, MofsError, Params
 from .verify import MofsSet, verify_mofs
 
 DEFAULT_MAX_ENUM = 10_000_000
@@ -37,14 +42,14 @@ class SearchConfig:
 
     Identical seed and config give identical outcomes.  ``prefix``
     restricts the first row to start with the given symbols, which
-    partitions the search space for parallel runs.  ``parallelism`` is a
-    hint only; execution is single-process.
+    partitions the search space between runs; ``max_results`` caps a
+    stream.  Greedy growth and the exhaustive maximality check need the
+    whole space and refuse both.
     """
 
     seed: int | None = None
     max_results: int | None = None
     prefix: tuple = ()
-    parallelism: int = 1
     max_enum: int | None = None
     force: bool = False
 
@@ -52,7 +57,11 @@ class SearchConfig:
 def _ceiling(config: SearchConfig) -> int:
     if config.max_enum is not None:
         return config.max_enum
-    return int(os.environ.get("MOFS_MAX_ENUM", DEFAULT_MAX_ENUM))
+    raw = os.environ.get("MOFS_MAX_ENUM", str(DEFAULT_MAX_ENUM))
+    try:
+        return int(raw)
+    except ValueError:
+        raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -138,205 +147,99 @@ def _guard(params: Params, config: SearchConfig) -> None:
         raise InfeasibleSizeGuard(estimate, ceiling)
 
 
-def _engine_m2(params, members, first_order, config):
-    """Backtracking enumerator for m = 2, rows as symbol-1 bitmasks.
+def _pack(counts: np.ndarray, dtype: np.dtype) -> list:
+    """Each row of ``counts`` as one int: a field of ``dtype`` per entry,
+    the first entry in the lowest bits."""
+    return [int.from_bytes(row.tobytes(), "little") for row in counts.astype(dtype)]
 
-    ``members`` restricts the stream to squares orthogonal to every
-    member, pruning on the running inner product of symbol-1 indicators
-    (which for two valid F-squares determines all four pair counts).
+
+def _engine(params, members, first_order, config):
+    """Backtracking enumerator over row patterns, with packed counters.
+
+    The state after each row is two ints of fixed-width fields, each field
+    biased so that its top bit turns on exactly when its count passes its
+    bound: ``cols`` has one field per (symbol, column), bounded by lam;
+    ``pairs`` one per (member, symbol here, symbol in the member), the
+    ordered pair count on the rows so far, bounded by lam^2.  Adding a row
+    is one add per kind and testing it one AND.  The lower pair bound
+    lam^2 - (n - i - 1) * lam needs no test: for one member and symbol a
+    the m counts sum to (i + 1) * lam, so it follows from the upper
+    bounds on the other m - 1.
     """
-    lam, n = params.lam, params.n
-    target = lam * lam
-    patterns = _row_patterns(2, lam)
-    masks = [sum(1 << j for j, v in enumerate(p) if v == 1) for p in patterns]
-    order = first_order if first_order is not None else range(len(patterns))
-    row0 = [
-        i
-        for i in order
-        if patterns[i][: len(config.prefix)] == tuple(config.prefix)
-    ]
-    member_rows = None
-    if members is not None:
-        member_rows = [
-            [indicator(s, 1).row_masks[i] for s in members] for i in range(n)
-        ]
-        t = len(members)
-    cnt1 = [0] * n
-    rows = []
-    inners = [0] * (len(members) if members is not None else 0)
-
-    def rec(i: int):
-        if i == n:
-            grid = [
-                [1 if masks_row >> j & 1 else 2 for j in range(n)]
-                for masks_row in rows
-            ]
-            yield FSquare(params, grid, _trusted=True)
-            return
-        rem = n - i
-        forbid = 0  # columns with symbol 1 exhausted
-        need = 0  # columns forced to symbol 1 for all remaining rows
-        for j in range(n):
-            c = cnt1[j]
-            if c == lam:
-                forbid |= 1 << j
-            elif lam - c == rem:
-                need |= 1 << j
-        cap = (rem - 1) * lam
-        for idx in row0 if i == 0 else range(len(patterns)):
-            mask = masks[idx]
-            if mask & forbid or need & ~mask:
-                continue
-            if members is not None:
-                mrows = member_rows[i]
-                ok = True
-                for k in range(t):
-                    v = inners[k] + (mask & mrows[k]).bit_count()
-                    if v > target or v + cap < target:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for k in range(t):
-                    inners[k] += (mask & mrows[k]).bit_count()
-            for j in range(n):
-                if mask >> j & 1:
-                    cnt1[j] += 1
-            rows.append(mask)
-            yield from rec(i + 1)
-            rows.pop()
-            for j in range(n):
-                if mask >> j & 1:
-                    cnt1[j] -= 1
-            if members is not None:
-                for k in range(t):
-                    inners[k] -= (mask & mrows[k]).bit_count()
-
-    yield from rec(0)
-
-
-def _engine_generic(params, members, first_order, config):
-    """Backtracking enumerator for any m, rows as symbol tuples."""
     m, lam, n = params.m, params.lam, params.n
-    target = lam * lam
     patterns = _row_patterns(m, lam)
-    # Per pattern, per symbol: bitmask of columns holding that symbol.
-    pmasks = [
-        [sum(1 << j for j, v in enumerate(p) if v == a + 1) for a in range(m)]
-        for p in patterns
+    n_patterns, n_pairs = len(patterns), len(members) * m * m
+    # The narrowest unsigned field whose top bit can flag a count above lam^2.
+    dtype = next(
+        np.dtype(f"<u{size}")
+        for size in (1, 2, 4, 8)
+        if lam * lam < 1 << (8 * size - 1)
+    )
+    top = 1 << (8 * dtype.itemsize - 1)
+    # One-hot arrays in the field type: no count in a row exceeds lam.
+    symbols = np.arange(1, m + 1)
+    # pattern_hot[p, j, a]: pattern p holds symbol a + 1 in column j.
+    pattern_hot = (np.array(patterns)[:, :, None] == symbols).astype(dtype)
+    col_inc = _pack(pattern_hot.transpose(0, 2, 1).reshape(n_patterns, m * n), dtype)
+    # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
+    grids = np.array([s.grid for s in members], dtype=np.int64).reshape(-1, n, n)
+    member_hot = (grids[..., None] == symbols).astype(dtype)
+    pair_inc = [
+        _pack(
+            np.einsum("pja,kjb->pkab", pattern_hot, member_hot[:, i]).reshape(
+                n_patterns, n_pairs
+            ),
+            dtype,
+        )
+        for i in range(n)
     ]
-    order = first_order if first_order is not None else range(len(patterns))
+
+    def fields(value, count):
+        return _pack(np.full((1, count), value), dtype)[0]
+
+    col_guard, pair_guard = fields(top, m * n), fields(top, n_pairs)
+    order = first_order if first_order is not None else range(n_patterns)
     row0 = [
-        i
-        for i in order
-        if patterns[i][: len(config.prefix)] == tuple(config.prefix)
+        p for p in order if patterns[p][: len(config.prefix)] == tuple(config.prefix)
     ]
-    mrow_masks = None
-    if members is not None:
-        t = len(members)
-        mrow_masks = [
-            [
-                [indicator(s, b + 1).row_masks[i] for b in range(m)]
-                for s in members
-            ]
-            for i in range(n)
-        ]
-        counts = [[[0] * m for _ in range(m)] for _ in range(t)]
-    cnt = [[0] * n for _ in range(m)]  # per symbol, per column
     rows = []
 
-    def rec(i: int):
+    def rec(i: int, cols: int, pairs: int):
         if i == n:
-            yield FSquare(params, [list(r) for r in rows], _trusted=True)
+            yield FSquare(params, [patterns[p] for p in rows], _trusted=True)
             return
-        rem = n - i
-        forbid = [0] * m
-        for a in range(m):
-            ca = cnt[a]
-            fa = 0
-            for j in range(n):
-                if ca[j] == lam:
-                    fa |= 1 << j
-            forbid[a] = fa
-        cap = (rem - 1) * lam
-        for idx in row0 if i == 0 else range(len(patterns)):
-            pm = pmasks[idx]
-            if any(pm[a] & forbid[a] for a in range(m)):
+        inc = pair_inc[i]
+        for p in row0 if i == 0 else range(n_patterns):
+            next_cols = cols + col_inc[p]
+            if next_cols & col_guard:
                 continue
-            if members is not None:
-                gains = []
-                ok = True
-                for k in range(t):
-                    mk = mrow_masks[i][k]
-                    ck = counts[k]
-                    gk = []
-                    for a in range(m):
-                        row_g = []
-                        for b in range(m):
-                            g = (pm[a] & mk[b]).bit_count()
-                            v = ck[a][b] + g
-                            if v > target or v + cap < target:
-                                ok = False
-                                break
-                            row_g.append(g)
-                        if not ok:
-                            break
-                        gk.append(row_g)
-                    if not ok:
-                        break
-                    gains.append(gk)
-                if not ok:
-                    continue
-                for k in range(t):
-                    ck = counts[k]
-                    gk = gains[k]
-                    for a in range(m):
-                        for b in range(m):
-                            ck[a][b] += gk[a][b]
-            pat = patterns[idx]
-            for j in range(n):
-                cnt[pat[j] - 1][j] += 1
-            rows.append(pat)
-            yield from rec(i + 1)
+            next_pairs = pairs + inc[p]
+            if next_pairs & pair_guard:
+                continue
+            rows.append(p)
+            yield from rec(i + 1, next_cols, next_pairs)
             rows.pop()
-            for j in range(n):
-                cnt[pat[j] - 1][j] -= 1
-            if members is not None:
-                for k in range(t):
-                    ck = counts[k]
-                    gk = gains[k]
-                    for a in range(m):
-                        for b in range(m):
-                            ck[a][b] -= gk[a][b]
 
-    yield from rec(0)
-
-
-def _stream(params, members, first_order, config):
-    if params.m == 2:
-        gen = _engine_m2(params, members, first_order, config)
-    else:
-        gen = _engine_generic(params, members, first_order, config)
-    if config.max_results is None:
-        yield from gen
-    else:
-        for count, sq in enumerate(gen):
-            if count >= config.max_results:
-                return
-            yield sq
+    yield from rec(
+        0,
+        fields(top - 1 - lam, m * n),
+        fields(top - 1 - lam * lam, n_pairs),
+    )
 
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
     _guard(params, config)
-    yield from _stream(params, None, None, config)
+    yield from islice(_engine(params, (), None, config), config.max_results)
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     """Every F-square orthogonal to all members of the set, with early
     pruning of partial grids on running pair counts."""
     _guard(mset.params, config)
-    yield from _stream(mset.params, list(mset.squares), None, config)
+    yield from islice(
+        _engine(mset.params, mset.squares, None, config), config.max_results
+    )
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
@@ -344,10 +247,20 @@ def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int
     return sum(1 for _ in enumerate_fsquares(params, config))
 
 
+def _require_whole_space(config: SearchConfig) -> None:
+    """A maximality verdict is only sound over every candidate square."""
+    if config.prefix or config.max_results is not None:
+        raise MofsError(
+            "maximality needs the whole search space;"
+            " prefix and max_results are not allowed"
+        )
+
+
 def exhaustive_maximality(
     mset: MofsSet, config: SearchConfig = SearchConfig()
 ) -> bool:
     """Ground truth: true iff no F-square extends the set."""
+    _require_whole_space(config)
     return next(extensions(mset, config), None) is None
 
 
@@ -359,6 +272,7 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     permuted by the seed; the loop ends when no extension exists, so the
     result is maximal by construction (and re-verified).
     """
+    _require_whole_space(config)
     if isinstance(seed_set, Params):
         params, squares = seed_set, []
     else:
@@ -369,7 +283,7 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     while True:
         first_order = list(range(n_patterns))
         rng.shuffle(first_order)
-        nxt = next(_stream(params, squares, first_order, config), None)
+        nxt = next(_engine(params, squares, first_order, config), None)
         if nxt is None:
             break
         squares.append(nxt)

@@ -124,6 +124,18 @@ class TestMakeFSquare:
         with pytest.raises(ValueError):
             example_square.grid[0, 0] = 2
 
+    def test_caller_array_is_copied(self):
+        p = mofs.Params(3, 2)
+        arr = np.array(EXAMPLE_GRID, dtype=np.int64)
+        s = mofs.make_fsquare(p, arr)
+        key = hash(s)
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, s.grid)
+        arr[0, 0] = 3  # the caller's array stays theirs to change
+        assert s.grid.tolist() == EXAMPLE_GRID
+        assert hash(s) == key
+        assert s == mofs.make_fsquare(p, EXAMPLE_GRID)
+
 
 class TestIndicator:
     def test_worked_example_indicators(self, example_square):

@@ -1,9 +1,12 @@
+import hashlib
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import mofs
+from mofs.cli import main
 from mofs.search import (
     InfeasibleSizeGuard,
     SearchConfig,
@@ -16,6 +19,32 @@ from conftest import naive_fsquares
 
 def grids(stream):
     return [tuple(map(tuple, s.grid.tolist())) for s in stream]
+
+
+def set_digest(mset):
+    h = hashlib.sha256()
+    for s in mset.squares:
+        h.update(s.grid.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def orthogonal_to_all(members, candidates):
+    return sorted(
+        grids(c for c in candidates if all(mofs.orthogonal(s, c) for s in members))
+    )
+
+
+@pytest.fixture(scope="module")
+def filtered_squares():
+    """Every square of the types the engine is checked against the
+    generate-and-filter oracle on."""
+    return {
+        (m, lam): [
+            mofs.make_fsquare(mofs.Params(m, lam), g)
+            for g in naive_fsquares(mofs.Params(m, lam))
+        ]
+        for m, lam in [(3, 1), (2, 2)]
+    }
 
 
 class TestCountBinaryMatrices:
@@ -87,6 +116,17 @@ class TestEnumerate:
         monkeypatch.setenv("MOFS_MAX_ENUM", "1000")
         assert len(list(mofs.enumerate_fsquares(mofs.Params(2, 2)))) == 90
 
+    def test_bad_env_ceiling(self, monkeypatch):
+        monkeypatch.setenv("MOFS_MAX_ENUM", "abc")
+        with pytest.raises(mofs.MofsError, match="MOFS_MAX_ENUM"):
+            next(mofs.enumerate_fsquares(mofs.Params(2, 2)))
+
+    def test_bad_env_ceiling_cli(self, monkeypatch, capsys):
+        monkeypatch.setenv("MOFS_MAX_ENUM", "abc")
+        assert main(["count", "2", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MOFS_MAX_ENUM" in err
+
 
 class TestEstimateCount:
     def test_exact_for_two_symbols(self):
@@ -142,7 +182,88 @@ class TestExtensions:
         assert sorted(exts) == sorted(oracle)
 
 
+class TestEngineOracle:
+    """Extension search against generate-and-filter, member counts 1-3."""
+
+    def test_m3_one_member(self, filtered_squares):
+        every = filtered_squares[(3, 1)]
+        for s in every:
+            ours = sorted(grids(mofs.extensions(mofs.verify_mofs([s]))))
+            assert ours == orthogonal_to_all([s], every)
+
+    def test_m3_two_members(self, filtered_squares):
+        every = filtered_squares[(3, 1)]
+        pairs = [(a, b) for a, b in combinations(every, 2) if mofs.orthogonal(a, b)]
+        assert pairs
+        for pair in pairs:
+            ours = sorted(grids(mofs.extensions(mofs.verify_mofs(pair))))
+            assert ours == orthogonal_to_all(pair, every)
+
+    def test_m2_two_members(self, filtered_squares):
+        every = filtered_squares[(2, 2)]
+        rng = random.Random(11)
+        found = 0
+        for first in rng.sample(every, 6):
+            mates = [s for s in every if mofs.orthogonal(first, s)]
+            for second in rng.sample(mates, 3):
+                pair = (first, second)
+                ours = sorted(grids(mofs.extensions(mofs.verify_mofs(pair))))
+                assert ours == orthogonal_to_all(pair, every)
+                found += len(ours)
+        assert found  # some pairs extend, so the filter is exercised both ways
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_m4_subsets_of_mols(self, size):
+        # The oracle here filters the library's own enumeration, which the
+        # generate-and-filter tests above check on smaller types.
+        p = mofs.Params(4, 1)
+        every = list(mofs.enumerate_fsquares(p))
+        mols = mofs.construct_prime_power(4, 1).squares
+        for members in combinations(mols, size):
+            ours = sorted(grids(mofs.extensions(mofs.verify_mofs(members))))
+            assert ours == orthogonal_to_all(members, every)
+
+    @pytest.mark.parametrize("lam", [11, 12])
+    def test_pair_count_at_field_limit(self, lam):
+        # For m = 1 the one pair count reaches lam^2 exactly; lam = 12 is
+        # the first type whose counters need fields wider than a byte.
+        p = mofs.Params(1, lam)
+        only = next(mofs.enumerate_fsquares(p))
+        assert list(mofs.extensions(mofs.verify_mofs([only]))) == [only]
+
+
+# SHA-256 of the int64 grids of grow_maximal's sets, in set order, recorded
+# before the search engines were merged.
+GROW_PINS = {
+    (2, 3, 0): (8, "f1750bf04ddb414151ed928613b57d37e8095abf3e7a2eec274e6d4c5e4a6eb5"),
+    (2, 3, 1): (9, "80dab5358e4a5c9dc719d5a507b869fba9aa6ca9e704f2cf24cbc238756c9821"),
+    (2, 3, 2): (7, "c300fa383a2eba88a39fe0dbecc0222abc335597d626e732466de45a3bf36e1f"),
+    (5, 1, 0): (4, "ed5bf5484ecbd94c2c1713cab8d763678874cd0fad97e413e5417077c5698c96"),
+    (5, 1, 1): (4, "df48808967163c7530deb207ff1c3e818d1fcbd40814ac70c70536de129adb3c"),
+    (5, 1, 2): (4, "2e27fadd1de36b9833654fe29955d2e39804bd1350487b18a18fafee990dc50b"),
+    (5, 1, 3): (4, "865b1878f331091fb9ee5ea2bca1613260fb4616a605ae192fc4f41698db238c"),
+}
+
+
 class TestGrowMaximal:
+    @pytest.mark.parametrize("m,lam,seed", sorted(GROW_PINS))
+    def test_pinned_sets(self, m, lam, seed):
+        p = mofs.Params(m, lam)
+        if m == 2:
+            grown = mofs.grow_maximal(p, SearchConfig(seed=seed))
+        else:  # F(5;1) from one random square; its type is over the guard
+            start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
+            grown = mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
+        assert (grown.t, set_digest(grown)) == GROW_PINS[(m, lam, seed)]
+
+    @pytest.mark.parametrize(
+        "config", [SearchConfig(seed=0, prefix=(2, 1, 2)), SearchConfig(seed=0, max_results=0)]
+    )
+    def test_rejects_restricted_search(self, config):
+        # A restricted search can stop before the set is maximal.
+        with pytest.raises(mofs.MofsError, match="whole search space"):
+            mofs.grow_maximal(mofs.Params(2, 3), config)
+
     def test_already_maximal_unchanged(self, federer4):
         grown = mofs.grow_maximal(federer4, SearchConfig(seed=0))
         assert grown.squares == federer4.squares
@@ -173,6 +294,18 @@ class TestExhaustiveMaximality:
         rng = random.Random(0)
         mset = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
         assert not mofs.exhaustive_maximality(mset)
+
+    @pytest.mark.parametrize(
+        "config", [SearchConfig(prefix=(2,)), SearchConfig(max_results=0)]
+    )
+    def test_rejects_restricted_search(self, config):
+        p = mofs.Params(2, 2)
+        first = next(mofs.enumerate_fsquares(p))
+        second = next(mofs.extensions(mofs.verify_mofs([first])))
+        mset = mofs.verify_mofs([first, second])
+        assert not mofs.exhaustive_maximality(mset)
+        with pytest.raises(mofs.MofsError, match="whole search space"):
+            mofs.exhaustive_maximality(mset, config)
 
     def test_guard_applies(self):
         p = mofs.Params(2, 4)
