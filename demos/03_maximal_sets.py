@@ -16,9 +16,11 @@ p = mofs.Params(m=2, lam=3)  # F(6;3)
 print(f"growing random maximal sets of F({p.n};{p.lam})")
 print(f"completeness bound: {mofs.upper_bound(p).value}\n")
 
+grown = []
 for seed in range(16):
     mset = mofs.grow_maximal(p, SearchConfig(seed=seed))
     verdict = mofs.maximality_verdict(mset)
+    grown.append((mset, verdict))
     if verdict.certified:
         cert = verdict.certificate
         note = f"parity certificate (x={cert.x}, y={cert.y})"
@@ -29,9 +31,7 @@ for seed in range(16):
 # Cross-check one certified run against brute force: a certificate claims
 # no extension exists, and exhaustive search over all 297200 candidate
 # squares must agree.
-for seed in range(16):
-    mset = mofs.grow_maximal(p, SearchConfig(seed=seed))
-    verdict = mofs.maximality_verdict(mset)
+for seed, (mset, verdict) in enumerate(grown):
     if verdict.certified:
         agrees = mofs.exhaustive_maximality(mset)
         print(f"\nseed {seed}: exhaustive search confirms maximality: {agrees}")

@@ -273,13 +273,7 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     by = mul[1:][None, :, None, :]
     grids = symbols[add[ax, by]].reshape(-1, q, q)
     squares = [FSquare(params, grid) for grid in grids]
-
-    expected = (q - 1) ** 2 // (m - 1) if m > 1 else 1
-    if len(squares) != expected:
-        raise ConstructionSelfCheckFailed(
-            f"built {len(squares)} squares, expected {expected}"
-        )
-    return _checked(squares, expected)
+    return _checked(squares, (q - 1) ** 2 // (m - 1))
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,17 @@ class Params:
 
 def _as_grid(params: Params, grid) -> np.ndarray:
     # Always a private copy: the square must not share a caller's memory.
-    arr = np.array(grid, dtype=np.int64)
+    try:
+        arr = np.array(grid)
+    except ValueError:
+        raise DimensionMismatch("grid rows have different lengths") from None
     if arr.shape != (params.n, params.n):
         raise DimensionMismatch(
             f"expected a {params.n}x{params.n} grid, got shape {arr.shape}"
         )
-    return arr
+    if arr.dtype.kind not in "iu":  # floats, or ints too large for int64
+        raise SymbolOutOfRange(f"entries must be int64 integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 class FSquare:

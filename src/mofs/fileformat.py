@@ -32,10 +32,10 @@ _HEADER_RE = re.compile(r"^MOFS m=(\d+) lambda=(\d+) count=(\d+)$")
 def encode(mset: MofsSet) -> str:
     params = mset.params
     lines = [f"MOFS m={params.m} lambda={params.lam} count={mset.t}"]
-    for idx, s in enumerate(mset.squares):
+    for idx, grid in enumerate(mset.grids):
         if idx:
             lines.append("")
-        lines.extend(" ".join(map(str, row)) for row in s.grid.tolist())
+        lines.extend(" ".join(map(str, row)) for row in grid.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -95,13 +95,12 @@ def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
     if len(choice) != mset.t:
         raise LengthMismatch(f"expected {mset.t} symbols, got {len(choice)}")
     params = mset.params
-    n = params.n
-    acc = np.zeros((n, n), dtype=np.int64)
-    for s, a in zip(mset.squares, choice):
-        if not 1 <= a <= params.m:
-            raise SymbolOutOfRange(f"symbol {a} not in 1..{params.m}")
-        acc += s.grid == a
-    return ParityMatrix(params, mset.t, choice, (acc & 1).astype(np.int64))
+    bad = next((a for a in choice if not 1 <= a <= params.m), None)
+    if bad is not None:
+        raise SymbolOutOfRange(f"symbol {bad} not in 1..{params.m}")
+    hits = mset.grids == np.asarray(choice).reshape(-1, 1, 1)
+    bits = hits.sum(axis=0, dtype=np.int64) & 1
+    return ParityMatrix(params, mset.t, choice, bits)
 
 
 def detect_full_relation(pm: ParityMatrix) -> FullRelationCertificate | None:
@@ -114,29 +113,18 @@ def detect_full_relation(pm: ParityMatrix) -> FullRelationCertificate | None:
     """
     bits = pm.bits
     n = bits.shape[0]
-    first = bits[0]
-    comp = 1 - first
-    top_rows = []
-    for i in range(n):
-        row = bits[i]
-        if (row == first).all():
-            top_rows.append(i)
-        elif not (row == comp).all():
-            return None
+    top = (bits == bits[0]).all(axis=1)
+    if not (top | (bits != bits[0]).all(axis=1)).all():
+        return None
     if not bits.any() or bits.all():
         return None  # constant matrix: excluded by definition
-    x1 = len(top_rows)
-    zero_cols = [j for j in range(n) if first[j] == 0]
-    y1 = len(zero_cols)
-    rows1 = frozenset(top_rows)
-    cols1 = frozenset(zero_cols)
-    all_rows = frozenset(range(n))
-    all_cols = frozenset(range(n))
+    rows = frozenset(np.flatnonzero(top).tolist())
+    cols = frozenset(np.flatnonzero(bits[0] == 0).tolist())
+    x, y = len(rows), len(cols)
     # Two orientations: the first-row pattern on top, or its complement.
-    if (x1, y1) <= (n - x1, n - y1):
-        x, y, rows, cols = x1, y1, rows1, cols1
-    else:
-        x, y, rows, cols = n - x1, n - y1, all_rows - rows1, all_cols - cols1
+    if (x, y) > (n - x, n - y):
+        everything = frozenset(range(n))
+        x, y, rows, cols = n - x, n - y, everything - rows, everything - cols
     return FullRelationCertificate(x, y, rows, cols, pm.symbol_choice)
 
 

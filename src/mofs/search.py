@@ -21,7 +21,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import FSquare, MofsError, Params
-from .verify import MofsSet, verify_mofs
+from .verify import MofsSet, _stack, verify_mofs
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -116,8 +116,12 @@ def estimate_count(params: Params) -> int:
     return patterns**n
 
 
-def _row_patterns(m: int, lam: int):
-    """All rows with each symbol exactly lam times, in lexicographic order."""
+@lru_cache(maxsize=None)
+def _pattern_tables(m: int, lam: int):
+    """What the engine derives from the type alone, built once per type:
+    the rows with each symbol exactly lam times (the patterns, in
+    lexicographic order), the counters' field dtype, the patterns'
+    read-only one-hot array and their packed column increments."""
     n = m * lam
     out = []
     counts = [lam] * m
@@ -135,7 +139,20 @@ def _row_patterns(m: int, lam: int):
                 counts[a - 1] += 1
 
     rec(0, [])
-    return out
+    patterns = tuple(out)
+    # The narrowest unsigned field whose top bit can flag a count above lam^2.
+    dtype = next(
+        np.dtype(f"<u{size}")
+        for size in (1, 2, 4, 8)
+        if lam * lam < 1 << (8 * size - 1)
+    )
+    # pattern_hot[p, j, a]: pattern p holds symbol a + 1 in column j.  One-hot
+    # arrays are in the field type: no count in a row exceeds lam.
+    pattern_hot = (np.array(patterns)[:, :, None] == np.arange(1, m + 1)).astype(dtype)
+    pattern_hot.flags.writeable = False
+    hot_cols = pattern_hot.transpose(0, 2, 1).reshape(len(patterns), -1)
+    col_inc = tuple(_pack(hot_cols, dtype))
+    return patterns, dtype, pattern_hot, col_inc
 
 
 def _guard(params: Params, config: SearchConfig) -> None:
@@ -154,7 +171,8 @@ def _pack(counts: np.ndarray, dtype: np.dtype) -> list:
 
 
 def _engine(params, members, first_order, config):
-    """Backtracking enumerator over row patterns, with packed counters.
+    """Backtracking enumerator over row patterns, with packed counters,
+    for squares orthogonal to every grid of the (k, n, n) ``members``.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -167,23 +185,11 @@ def _engine(params, members, first_order, config):
     bounds on the other m - 1.
     """
     m, lam, n = params.m, params.lam, params.n
-    patterns = _row_patterns(m, lam)
+    patterns, dtype, pattern_hot, col_inc = _pattern_tables(m, lam)
     n_patterns, n_pairs = len(patterns), len(members) * m * m
-    # The narrowest unsigned field whose top bit can flag a count above lam^2.
-    dtype = next(
-        np.dtype(f"<u{size}")
-        for size in (1, 2, 4, 8)
-        if lam * lam < 1 << (8 * size - 1)
-    )
     top = 1 << (8 * dtype.itemsize - 1)
-    # One-hot arrays in the field type: no count in a row exceeds lam.
-    symbols = np.arange(1, m + 1)
-    # pattern_hot[p, j, a]: pattern p holds symbol a + 1 in column j.
-    pattern_hot = (np.array(patterns)[:, :, None] == symbols).astype(dtype)
-    col_inc = _pack(pattern_hot.transpose(0, 2, 1).reshape(n_patterns, m * n), dtype)
     # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
-    grids = np.array([s.grid for s in members], dtype=np.int64).reshape(-1, n, n)
-    member_hot = (grids[..., None] == symbols).astype(dtype)
+    member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
     pair_inc = [
         _pack(
             np.einsum("pja,kjb->pkab", pattern_hot, member_hot[:, i]).reshape(
@@ -230,7 +236,8 @@ def _engine(params, members, first_order, config):
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
     _guard(params, config)
-    yield from islice(_engine(params, (), None, config), config.max_results)
+    members = _stack(params, ())
+    yield from islice(_engine(params, members, None, config), config.max_results)
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
@@ -238,7 +245,7 @@ def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     pruning of partial grids on running pair counts."""
     _guard(mset.params, config)
     yield from islice(
-        _engine(mset.params, mset.squares, None, config), config.max_results
+        _engine(mset.params, mset.grids, None, config), config.max_results
     )
 
 
@@ -279,11 +286,11 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         params, squares = seed_set.params, list(seed_set.squares)
     _guard(params, config)
     rng = random.Random(config.seed)
-    n_patterns = len(_row_patterns(params.m, params.lam))
+    n_patterns = len(_pattern_tables(params.m, params.lam)[0])
     while True:
         first_order = list(range(n_patterns))
         rng.shuffle(first_order)
-        nxt = next(_engine(params, squares, first_order, config), None)
+        nxt = next(_engine(params, _stack(params, squares), first_order, config), None)
         if nxt is None:
             break
         squares.append(nxt)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,20 @@ class MofsSet:
     def t(self) -> int:
         return len(self.squares)
 
+    @cached_property
+    def grids(self) -> np.ndarray:
+        """The squares' grids stacked as one read-only (t, n, n) array."""
+        return _stack(self.params, self.squares)
+
+
+def _stack(params: Params, squares) -> np.ndarray:
+    """The one in-memory layout of a set: its grids as a read-only (t, n, n)
+    array of the narrowest unsigned type that holds the symbols 1..m."""
+    grids = np.array([s.grid for s in squares], np.min_scalar_type(params.m))
+    grids = grids.reshape(-1, params.n, params.n)
+    grids.flags.writeable = False
+    return grids
+
 
 @dataclass(frozen=True)
 class UpperBound:
@@ -75,14 +90,9 @@ def superposition_counts(s: FSquare, s2: FSquare) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=m * m).reshape(m, m)
 
 
-def orthogonal(s: FSquare, s2: FSquare, *, reduced: bool = False) -> bool:
+def orthogonal(s: FSquare, s2: FSquare) -> bool:
     """True iff every ordered symbol pair appears exactly lam^2 times
-    in the superposition of ``s`` on ``s2``.
-
-    ``reduced`` is kept for compatibility and gives the same verdict:
-    checking only the (m-1)^2 symbol pairs over 2..m is equivalent,
-    because row and column regularity force the remaining counts.
-    """
+    in the superposition of ``s`` on ``s2``."""
     lam = s.params.lam
     return bool((superposition_counts(s, s2) == lam * lam).all())
 
@@ -100,22 +110,20 @@ def _indicator_rows(grids: np.ndarray, symbols: np.ndarray, dtype) -> np.ndarray
     return hits.reshape(-1, grids.shape[1]).astype(dtype)
 
 
-def _first_failing_pair(squares, params: Params):
-    """0-based (k, l) of the lexicographically first non-orthogonal pair,
-    or None when the set is pairwise orthogonal.
+def _first_failing_pair(grids: np.ndarray, params: Params):
+    """0-based (k, l) of the lexicographically first non-orthogonal pair of
+    the flattened ``grids`` (one square per row), or None when the set is
+    pairwise orthogonal.
 
-    Stacks the grids once, then multiplies reduced indicator matrices
-    (symbols 2..m; symbol 1 when m = 1) tile by tile, X_k X_l^T, and
-    checks every off-diagonal (m-1) x (m-1) block against lam^2.  For
-    regular squares the reduced counts decide orthogonality: the row and
-    column sums of the superposition counts then force the counts that
-    involve symbol 1.  Floats are exact since every count is at most n^2.
+    Multiplies reduced indicator matrices (symbols 2..m; symbol 1 when
+    m = 1) tile by tile, X_k X_l^T, and checks every off-diagonal
+    (m-1) x (m-1) block against lam^2.  For regular squares the reduced
+    counts decide orthogonality: the row and column sums of the
+    superposition counts then force the counts that involve symbol 1.
+    Floats are exact since every count is at most n^2.
     """
-    m, lam, n = params.m, params.lam, params.n
-    t, cells = len(squares), n * n
-    grids = np.empty((t, cells), dtype=np.min_scalar_type(m))
-    for i, s in enumerate(squares):
-        grids[i] = s.grid.ravel()
+    m, lam = params.m, params.lam
+    t, cells = grids.shape
     symbols = np.arange(2 if m >= 2 else 1, m + 1, dtype=grids.dtype)
     r = len(symbols)
     dtype = np.float32 if cells < 1 << 24 else np.float64
@@ -142,13 +150,12 @@ def _first_failing_pair(squares, params: Params):
     return None
 
 
-def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
+def verify_mofs(squares) -> MofsSet:
     """Validate a list of FSquares as a MOFS set, or raise on the first
     failing pair (1-based indices in the error).
 
-    ``reduced`` is kept for compatibility and gives the same verdict; see
-    :func:`orthogonal`.  The failure reported is the lexicographically first
-    pair (k, l) and, within it, the first symbol pair (a, b) over 1..m.
+    The failure reported is the lexicographically first pair (k, l) and,
+    within it, the first symbol pair (a, b) over 1..m.
     """
     squares = tuple(squares)
     if not squares:
@@ -157,10 +164,12 @@ def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
     for s in squares[1:]:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
+    mset = MofsSet(params, squares)
+    t = mset.t
     # A set larger than the bound always has a failing pair with k below the
     # bound, and the kernel stops at the first row tile holding a failure, so
     # such a set costs O(bound * t) pair checks, not O(t^2).
-    pair = _first_failing_pair(squares, params)
+    pair = _first_failing_pair(mset.grids.reshape(t, -1), params)
     if pair is not None:
         k, l = pair
         target = params.lam * params.lam
@@ -169,7 +178,6 @@ def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
         raise NotOrthogonal(
             k + 1, l + 1, int(a) + 1, int(b) + 1, int(counts[a, b]), target
         )
-    t = len(squares)
     if params.m >= 2:
         bound = upper_bound(params)
         if t > bound.value:
@@ -177,7 +185,7 @@ def verify_mofs(squares, *, reduced: bool = False) -> MofsSet:
                 f"impossible: {t} pairwise-orthogonal squares exceeds the"
                 f" bound {bound.value}"
             )
-    return MofsSet(params, squares)
+    return mset
 
 
 def upper_bound(params: Params) -> UpperBound:
@@ -187,17 +195,6 @@ def upper_bound(params: Params) -> UpperBound:
     num = (params.n - 1) ** 2
     den = params.m - 1
     return UpperBound(num // den, num % den == 0)
-
-
-def _relabel_top_left(s: FSquare) -> np.ndarray:
-    """Grid of ``s`` with symbol 1 swapped with the top-left symbol."""
-    c = int(s.grid[0, 0])
-    if c == 1:
-        return s.grid
-    grid = s.grid.copy()
-    grid[s.grid == 1] = c
-    grid[s.grid == c] = 1
-    return grid
 
 
 def completeness_structure(mset: MofsSet) -> CompletenessReport:
@@ -211,12 +208,10 @@ def completeness_structure(mset: MofsSet) -> CompletenessReport:
     params = mset.params
     if params.m < 2:
         raise UndefinedForMOne("completeness is undefined for m = 1")
-    m, lam, n = params.m, params.lam, params.n
-    t = mset.t
-    ones_count = np.zeros((n, n), dtype=np.int64)
-    for s in mset.squares:
-        ones_count += _relabel_top_left(s) == 1
-    t_matrix = t - ones_count  # sum over a > 1 of I_a = J - I_1, per square
+    lam, n, t = params.lam, params.n, mset.t
+    g = mset.grids
+    # Relabeled, sum over a > 1 of I_a is J minus the top-left symbol's cells.
+    t_matrix = t - (g == g[:, :1, :1]).sum(axis=0, dtype=np.int64)
     border = lam * (n - 1)
     interior = lam * (n - 2)
     matches = (

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,29 @@ def cyclic_triple_set():
 @pytest.fixture(scope="session")
 def federer4():
     return mofs.construct_federer(mofs.hadamard(4))
+
+
+@pytest.fixture(scope="session")
+def workload_complete_sets():
+    """The three complete sets of the benchmark's complete-sets workload."""
+    return {
+        "pp33": mofs.construct_prime_power(3, 3),  # 338 x F(27;9)
+        "pp52": mofs.construct_prime_power(5, 2),  # 144 x F(25;5)
+        "federer24": mofs.construct_federer(mofs.hadamard(24)),  # 529 x F(24;12)
+    }
+
+
+def hand_built_sets():
+    """Unverified sets of random squares, built directly as MofsSets, over
+    several types (the last needs two bytes per symbol), as pytest params."""
+    rng = random.Random(2024)
+    types = [(2, 1, 3), (2, 3, 5), (3, 2, 4), (4, 1, 7), (5, 2, 2), (256, 1, 3)]
+    out = []
+    for m, lam, t in types:
+        p = mofs.Params(m, lam)
+        squares = tuple(mofs.random_fsquare(p, rng) for _ in range(t))
+        out.append(pytest.param(mofs.MofsSet(p, squares), id=f"{p}x{t}"))
+    return out
 
 
 def naive_fsquares(params):

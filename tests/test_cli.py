@@ -114,6 +114,12 @@ class TestCli:
         assert main(["verify", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_verify_oversize_entry_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.mofs"
+        path.write_text("MOFS m=2 lambda=1 count=1\n1 2\n2 99999999999999999999999\n")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["verify", "/nonexistent.mofs"]) == 1
 

@@ -136,6 +136,27 @@ class TestMakeFSquare:
         assert hash(s) == key
         assert s == mofs.make_fsquare(p, EXAMPLE_GRID)
 
+    def test_fractional_entry_rejected(self):
+        # Converting to int64 would truncate 1.5 to 1 and accept the grid.
+        with pytest.raises(SymbolOutOfRange):
+            mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2, 1.5]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2]])
+
+    @pytest.mark.parametrize("big", [2**63, 2**64, 99999999999999999999999])
+    def test_entry_beyond_int64_rejected(self, big):
+        with pytest.raises(SymbolOutOfRange):
+            mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2, big]])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_integer_dtypes_accepted(self, dtype):
+        grid = np.array(EXAMPLE_GRID, dtype=dtype)
+        s = mofs.make_fsquare(mofs.Params(3, 2), grid)
+        assert s.grid.dtype == np.int64
+        assert s.grid.tolist() == EXAMPLE_GRID
+
 
 class TestIndicator:
     def test_worked_example_indicators(self, example_square):

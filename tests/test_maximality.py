@@ -9,7 +9,7 @@ import mofs
 from mofs.core import SymbolOutOfRange
 from mofs.maximality import LengthMismatch
 
-from conftest import brute_force_full_relation
+from conftest import brute_force_full_relation, hand_built_sets
 
 
 def pm_from_bits(bits, t=1, choice=None):
@@ -62,6 +62,43 @@ class TestParityMatrix:
             if nxt is None:
                 break
             squares.append(nxt)
+
+
+def parity_reference(mset, choice):
+    """Parity bits by a loop over the squares."""
+    n = mset.params.n
+    acc = np.zeros((n, n), dtype=np.int64)
+    for s, a in zip(mset.squares, choice):
+        acc += s.grid == a
+    return acc & 1
+
+
+def random_choices(mset, rng, count):
+    m = mset.params.m
+    uniform = [(a,) * mset.t for a in (1, m)]
+    drawn = [tuple(rng.randint(1, m) for _ in range(mset.t)) for _ in range(count)]
+    return uniform + drawn
+
+
+class TestParityAgainstLoop:
+    @pytest.mark.parametrize("name", ["pp33", "pp52", "federer24"])
+    def test_complete_sets(self, workload_complete_sets, name):
+        mset = workload_complete_sets[name]
+        for choice in random_choices(mset, random.Random(name), 4):
+            pm = mofs.parity_matrix(mset, choice)
+            assert pm.bits.dtype == np.int64
+            assert (pm.bits == parity_reference(mset, choice)).all()
+
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_hand_built_sets(self, mset):
+        for choice in random_choices(mset, random.Random(mset.t), 10):
+            pm = mofs.parity_matrix(mset, choice)
+            assert pm.bits.dtype == np.int64
+            assert (pm.bits == parity_reference(mset, choice)).all()
+
+    def test_first_bad_symbol_in_choice_order(self, cyclic_triple_set):
+        with pytest.raises(SymbolOutOfRange, match="symbol 0 not"):
+            mofs.parity_matrix(cyclic_triple_set, (2, 0, 4))
 
 
 class TestDetectFullRelation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mofs
 from mofs.verify import NotOrthogonal, ParamMismatch, UndefinedForMOne
 
-from conftest import naive_superposition
+from conftest import hand_built_sets, naive_superposition
 
 
 def permute_symbols(s, perm):
@@ -63,16 +63,6 @@ class TestOrthogonal:
         p = mofs.Params(1, 2)
         s = mofs.make_fsquare(p, np.ones((2, 2), dtype=int))
         assert mofs.orthogonal(s, s)
-
-    def test_reduced_agrees_with_full(self):
-        rng = random.Random(3)
-        p = mofs.Params(2, 2)
-        squares = [mofs.random_fsquare(p, rng) for _ in range(24)]
-        for s1 in squares[:12]:
-            for s2 in squares[12:]:
-                assert mofs.orthogonal(s1, s2, reduced=True) == mofs.orthogonal(
-                    s1, s2
-                )
 
     @given(
         st.integers(min_value=0, max_value=10**6),
@@ -173,7 +163,7 @@ class TestKernelAgainstBruteForce:
             )
         expected = brute_force_first_failure(squares)
         with pytest.raises(NotOrthogonal) as exc:
-            mofs.verify_mofs(squares, reduced=bool(seed % 3))
+            mofs.verify_mofs(squares)
         e = exc.value
         assert (e.k, e.l, e.a, e.b, e.count) == expected
         assert e.expected == squares[0].params.lam ** 2
@@ -193,14 +183,12 @@ class TestKernelAgainstBruteForce:
                 (mofs.superposition_counts(s1, s2) == s1.params.lam**2).all()
             )
             verdicts.add(expected)
-            for reduced in (False, True):
-                assert mofs.orthogonal(s1, s2, reduced=reduced) == expected
+            assert mofs.orthogonal(s1, s2) == expected
         assert verdicts == {False, True}
 
     def test_whole_sets_verify(self, multi_tile_sets):
         for squares in multi_tile_sets.values():
-            for reduced in (False, True):
-                assert mofs.verify_mofs(squares, reduced=reduced).t == len(squares)
+            assert mofs.verify_mofs(squares).t == len(squares)
 
 
 class TestUpperBound:
@@ -257,3 +245,50 @@ class TestCompletenessStructure:
         t, m, lam = 9, 2, 2
         expected = t * (m - 1) * lam * lam * (t * (m - 1) + 1)
         assert (rep.t_matrix**2).sum() == expected
+
+
+def completeness_reference(mset):
+    """T by a loop over the squares: relabel each so its top-left symbol is
+    1, then count the cells of the other symbols."""
+    n = mset.params.n
+    ones_count = np.zeros((n, n), dtype=np.int64)
+    for s in mset.squares:
+        c = int(s.grid[0, 0])
+        grid = s.grid.copy()
+        grid[s.grid == 1] = c
+        grid[s.grid == c] = 1
+        ones_count += grid == 1
+    return mset.t - ones_count
+
+
+class TestCompletenessAgainstLoop:
+    @pytest.mark.parametrize("name", ["pp33", "pp52", "federer24"])
+    def test_complete_sets(self, workload_complete_sets, name):
+        mset = workload_complete_sets[name]
+        rep = mofs.completeness_structure(mset)
+        assert rep.t_matrix.dtype == np.int64
+        assert (rep.t_matrix == completeness_reference(mset)).all()
+        assert rep.is_complete and rep.structure_matches
+
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_hand_built_sets(self, mset):
+        rep = mofs.completeness_structure(mset)
+        assert rep.t_matrix.dtype == np.int64
+        assert (rep.t_matrix == completeness_reference(mset)).all()
+
+
+class TestGrids:
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_hand_built_sets(self, mset):
+        grids = mset.grids
+        assert grids is mset.grids
+        assert not grids.flags.writeable
+        assert grids.dtype == np.min_scalar_type(mset.params.m)
+        assert np.array_equal(grids, np.stack([s.grid for s in mset.squares]))
+
+    def test_verified_set(self, workload_complete_sets):
+        mset = workload_complete_sets["federer24"]
+        assert mset.grids is mset.grids
+        assert np.array_equal(mset.grids, np.stack([s.grid for s in mset.squares]))
+        with pytest.raises(ValueError):
+            mset.grids[0, 0, 0] = 2
