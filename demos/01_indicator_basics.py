@@ -1,9 +1,9 @@
-"""Frequency squares as stacks of binary indicator masks.
+"""Frequency squares as sums of 0/1 indicator squares.
 
 A frequency square F(n; lam) over m = n/lam symbols has every symbol
 exactly lam times in each row and column.  Splitting it into one 0/1
-mask per symbol turns combinatorial statements about squares into
-integer inner products between masks.
+array per symbol, S = sum_a a * I_a(S), turns combinatorial statements
+about squares into integer inner products between those arrays.
 """
 
 import numpy as np
@@ -24,10 +24,10 @@ print(f"an F({p.n};{p.lam}) square over {p.m} symbols:\n{s.grid}\n")
 
 for a in range(1, p.m + 1):
     ind = mofs.indicator(s, a)
-    print(f"indicator of symbol {a} (row sums {ind.row_sums()}):")
-    print(ind.to_array(), end="\n\n")
+    print(f"indicator of symbol {a} (row sums {ind.sum(axis=1).tolist()}):")
+    print(ind, end="\n\n")
 
-# The masks partition the cells, so stacking them back recovers the square.
+# The indicators partition the cells, so sum_a a * I_a recovers the square.
 assert mofs.reconstruct(mofs.indicators(s)) == s
 print("reconstruct(indicators(s)) == s")
 

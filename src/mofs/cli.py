@@ -78,9 +78,11 @@ def _cmd_analyze(args):
         report = completeness_structure(mset)
         _print_completeness(report)
         print(f"completeness block structure matches: {report.structure_matches}")
-    for a in range(1, params.m + 1):
-        pm = maximality.parity_matrix(mset, (a,) * mset.t)
-        cert = maximality.detect_full_relation(pm)
+    certs = [
+        maximality.detect_full_relation(maximality.parity_matrix(mset, (a,) * mset.t))
+        for a in range(1, params.m + 1)
+    ]
+    for a, cert in enumerate(certs, start=1):
         if cert is None:
             print(f"symbol {a}: parity matrix has no full-relation block form")
         else:
@@ -97,7 +99,7 @@ def _cmd_analyze(args):
                 ("t = m - 1 (mod 4)", rep.cor10),
             ]:
                 print(f"  {name}: {'pass' if flag else 'FAIL'}")
-    verdict = maximality.maximality_verdict(mset)
+    verdict = maximality._verdict(params, certs)
     if verdict.certified:
         c = verdict.certificate
         print(

@@ -2,9 +2,11 @@
 
 A frequency square of type F(m*lam; lam) is an n x n array (n = m*lam)
 over the symbols 1..m in which every symbol occurs exactly lam times in
-every row and in every column.  Its indicator squares are the m binary
-masks marking where each symbol sits; the whole library works with these
-masks and exact integer inner products of them.
+every row and in every column.  Its indicator squares I_a(S) are the m
+0/1 arrays marking where each symbol sits, so S = sum_a a * I_a(S), and
+the paper's proofs become exact integer inner products of them.  A square
+is stored once, as its symbol grid (``FSquare.grid``); its indicator
+squares are plain int64 arrays computed from that grid.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _as_grid(params: Params, grid) -> np.ndarray:
         )
     if arr.dtype.kind not in "iu":  # floats, or ints too large for int64
         raise SymbolOutOfRange(f"entries must be int64 integers, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 class FSquare:
@@ -110,7 +112,9 @@ class FSquare:
     def __init__(self, params: Params, grid, *, _trusted: bool = False):
         arr = _as_grid(params, grid)
         if not _trusted:
+            # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
             _validate_regularity(params, arr)
+        arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "grid", arr)
@@ -137,7 +141,7 @@ def _validate_regularity(params: Params, arr: np.ndarray) -> None:
         raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
     # counts[i, a - 1]: occurrences of symbol a in row (column) i.
     index = np.arange(n) * m
-    sym = arr - 1
+    sym = arr.astype(np.int64, copy=False) - 1
     row_counts = np.bincount((index[:, None] + sym).ravel(), minlength=n * m)
     col_counts = np.bincount((index[None, :] + sym).ravel(), minlength=n * m)
     row_counts, col_counts = row_counts.reshape(n, m), col_counts.reshape(n, m)
@@ -158,107 +162,67 @@ def make_fsquare(params: Params, grid) -> FSquare:
     return FSquare(params, grid)
 
 
-@dataclass(frozen=True)
-class IndicatorSquare:
-    """Binary mask of one symbol's cells, rows packed as integer bitmasks.
-
-    Bit j of ``row_masks[i]`` is set exactly when the source square holds
-    the marked symbol at cell (i, j).  Packed rows make inner products a
-    word-parallel popcount of an AND.
-    """
-
-    params: Params
-    row_masks: tuple
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    def to_array(self) -> np.ndarray:
-        n = self.n
-        out = np.zeros((n, n), dtype=np.int64)
-        for i, mask in enumerate(self.row_masks):
-            for j in range(n):
-                if mask >> j & 1:
-                    out[i, j] = 1
-        return out
-
-    def row_sums(self):
-        return [mask.bit_count() for mask in self.row_masks]
-
-    def col_sums(self):
-        n = self.n
-        return [sum(mask >> j & 1 for mask in self.row_masks) for j in range(n)]
-
-
-def indicator(s: FSquare, a: int) -> IndicatorSquare:
-    """Indicator square of ``s`` with respect to symbol ``a``."""
+def indicator(s: FSquare, a: int) -> np.ndarray:
+    """Indicator square I_a(s): the read-only 0/1 array of the cells of
+    ``s`` that hold symbol ``a``."""
     if not 1 <= a <= s.params.m:
         raise SymbolOutOfRange(f"symbol {a} not in 1..{s.params.m}")
-    masks = []
-    for row in s.grid:
-        mask = 0
-        for j, v in enumerate(row):
-            if v == a:
-                mask |= 1 << j
-        masks.append(mask)
-    return IndicatorSquare(s.params, tuple(masks))
+    return _read_only(s.grid == a)
 
 
-def indicators(s: FSquare) -> list:
-    """All m indicator squares of ``s``, for symbols 1..m in order."""
-    return [indicator(s, a) for a in range(1, s.params.m + 1)]
+def indicators(s: FSquare) -> np.ndarray:
+    """All m indicator squares of ``s`` as a read-only (m, n, n) stack,
+    for symbols 1..m in order."""
+    return _read_only(s.grid == np.arange(1, s.params.m + 1).reshape(-1, 1, 1))
+
+
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    # int64 like FSquare.grid and all_ones, so a * I_a and sums cannot wrap.
+    arr = mask.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def reconstruct(inds) -> FSquare:
     """Rebuild the frequency square whose a-th indicator is ``inds[a-1]``.
 
-    The m binary masks must have disjoint supports covering every cell;
+    The m arrays are n x n with entries in {0, 1}; m fixes the type
+    F(n; n/m).  They must have disjoint supports covering every cell;
     the weighted sum sum_a a * inds[a-1] is then validated as an FSquare.
     """
-    inds = list(inds)
-    if not inds:
-        raise MofsError("need at least one indicator square")
-    params = inds[0].params
-    n = params.n
-    if len(inds) != params.m:
-        raise DimensionMismatch(
-            f"expected {params.m} indicator squares, got {len(inds)}"
-        )
-    full = (1 << n) - 1
-    for i in range(n):
-        seen = 0
-        for ind in inds:
-            if ind.params != params:
-                raise DimensionMismatch("indicator squares disagree on parameters")
-            mask = ind.row_masks[i]
-            if seen & mask:
-                raise OverlappingSupports(f"row {i}: two indicators share a cell")
-            seen |= mask
-        if seen != full:
-            j = next(j for j in range(n) if not (seen >> j & 1))
-            raise UncoveredCell(f"cell ({i},{j}) is covered by no indicator")
-    grid = np.zeros((n, n), dtype=np.int64)
-    for a, ind in enumerate(inds, start=1):
-        grid += a * ind.to_array()
     try:
-        return FSquare(params, grid)
+        stack = np.array(list(inds))
+    except ValueError:
+        raise DimensionMismatch("indicator squares have different shapes") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:  # [] has shape (0,)
+        raise DimensionMismatch(
+            f"expected one or more n x n indicator squares, got shape {stack.shape}"
+        )
+    m, n = stack.shape[:2]
+    if n % m:
+        raise DimensionMismatch(f"side {n} is not a multiple of {m} indicator squares")
+    if stack.dtype.kind not in "biu" or ((stack != 0) & (stack != 1)).any():
+        raise SymbolOutOfRange("indicator square entries must be the integers 0 and 1")
+    cover = stack.sum(axis=0)
+    bad_rows = (cover != 1).any(axis=1)
+    if bad_rows.any():
+        # The first faulty row; in it, an overlap before an uncovered cell.
+        i = int(np.argmax(bad_rows))
+        if (cover[i] > 1).any():
+            raise OverlappingSupports(f"row {i}: two indicators share a cell")
+        j = int(np.argmax(cover[i] == 0))
+        raise UncoveredCell(f"cell ({i},{j}) is covered by no indicator")
+    grid = np.tensordot(np.arange(1, m + 1), stack.astype(np.int64), axes=1)
+    try:
+        return FSquare(Params(m, n // m), grid)
     except (RowRegularityViolation, ColumnRegularityViolation) as exc:
         raise RegularityViolation(str(exc)) from exc
 
 
 def inner(a, b) -> int:
-    """Sum of the entries of the elementwise product of two arrays.
-
-    Accepts IndicatorSquares (popcount of ANDed packed rows) or any
-    same-shape integer arrays.
-    """
-    if isinstance(a, IndicatorSquare) and isinstance(b, IndicatorSquare):
-        if a.params.n != b.params.n:
-            raise DimensionMismatch("indicator squares have different sizes")
-        return sum((ra & rb).bit_count() for ra, rb in zip(a.row_masks, b.row_masks))
-    aa = a.to_array() if isinstance(a, IndicatorSquare) else np.asarray(a)
-    bb = b.to_array() if isinstance(b, IndicatorSquare) else np.asarray(b)
+    """<a, b>: the sum of the entries of the elementwise product of two
+    same-shape arrays, such as indicator squares."""
+    aa, bb = np.asarray(a), np.asarray(b)
     if aa.shape != bb.shape:
         raise DimensionMismatch(f"shape mismatch: {aa.shape} vs {bb.shape}")
     return int(np.sum(aa * bb))

@@ -150,13 +150,15 @@ def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
     in order (plus any user-supplied per-square choices); the first
     certificate found wins, which keeps the outcome deterministic.
     """
-    params = mset.params
+    choices = [(a,) * mset.t for a in range(1, mset.params.m + 1)]
+    choices.extend(tuple(c) for c in extra_choices)
+    certs = (detect_full_relation(parity_matrix(mset, c)) for c in choices)
+    return _verdict(mset.params, certs)
+
+
+def _verdict(params: Params, certs) -> MaximalityVerdict:
+    """The first certificate of the iterable ``certs`` (None where a
+    choice has none), read lazily and only when lam is odd."""
     if params.lam % 2 == 0:
         return MaximalityVerdict(None)
-    choices = [(a,) * mset.t for a in range(1, params.m + 1)]
-    choices.extend(tuple(c) for c in extra_choices)
-    for choice in choices:
-        cert = detect_full_relation(parity_matrix(mset, choice))
-        if cert is not None:
-            return MaximalityVerdict(cert)
-    return MaximalityVerdict(None)
+    return MaximalityVerdict(next((c for c in certs if c is not None), None))

@@ -44,24 +44,14 @@ class SearchConfig:
     restricts the first row to start with the given symbols, which
     partitions the search space between runs; ``max_results`` caps a
     stream.  Greedy growth and the exhaustive maximality check need the
-    whole space and refuse both.
+    whole space and refuse both.  ``force`` lifts the enumeration size
+    guard, whose ceiling is the ``MOFS_MAX_ENUM`` environment variable.
     """
 
     seed: int | None = None
     max_results: int | None = None
     prefix: tuple = ()
-    max_enum: int | None = None
     force: bool = False
-
-
-def _ceiling(config: SearchConfig) -> int:
-    if config.max_enum is not None:
-        return config.max_enum
-    raw = os.environ.get("MOFS_MAX_ENUM", str(DEFAULT_MAX_ENUM))
-    try:
-        return int(raw)
-    except ValueError:
-        raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +148,11 @@ def _pattern_tables(m: int, lam: int):
 def _guard(params: Params, config: SearchConfig) -> None:
     if config.force or config.max_results is not None:
         return
-    ceiling = _ceiling(config)
+    raw = os.environ.get("MOFS_MAX_ENUM", str(DEFAULT_MAX_ENUM))
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
     estimate = estimate_count(params)
     if estimate > ceiling:
         raise InfeasibleSizeGuard(estimate, ceiling)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mofs
+from mofs import maximality
 from mofs.cli import main
 from mofs.fileformat import HeaderMismatch, ParseError, decode, encode
 from mofs.verify import NotOrthogonal
@@ -185,3 +186,19 @@ class TestCli:
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert "maximal: undetermined" in out
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, m):
+        path = tmp_path / "set.mofs"
+        main(["construct", "--prime-power", str(m), "1", "-o", str(path)])
+        t = decode(path.read_text()).t
+        choices = []
+        build = maximality.parity_matrix
+
+        def counted(mset, choice):
+            choices.append(tuple(choice))
+            return build(mset, choice)
+
+        monkeypatch.setattr(maximality, "parity_matrix", counted)
+        assert main(["analyze", str(path)]) == 0
+        assert choices == [(a,) * t for a in range(1, m + 1)]

@@ -150,6 +150,11 @@ class TestMakeFSquare:
         with pytest.raises(SymbolOutOfRange):
             mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2, big]])
 
+    def test_huge_uint64_entry_named_unwrapped(self):
+        grid = np.array([[1, 2], [2, 2**63]], dtype=np.uint64)
+        with pytest.raises(SymbolOutOfRange, match=r"= 9223372036854775808 not"):
+            mofs.make_fsquare(mofs.Params(2, 1), grid)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
     def test_integer_dtypes_accepted(self, dtype):
         grid = np.array(EXAMPLE_GRID, dtype=dtype)
@@ -160,24 +165,32 @@ class TestMakeFSquare:
 
 class TestIndicator:
     def test_worked_example_indicators(self, example_square):
-        for a, expected in [(1, EXAMPLE_I1), (2, EXAMPLE_I2), (3, EXAMPLE_I3)]:
-            got = mofs.indicator(example_square, a).to_array()
-            assert (got == np.array(expected)).all()
+        stack = mofs.indicators(example_square)
+        assert stack.shape == (3, 6, 6)
+        expected = [EXAMPLE_I1, EXAMPLE_I2, EXAMPLE_I3]
+        for a, (got, want) in enumerate(zip(stack, expected), start=1):
+            assert (mofs.indicator(example_square, a) == np.array(want)).all()
+            assert (got == np.array(want)).all()
+
+    def test_read_only_int64(self, example_square):
+        for arr in (mofs.indicator(example_square, 1), mofs.indicators(example_square)):
+            assert arr.dtype == example_square.grid.dtype == np.int64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
 
     def test_indicators_sum_to_ones(self, example_square):
-        total = sum(i.to_array() for i in mofs.indicators(example_square))
+        total = sum(mofs.indicators(example_square))
         assert (total == 1).all()
 
     def test_weighted_sum_recovers_grid(self, example_square):
-        acc = sum(
-            a * mofs.indicator(example_square, a).to_array() for a in (1, 2, 3)
-        )
+        acc = sum(a * mofs.indicator(example_square, a) for a in (1, 2, 3))
         assert (acc == example_square.grid).all()
 
     def test_row_and_column_sums_are_lam(self, example_square):
         ind = mofs.indicator(example_square, 2)
-        assert ind.row_sums() == [2] * 6
-        assert ind.col_sums() == [2] * 6
+        assert ind.sum(axis=1).tolist() == [2] * 6
+        assert ind.sum(axis=0).tolist() == [2] * 6
 
     def test_symbol_out_of_range(self, example_square):
         with pytest.raises(SymbolOutOfRange):
@@ -188,6 +201,11 @@ class TestReconstruct:
     def test_worked_example_round_trip(self, example_square):
         rebuilt = mofs.reconstruct(mofs.indicators(example_square))
         assert rebuilt == example_square
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64])
+    def test_other_dtypes(self, example_square, dtype):
+        inds = mofs.indicators(example_square).astype(dtype)
+        assert mofs.reconstruct(inds) == example_square
 
     def test_single_symbol(self):
         p = mofs.Params(1, 3)
@@ -202,17 +220,48 @@ class TestReconstruct:
     def test_uncovered_cell(self, example_square):
         i1 = mofs.indicator(example_square, 1)
         i2 = mofs.indicator(example_square, 2)
-        empty = mofs.IndicatorSquare(example_square.params, (0,) * 6)
+        empty = np.zeros((6, 6), dtype=np.int64)
         with pytest.raises(UncoveredCell):
             mofs.reconstruct([i1, i2, empty])
 
     def test_irregular_result_rejected(self):
         # Disjoint covering masks that do not form an F-square.
         p = mofs.Params(2, 1)
-        a = mofs.IndicatorSquare(p, (0b11, 0b00))
-        b = mofs.IndicatorSquare(p, (0b00, 0b11))
+        a = np.array([[1, 1], [0, 0]])
+        b = np.array([[0, 0], [1, 1]])
         with pytest.raises(RegularityViolation):
             mofs.reconstruct([a, b])
+
+    def test_first_faulty_row_wins(self):
+        # Row 0 leaves cell (0,1) uncovered; row 1 overlaps at (1,0).
+        a = np.array([[1, 0], [1, 0]])
+        b = np.array([[0, 0], [1, 1]])
+        with pytest.raises(UncoveredCell, match=r"\(0,1\)"):
+            mofs.reconstruct([a, b])
+        # In one row an overlap is reported before an uncovered cell.
+        with pytest.raises(OverlappingSupports, match="row 1"):
+            mofs.reconstruct([np.array([[1, 0], [1, 0]]), np.array([[0, 1], [1, 0]])])
+
+    @pytest.mark.parametrize(
+        "inds,error",
+        [
+            ([], DimensionMismatch),
+            ([np.ones((2, 2), int), np.ones((3, 3), int)], DimensionMismatch),
+            (np.ones((2, 2, 3), int), DimensionMismatch),
+            ([[0, 1], [1, 0]], DimensionMismatch),
+            (np.zeros((4, 6, 6), int), DimensionMismatch),
+            ([np.eye(2, dtype=int), 2 * np.eye(2, dtype=int)], SymbolOutOfRange),
+            ([np.eye(2, dtype=int), -np.eye(2, dtype=int)], SymbolOutOfRange),
+            ([np.eye(2), 1 - np.eye(2)], SymbolOutOfRange),
+        ],
+        ids=[
+            "empty", "ragged", "non-square", "not-a-stack", "side-not-multiple",
+            "entry-2", "entry-minus-1", "float",
+        ],
+    )
+    def test_malformed_input_rejected(self, inds, error):
+        with pytest.raises(error):
+            mofs.reconstruct(inds)
 
     @given(params_strategy, st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
@@ -235,10 +284,17 @@ class TestInner:
         with pytest.raises(DimensionMismatch):
             mofs.inner(np.ones((2, 2)), np.ones((3, 3)))
 
-    def test_matches_array_path(self, example_square):
-        i1 = mofs.indicator(example_square, 1)
-        i3 = mofs.indicator(example_square, 3)
-        assert mofs.inner(i1, i3) == mofs.inner(i1.to_array(), i3.to_array())
+    @given(params_strategy, st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_superposition_counts(self, ml, seed):
+        # The paper's algebra, <I_a(S), I_b(S')>, against the kernel's counts.
+        m, lam = ml
+        s, s2 = random_square(m, lam, seed), random_square(m, lam, seed + 1)
+        counts = mofs.superposition_counts(s, s2)
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                got = mofs.inner(mofs.indicator(s, a), mofs.indicator(s2, b))
+                assert got == counts[a - 1, b - 1]
 
     @given(
         st.integers(min_value=0, max_value=10**6),

@@ -27,7 +27,7 @@ class TestParityMatrix:
     def test_singleton_is_indicator(self, example_square):
         mset = mofs.verify_mofs([example_square])
         pm = mofs.parity_matrix(mset, (1,))
-        assert (pm.bits == mofs.indicator(example_square, 1).to_array()).all()
+        assert (pm.bits == mofs.indicator(example_square, 1)).all()
 
     def test_m1_constant(self):
         p = mofs.Params(1, 2)
