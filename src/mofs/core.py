@@ -110,15 +110,22 @@ class FSquare:
     __slots__ = ("params", "grid", "_key")
 
     def __init__(self, params: Params, grid, *, _trusted: bool = False):
-        arr = _as_grid(params, grid)
-        if not _trusted:
-            # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
-            _validate_regularity(params, arr)
-        arr = arr.astype(np.int64, copy=False)
-        arr.flags.writeable = False
+        if _trusted and isinstance(grid, bytes):
+            # A search leaf: the native int64 cells of a valid square, row by
+            # row.  The array borrows the immutable bytes, so it stays read-only.
+            key = grid
+            arr = np.frombuffer(key, np.int64).reshape(params.n, params.n)
+        else:
+            arr = _as_grid(params, grid)
+            if not _trusted:
+                # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
+                _validate_regularity(params, arr)
+            arr = arr.astype(np.int64, copy=False)
+            arr.flags.writeable = False
+            key = arr.tobytes()
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "grid", arr)
-        object.__setattr__(self, "_key", (params, arr.tobytes()))
+        object.__setattr__(self, "_key", (params, key))
 
     def __setattr__(self, name, value):
         raise AttributeError("FSquare is immutable")
@@ -222,10 +229,18 @@ def reconstruct(inds) -> FSquare:
 def inner(a, b) -> int:
     """<a, b>: the sum of the entries of the elementwise product of two
     same-shape arrays, such as indicator squares."""
-    aa, bb = np.asarray(a), np.asarray(b)
+    aa, bb = _widened(a), _widened(b)
     if aa.shape != bb.shape:
         raise DimensionMismatch(f"shape mismatch: {aa.shape} vs {bb.shape}")
     return int(np.sum(aa * bb))
+
+
+def _widened(x) -> np.ndarray:
+    # Products of small ints or bools would wrap in their own dtype.
+    arr = np.asarray(x)
+    if arr.dtype.kind in "biu" and arr.dtype.itemsize < 8:
+        return arr.astype(np.int64)
+    return arr
 
 
 def all_ones(params: Params) -> np.ndarray:

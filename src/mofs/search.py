@@ -6,7 +6,12 @@ backtracking engine over the valid row patterns, for every m.  It keeps
 per-column symbol counts and, against every member of the set being
 extended, the running count of each ordered symbol pair, all packed into
 two ints so that adding a row and checking every bound is a few integer
-operations.
+operations.  The patterns that fit the column counts depend on those
+counts alone, so a per-type column-fit table, filled as the search meets
+new counts and kept between searches, lists them for each node; a node
+tests only their pair counts.  The last row yields each square as the
+joined int64 bytes of its rows, which ``FSquare`` wraps without copying
+and ``count_fsquares`` only counts.
 """
 
 from __future__ import annotations
@@ -106,12 +111,20 @@ def estimate_count(params: Params) -> int:
     return patterns**n
 
 
+# Entries a type's column-fit table holds before it is cleared.  An entry
+# takes a few hundred bytes.  Enumerating F(6;3) meets 902 column states
+# and 20 greedy F(6;2) growths about 11 000, so the cap bounds memory on
+# larger types without clearing on these.
+_FIT_CAP = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _pattern_tables(m: int, lam: int):
     """What the engine derives from the type alone, built once per type:
     the rows with each symbol exactly lam times (the patterns, in
     lexicographic order), the counters' field dtype, the patterns'
-    read-only one-hot array and their packed column increments."""
+    read-only one-hot array, their packed column increments, their native
+    int64 bytes, and the column-fit table the engine fills as it goes."""
     n = m * lam
     out = []
     counts = [lam] * m
@@ -142,7 +155,8 @@ def _pattern_tables(m: int, lam: int):
     pattern_hot.flags.writeable = False
     hot_cols = pattern_hot.transpose(0, 2, 1).reshape(len(patterns), -1)
     col_inc = tuple(_pack(hot_cols, dtype))
-    return patterns, dtype, pattern_hot, col_inc
+    row_bytes = tuple(row.tobytes() for row in np.array(patterns, dtype=np.int64))
+    return patterns, dtype, pattern_hot, col_inc, row_bytes, {}
 
 
 def _guard(params: Params, config: SearchConfig) -> None:
@@ -164,9 +178,30 @@ def _pack(counts: np.ndarray, dtype: np.dtype) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in counts.astype(dtype)]
 
 
-def _engine(params, members, first_order, config):
+def _pair_increments(params: Params, members: np.ndarray) -> list:
+    """``inc[i][p]``: the packed pair counts that pattern p adds as row i
+    against the (k, n, n) ``members``, one field per (member, symbol here,
+    symbol in the member), so member k's m^2 fields are contiguous."""
+    m = params.m
+    patterns, dtype, pattern_hot = _pattern_tables(m, params.lam)[:3]
+    # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
+    member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
+    return [
+        _pack(
+            np.einsum("pja,kjb->pkab", pattern_hot, member_hot[:, i]).reshape(
+                len(patterns), -1
+            ),
+            dtype,
+        )
+        for i in range(params.n)
+    ]
+
+
+def _engine(params, pair_inc, n_members, first_order, prefix):
     """Backtracking enumerator over row patterns, with packed counters,
-    for squares orthogonal to every grid of the (k, n, n) ``members``.
+    for squares orthogonal to ``n_members`` members whose pair increments
+    are ``pair_inc`` (see :func:`_pair_increments`).  Yields each square's
+    key: its rows' native int64 bytes, joined.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -177,47 +212,53 @@ def _engine(params, members, first_order, config):
     lam^2 - (n - i - 1) * lam needs no test: for one member and symbol a
     the m counts sum to (i + 1) * lam, so it follows from the upper
     bounds on the other m - 1.
+
+    Which patterns fit the columns depends on ``cols`` alone, so the type's
+    column-fit table maps each ``cols`` met to the ascending tuple of the
+    patterns that fit it; it outlives the call and is cleared when it holds
+    ``_FIT_CAP`` entries.  A node below the first row loops over its tuple
+    and tests the pairs only; the first row takes ``first_order`` (or
+    ascending order) filtered by ``prefix``, all of which fit.  The last
+    row yields its leaves from its own loop.
     """
     m, lam, n = params.m, params.lam, params.n
-    patterns, dtype, pattern_hot, col_inc = _pattern_tables(m, lam)
-    n_patterns, n_pairs = len(patterns), len(members) * m * m
+    patterns, dtype, _, col_inc, row_bytes, fit = _pattern_tables(m, lam)
+    n_pairs = n_members * m * m
     top = 1 << (8 * dtype.itemsize - 1)
-    # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
-    member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
-    pair_inc = [
-        _pack(
-            np.einsum("pja,kjb->pkab", pattern_hot, member_hot[:, i]).reshape(
-                n_patterns, n_pairs
-            ),
-            dtype,
-        )
-        for i in range(n)
-    ]
 
     def fields(value, count):
         return _pack(np.full((1, count), value), dtype)[0]
 
     col_guard, pair_guard = fields(top, m * n), fields(top, n_pairs)
-    order = first_order if first_order is not None else range(n_patterns)
-    row0 = [
-        p for p in order if patterns[p][: len(config.prefix)] == tuple(config.prefix)
-    ]
+    every = range(len(patterns))
+    order = every if first_order is None else first_order
+    prefix = tuple(prefix)
+    row0 = tuple(p for p in order if patterns[p][: len(prefix)] == prefix)
+    last = n - 1
     rows = []
 
     def rec(i: int, cols: int, pairs: int):
-        if i == n:
-            yield FSquare(params, [patterns[p] for p in rows], _trusted=True)
-            return
         inc = pair_inc[i]
-        for p in row0 if i == 0 else range(n_patterns):
-            next_cols = cols + col_inc[p]
-            if next_cols & col_guard:
-                continue
+        if i == 0:
+            fits = row0
+        else:
+            fits = fit.get(cols)
+            if fits is None:
+                fits = tuple(p for p in every if not (cols + col_inc[p]) & col_guard)
+                if len(fit) >= _FIT_CAP:
+                    fit.clear()
+                fit[cols] = fits
+        if i == last:
+            for p in fits:
+                if not (pairs + inc[p]) & pair_guard:
+                    yield b"".join(rows) + row_bytes[p]
+            return
+        for p in fits:
             next_pairs = pairs + inc[p]
             if next_pairs & pair_guard:
                 continue
-            rows.append(p)
-            yield from rec(i + 1, next_cols, next_pairs)
+            rows.append(row_bytes[p])
+            yield from rec(i + 1, cols + col_inc[p], next_pairs)
             rows.pop()
 
     yield from rec(
@@ -227,25 +268,36 @@ def _engine(params, members, first_order, config):
     )
 
 
+def _keys(params: Params, members: np.ndarray, config: SearchConfig):
+    """The keys of the squares orthogonal to the (k, n, n) ``members``,
+    in lexicographic order, after the size guard and the config's limits."""
+    _guard(params, config)
+    keys = _engine(
+        params, _pair_increments(params, members), len(members), None, config.prefix
+    )
+    return islice(keys, config.max_results)
+
+
+def _squares(params: Params, keys):
+    for key in keys:
+        yield FSquare(params, key, _trusted=True)
+
+
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    _guard(params, config)
-    members = _stack(params, ())
-    yield from islice(_engine(params, members, None, config), config.max_results)
+    yield from _squares(params, _keys(params, _stack(params, ()), config))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     """Every F-square orthogonal to all members of the set, with early
     pruning of partial grids on running pair counts."""
-    _guard(mset.params, config)
-    yield from islice(
-        _engine(mset.params, mset.grids, None, config), config.max_results
-    )
+    yield from _squares(mset.params, _keys(mset.params, mset.grids, config))
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
-    """Number of F-squares of the type, by full enumeration."""
-    return sum(1 for _ in enumerate_fsquares(params, config))
+    """Number of F-squares of the type, by full enumeration without
+    building the squares."""
+    return sum(1 for _ in _keys(params, _stack(params, ()), config))
 
 
 def _require_whole_space(config: SearchConfig) -> None:
@@ -280,14 +332,26 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         params, squares = seed_set.params, list(seed_set.squares)
     _guard(params, config)
     rng = random.Random(config.seed)
-    n_patterns = len(_pattern_tables(params.m, params.lam)[0])
+    patterns, dtype = _pattern_tables(params.m, params.lam)[:2]
+    # Member k's m^2 pair fields start at bit k * member_bits, so a new
+    # member's increments are ORed in above the others' instead of
+    # rebuilding them all.
+    member_bits = params.m**2 * 8 * dtype.itemsize
+    pair_inc = _pair_increments(params, _stack(params, squares))
     while True:
-        first_order = list(range(n_patterns))
+        first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        nxt = next(_engine(params, _stack(params, squares), first_order, config), None)
-        if nxt is None:
+        key = next(_engine(params, pair_inc, len(squares), first_order, ()), None)
+        if key is None:
             break
-        squares.append(nxt)
+        square = FSquare(params, key, _trusted=True)
+        new_inc = _pair_increments(params, square.grid[None])
+        shift = len(squares) * member_bits
+        pair_inc = [
+            [old | new << shift for old, new in zip(row, new_row)]
+            for row, new_row in zip(pair_inc, new_inc)
+        ]
+        squares.append(square)
     return verify_mofs(squares)
 
 

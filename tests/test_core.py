@@ -284,6 +284,19 @@ class TestInner:
         with pytest.raises(DimensionMismatch):
             mofs.inner(np.ones((2, 2)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        [
+            (np.array([[100, -100]], np.int8), np.array([[100, 100]], np.int8), 0),
+            (np.array([[100]], np.int8), np.array([[100]], np.int8), 10_000),
+            (np.array([[200]], np.uint8), np.array([[200]], np.uint8), 40_000),
+            (np.ones((300, 300), bool), np.ones((300, 300), bool), 90_000),
+            (np.ones((1, 2), bool), np.array([[200, 200]], np.uint8), 400),
+        ],
+    )
+    def test_small_dtypes_do_not_wrap(self, a, b, expected):
+        assert mofs.inner(a, b) == expected
+
     @given(params_strategy, st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_superposition_counts(self, ml, seed):

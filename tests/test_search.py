@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mofs
+from mofs import search
 from mofs.cli import main
 from mofs.search import (
     InfeasibleSizeGuard,
@@ -22,10 +23,16 @@ def grids(stream):
 
 
 def set_digest(mset):
+    return stream_digest(mset.squares)[1]
+
+
+def stream_digest(squares):
     h = hashlib.sha256()
-    for s in mset.squares:
+    n = 0
+    for s in squares:
+        n += 1
         h.update(s.grid.astype(np.int64).tobytes())
-    return h.hexdigest()
+    return n, h.hexdigest()
 
 
 def orthogonal_to_all(members, candidates):
@@ -230,6 +237,98 @@ class TestEngineOracle:
         p = mofs.Params(1, lam)
         only = next(mofs.enumerate_fsquares(p))
         assert list(mofs.extensions(mofs.verify_mofs([only]))) == [only]
+
+
+def column_counts(p, cols):
+    """A column-fit table key decoded: counts[a - 1, j] is the number of
+    symbol a in column j on the rows so far."""
+    dtype = search._pattern_tables(p.m, p.lam)[1]
+    raw = np.frombuffer(cols.to_bytes(p.m * p.n * dtype.itemsize, "little"), dtype)
+    bias = (1 << (8 * dtype.itemsize - 1)) - 1 - p.lam
+    return (raw.astype(np.int64) - bias).reshape(p.m, p.n)
+
+
+class TestEngineTables:
+    @pytest.mark.parametrize("m,lam", [(2, 2), (3, 1), (3, 2)])
+    def test_leaves_are_plain_squares(self, m, lam):
+        p = mofs.Params(m, lam)
+        start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(m))])
+        config = SearchConfig(max_results=40)
+        leaves = [
+            *mofs.enumerate_fsquares(p, config),
+            *mofs.extensions(start, config),
+            *mofs.grow_maximal(start, SearchConfig(seed=1, force=True)).squares[1:],
+        ]
+        for sq in leaves:
+            again = mofs.make_fsquare(p, sq.grid.tolist())
+            assert sq == again and hash(sq) == hash(again)
+            assert sq.grid.dtype == np.int64 and sq.grid.shape == (p.n, p.n)
+            assert not sq.grid.flags.writeable
+            with pytest.raises(ValueError):
+                sq.grid.flags.writeable = True
+
+    @pytest.mark.parametrize("m,lam", [(1, 3), (2, 3), (3, 2), (4, 1), (5, 1)])
+    def test_fit_table_matches_brute_force(self, m, lam):
+        p = mofs.Params(m, lam)
+        patterns, *_, fit = search._pattern_tables(m, lam)
+        fit.clear()
+        rng = random.Random(100 * m + lam)
+        for _ in range(4):
+            start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
+            list(mofs.extensions(start, SearchConfig(max_results=100)))
+            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
+            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=100)))
+        assert len(fit) >= p.n - 1
+        for cols, fits in fit.items():
+            counts = column_counts(p, cols)
+            depth = counts.sum(axis=0)
+            assert (counts >= 0).all() and (depth == depth[0]).all()
+            assert 1 <= depth[0] < p.n
+            assert fits == tuple(
+                q
+                for q, row in enumerate(patterns)
+                if all(counts[a - 1, j] < lam for j, a in enumerate(row))
+            )
+
+    def test_fit_table_overflow_keeps_streams(self, monkeypatch):
+        monkeypatch.setattr(search, "_FIT_CAP", 3)
+        for m, lam in [(3, 2), (5, 1)]:
+            search._pattern_tables(m, lam)[-1].clear()
+        # Recorded with the engine before it had a column-fit table.
+        f62 = mofs.enumerate_fsquares(
+            mofs.Params(3, 2), SearchConfig(force=True, max_results=20000)
+        )
+        assert stream_digest(f62) == (
+            20000,
+            "2f5b5ac92573290e714a659a0c8d043796df45cbd4509a9e4a0b8c72f8d35a92",
+        )
+        f51 = mofs.enumerate_fsquares(
+            mofs.Params(5, 1), SearchConfig(prefix=(3, 1), force=True)
+        )
+        assert stream_digest(f51) == (
+            8064,
+            "e7dc4c02c360e60584811d7cabc13a57fdeed6f1a11fc42e6f571a55e68a6ce9",
+        )
+        p = mofs.Params(5, 1)
+        start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(0))])
+        grown = mofs.grow_maximal(start, SearchConfig(seed=0, force=True))
+        assert (grown.t, set_digest(grown)) == GROW_PINS[(5, 1, 0)]
+        for m, lam in [(3, 2), (5, 1)]:
+            assert len(search._pattern_tables(m, lam)[-1]) <= 3
+
+    @pytest.mark.parametrize(
+        "m,lam,config",
+        [
+            (3, 1, SearchConfig()),
+            (2, 2, SearchConfig()),
+            (3, 2, SearchConfig(prefix=(3, 3, 2, 2), force=True)),
+        ],
+    )
+    def test_count_matches_enumeration(self, m, lam, config):
+        p = mofs.Params(m, lam)
+        # Streamed, not listed: the F(6;2) slice has 395 550 squares.
+        streamed = sum(1 for _ in mofs.enumerate_fsquares(p, config))
+        assert mofs.count_fsquares(p, config) == streamed > 0
 
 
 # SHA-256 of the int64 grids of grow_maximal's sets, in set order, recorded
