@@ -115,7 +115,7 @@ def _cmd_extend(args):
     mset = _read_set(args.file)
     config = SearchConfig(seed=args.seed, force=args.force)
     if args.exhaustive:
-        found = sum(1 for _ in search.extensions(mset, config))
+        found = search._count(mset.params, mset.grids, config)
         print(f"extensions: {found}")
         if found == 0:
             print("maximal: yes (exhaustive search)")

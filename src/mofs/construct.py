@@ -3,15 +3,17 @@
 Two families: a finite-field linear-form construction giving
 (m^h - 1)^2 / (m - 1) squares of type F(m^h; m^{h-1}) for prime-power m,
 and the Hadamard-based construction giving (4n - 1)^2 squares of type
-F(4n; 2n).  Builders never trust their own algebra: every result is
-re-verified (pairwise orthogonality plus the completeness structure)
-before it is returned.
+F(4n; 2n).  A finite field is its two read-only numpy tables
+(``FieldTable``); every field-level step indexes them, and every field
+axiom is checked on every triple of elements when a field is built.
+Builders never trust their own algebra: every result is re-verified
+(pairwise orthogonality plus the completeness structure) before it is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -87,60 +89,25 @@ def prime_power_decomposition(n: int):
 
 @dataclass(frozen=True)
 class FieldTable:
-    """Lookup-table arithmetic for GF(p^k).
+    """GF(p^k) as its two read-only q x q int64 tables.
 
     Element i has polynomial-basis coefficient vector given by the base-p
-    digits of i, so index 0 is zero and index 1 is one.
+    digits of i, so index 0 is zero and index 1 is one.  ``add_table[a, b]``
+    and ``mul_table[a, b]`` are the indices of a + b and a * b; all field
+    arithmetic is indexing into them.
     """
 
     p: int
     k: int
     q: int
-    add_table: tuple
-    mul_table: tuple
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def pow(self, a: int, e: int) -> int:
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-
-def _digits(i: int, p: int, k: int):
-    out = []
-    for _ in range(k):
-        out.append(i % p)
-        i //= p
-    return out
-
-
-def _undigits(ds, p: int) -> int:
-    out = 0
-    for d in reversed(ds):
-        out = out * p + d
-    return out
+    add_table: np.ndarray
+    mul_table: np.ndarray
 
 
 def field_build(p: int, k: int, *, max_q: int | None = None) -> FieldTable:
     """Arithmetic tables for GF(p^k) with a fixed irreducible polynomial.
 
-    Field axioms are self-checked on construction: exhaustively for
-    q <= 32, on a random sample beyond.
+    The field axioms are self-checked exhaustively on construction.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -153,69 +120,57 @@ def field_build(p: int, k: int, *, max_q: int | None = None) -> FieldTable:
     if k > 1 and (p, k) not in _IRREDUCIBLE:
         raise UnsupportedSize(f"no built-in irreducible polynomial for GF({q})")
 
-    add_rows = []
-    for a in range(q):
-        da = _digits(a, p, k)
-        row = []
-        for b in range(q):
-            db = _digits(b, p, k)
-            row.append(_undigits([(x + y) % p for x, y in zip(da, db)], p))
-        add_rows.append(tuple(row))
-
-    if k == 1:
-        mul_rows = [tuple((a * b) % p for b in range(q)) for a in range(q)]
-    else:
-        poly = _IRREDUCIBLE[(p, k)]
-        mul_rows = []
-        for a in range(q):
-            da = _digits(a, p, k)
-            row = []
-            for b in range(q):
-                db = _digits(b, p, k)
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                for deg in range(2 * k - 2, k - 1, -1):
-                    c = prod[deg]
-                    if c:
-                        prod[deg] = 0
-                        for j in range(k):
-                            prod[deg - k + j] = (prod[deg - k + j] - c * poly[j]) % p
-                row.append(_undigits(prod[:k], p))
-            mul_rows.append(tuple(row))
-
-    field = FieldTable(p, k, q, tuple(add_rows), tuple(mul_rows))
+    # digits[i, j]: the coefficient of x^j in element i.
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p
+    add = ((digits[:, None] + digits[None, :]) % p) @ place
+    # power[d]: the digits of x^d modulo the irreducible polynomial, d < 2k - 1.
+    power = np.eye(2 * k - 1, k, dtype=np.int64)
+    for d in range(k, 2 * k - 1):
+        # x^d = x * x^(d-1), with x^k = -(poly[0] + ... + poly[k-1] x^(k-1)).
+        power[d, 1:] = power[d - 1, :-1]
+        power[d] -= power[d - 1, -1] * np.array(_IRREDUCIBLE[(p, k)][:k])
+        power[d] %= p
+    # The digit convolution sum_{i,j} a_i b_j x^(i+j), reduced term by term.
+    reduced = power[np.add.outer(np.arange(k), np.arange(k))]
+    mul = (np.einsum("ai,bj,ijd->abd", digits, digits, reduced) % p) @ place
+    for table in (add, mul):
+        table.flags.writeable = False
+    field = FieldTable(p, k, q, add, mul)
     _self_check_field(field)
     return field
 
 
 def _self_check_field(f: FieldTable) -> None:
-    q = f.q
-    for a in range(q):
-        if f.add(a, 0) != a or f.mul(a, 1) != a:
-            raise ConstructionSelfCheckFailed(f"identity axiom fails at {a}")
-        if a and f.mul(a, f.inv(a)) != 1:
-            raise ConstructionSelfCheckFailed(f"no inverse for {a}")
-    if q <= MAX_FIELD_SIZE:
-        triples = product(range(q), repeat=3)
-    else:
-        import random
-
-        rng = random.Random(0)
-        triples = (
-            tuple(rng.randrange(q) for _ in range(3)) for _ in range(2000)
-        )
-    for a, b, c in triples:
-        if f.add(a, b) != f.add(b, a) or f.mul(a, b) != f.mul(b, a):
-            raise ConstructionSelfCheckFailed("commutativity fails")
-        if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
-            raise ConstructionSelfCheckFailed("additive associativity fails")
-        if f.mul(f.mul(a, b), c) != f.mul(a, f.mul(b, c)):
-            raise ConstructionSelfCheckFailed("multiplicative associativity fails")
-        if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
-            raise ConstructionSelfCheckFailed("distributivity fails")
+    """Every field axiom on every element, pair and triple of the tables."""
+    add, mul, q = f.add_table, f.mul_table, f.q
+    x = np.arange(q)
+    a = x[:, None, None]
+    for table in (add, mul):
+        if table.shape != (q, q) or table.min() < 0 or table.max() >= q:
+            raise ConstructionSelfCheckFailed("a table entry is not a field element")
+    # In the narrowest type that holds every element, the (q, q, q)
+    # intermediates take q^3 bytes, not 8 q^3.
+    small = np.min_scalar_type(q - 1)
+    add, mul = add.astype(small), mul.astype(small)
+    bad = np.flatnonzero((add[:, 0] != x) | (mul[:, 1] != x))
+    if bad.size:
+        raise ConstructionSelfCheckFailed(f"identity axiom fails at {bad[0]}")
+    bad = np.flatnonzero((add == 0).sum(axis=1) != 1)
+    if bad.size:
+        raise ConstructionSelfCheckFailed(f"no additive inverse for {bad[0]}")
+    bad = np.flatnonzero((mul[1:] == 1).sum(axis=1) != 1)
+    if bad.size:
+        raise ConstructionSelfCheckFailed(f"no inverse for {bad[0] + 1}")
+    if (add != add.T).any() or (mul != mul.T).any():
+        raise ConstructionSelfCheckFailed("commutativity fails")
+    # t[t[a, b], c] against t[a, t[b, c]], indexed [a, b, c].
+    if (add[add[:, :, None], x] != add[a, add]).any():
+        raise ConstructionSelfCheckFailed("additive associativity fails")
+    if (mul[mul[:, :, None], x] != mul[a, mul]).any():
+        raise ConstructionSelfCheckFailed("multiplicative associativity fails")
+    if (mul[a, add] != add[mul[:, :, None], mul[:, None, :]]).any():
+        raise ConstructionSelfCheckFailed("distributivity fails")
 
 
 def construct_prime_power(m: int, h: int) -> MofsSet:
@@ -237,38 +192,31 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     if q > MAX_FIELD_SIZE:
         raise UnsupportedSize(f"m^h = {q} exceeds the configured maximum")
     f = field_build(p, e * h)
+    add, mul = f.add_table, f.mul_table
+    x = np.arange(q)
 
-    subfield = [x for x in range(q) if f.pow(x, m) == x]
+    # frobenius[x] = x^m, whose fixed points are the subfield GF(m).
+    frobenius = x
+    for _ in range(m - 1):
+        frobenius = mul[frobenius, x]
+    subfield = np.flatnonzero(frobenius == x)
     if len(subfield) != m:
         raise ConstructionSelfCheckFailed("subfield extraction failed")
+    # L(x) = x + x^m + ... + x^(m^(h-1)).
+    trace, conjugate = np.zeros(q, dtype=np.int64), x
+    for _ in range(h):
+        trace, conjugate = add[trace, conjugate], frobenius[conjugate]
     # Symbol labeling by element index order: zero -> 1, one -> 2, ...
-    symbol_of = {x: i + 1 for i, x in enumerate(sorted(subfield))}
-
-    def trace(x: int) -> int:
-        acc = 0
-        for i in range(h):
-            acc = f.add(acc, f.pow(x, m**i))
-        return acc
-
-    trace_symbol = [symbol_of[trace(x)] for x in range(q)]
+    symbol_of = np.zeros(q, dtype=np.int64)
+    symbol_of[subfield] = np.arange(1, m + 1)
+    symbols = symbol_of[trace]
 
     # Transversal of the nonzero elements modulo subfield scalars: keep the
     # lowest-index element of each orbit.
-    seen = set()
-    reps = []
-    sub_nonzero = [s for s in subfield if s != 0]
-    for a in range(1, q):
-        if a in seen:
-            continue
-        reps.append(a)
-        for s in sub_nonzero:
-            seen.add(f.mul(s, a))
+    reps = np.flatnonzero(mul[subfield[1:]].min(axis=0) == x)[1:]
 
     params = Params(m, m ** (h - 1))
-    add = np.array(f.add_table, dtype=np.int64)
-    mul = np.array(f.mul_table, dtype=np.int64)
-    symbols = np.array(trace_symbol, dtype=np.int64)
-    # grids[i, b - 1][x, y] = trace_symbol[a x + b y] with a = reps[i].
+    # grids[i, b - 1][x, y] = symbols[a x + b y] with a = reps[i].
     ax = mul[reps][:, None, :, None]
     by = mul[1:][None, :, None, :]
     grids = symbols[add[ax, by]].reshape(-1, q, q)
@@ -286,25 +234,18 @@ class HadamardMatrix:
 def _paley_core(q: int) -> np.ndarray:
     """Hadamard matrix of order q + 1 from quadratic residues of GF(q),
     for prime powers q = 3 (mod 4)."""
-    decomp = prime_power_decomposition(q)
-    p, e = decomp
+    p, e = prime_power_decomposition(q)
     f = field_build(p, e, max_q=q)
-    nonzero_squares = {f.mul(x, x) for x in range(1, q)}
-
-    def chi(z: int) -> int:
-        if z == 0:
-            return 0
-        return 1 if z in nonzero_squares else -1
-
-    neg = {x: next(y for y in range(q) if f.add(x, y) == 0) for x in range(q)}
+    # chi[z]: 0 at zero, 1 on the nonzero squares, -1 elsewhere.
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[np.diagonal(f.mul_table)] = 1
+    chi[0] = 0
+    neg = np.argmax(f.add_table == 0, axis=1)
     n = q + 1
     s = np.zeros((n, n), dtype=np.int64)
     s[0, 1:] = 1
     s[1:, 0] = -1
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                s[i + 1, j + 1] = chi(f.add(i, neg[j]))
+    s[1:, 1:] = chi[f.add_table[:, neg]]  # chi(i - j)
     return np.eye(n, dtype=np.int64) + s
 
 
@@ -332,11 +273,10 @@ def _build_hadamard(order: int) -> np.ndarray:
     )
 
 
-def hadamard(order: int, *, max_order: int | None = None) -> HadamardMatrix:
+def hadamard(order: int) -> HadamardMatrix:
     """Normalized Hadamard matrix of the given order, self-checked."""
-    limit = MAX_HADAMARD_ORDER if max_order is None else max_order
-    if order < 1 or order > limit:
-        raise UnsupportedOrder(f"order {order} outside 1..{limit}")
+    if order < 1 or order > MAX_HADAMARD_ORDER:
+        raise UnsupportedOrder(f"order {order} outside 1..{MAX_HADAMARD_ORDER}")
     h = _build_hadamard(order)
     # Normalize: flip rows then columns whose border entry is -1.
     h = h * np.where(h[:, [0]] < 0, -1, 1)

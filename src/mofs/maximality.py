@@ -29,12 +29,6 @@ class ParityMatrix:
     symbol_choice: tuple
     bits: np.ndarray
 
-    def row_sums(self):
-        return self.bits.sum(axis=1)
-
-    def col_sums(self):
-        return self.bits.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class FullRelationCertificate:

@@ -26,7 +26,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import FSquare, MofsError, Params
-from .verify import MofsSet, _stack, verify_mofs
+from .verify import MofsSet, UndefinedForMOne, _stack, verify_mofs
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -294,10 +294,16 @@ def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     yield from _squares(mset.params, _keys(mset.params, mset.grids, config))
 
 
+def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
+    """Number of squares orthogonal to the (k, n, n) ``members``, counted
+    from the engine's keys without building the squares."""
+    return sum(1 for _ in _keys(params, members, config))
+
+
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
     """Number of F-squares of the type, by full enumeration without
     building the squares."""
-    return sum(1 for _ in _keys(params, _stack(params, ()), config))
+    return _count(params, _stack(params, ()), config)
 
 
 def _require_whole_space(config: SearchConfig) -> None:
@@ -323,13 +329,20 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     ``seed_set`` is a MofsSet, or a Params to start from nothing.  Each
     step adds the first extension found, with the first-row pattern order
     permuted by the seed; the loop ends when no extension exists, so the
-    result is maximal by construction (and re-verified).
+    result is maximal by construction (and re-verified).  For m = 1 the
+    only square is orthogonal to itself, so growth would never end; it
+    raises ``UndefinedForMOne`` instead.
     """
     _require_whole_space(config)
     if isinstance(seed_set, Params):
         params, squares = seed_set, []
     else:
         params, squares = seed_set.params, list(seed_set.squares)
+    if params.m == 1:
+        raise UndefinedForMOne(
+            "greedy growth is undefined for m = 1: the only square is"
+            " orthogonal to itself"
+        )
     _guard(params, config)
     rng = random.Random(config.seed)
     patterns, dtype = _pattern_tables(params.m, params.lam)[:2]

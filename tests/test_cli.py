@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +148,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "extensions: 0" in out
         assert "maximal: yes (exhaustive search)" in out
+
+    def test_extend_greedy_m1_refused(self, tmp_path):
+        # In a subprocess with a timeout: greedy growth that never ends
+        # must fail this test, not hang the suite.
+        p = mofs.Params(1, 2)
+        path = tmp_path / "one.mofs"
+        path.write_text(encode(mofs.verify_mofs([next(mofs.enumerate_fsquares(p))])))
+        env = {**os.environ, "PYTHONPATH": str(Path(mofs.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "mofs.cli", "extend", str(path), "--greedy", "--seed", "0"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: greedy growth is undefined for m = 1")
 
     def test_extend_greedy(self, tmp_path, capsys):
         p = mofs.Params(2, 2)

@@ -54,8 +54,8 @@ class TestParityMatrix:
             mset = mofs.verify_mofs(squares)
             pm = mofs.parity_matrix(mset, (1,) * mset.t)
             parity = (mset.t * p.lam) % 2
-            assert all(s % 2 == parity for s in pm.row_sums())
-            assert all(s % 2 == parity for s in pm.col_sums())
+            assert all(s % 2 == parity for s in pm.bits.sum(axis=1))
+            assert all(s % 2 == parity for s in pm.bits.sum(axis=0))
             if mset.t >= 3:
                 break
             nxt = next(mofs.extensions(mset), None)

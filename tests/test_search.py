@@ -14,6 +14,7 @@ from mofs.search import (
     count_binary_matrices,
     estimate_count,
 )
+from mofs.verify import UndefinedForMOne
 
 from conftest import naive_fsquares
 
@@ -344,16 +345,31 @@ GROW_PINS = {
 }
 
 
+def pinned_growth(m, lam, seed):
+    """The greedy set that GROW_PINS pins for (m, lam, seed)."""
+    p = mofs.Params(m, lam)
+    if m == 2:
+        return mofs.grow_maximal(p, SearchConfig(seed=seed))
+    # F(5;1) from one random square; its type is over the guard.
+    start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
+    return mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
+
+
 class TestGrowMaximal:
     @pytest.mark.parametrize("m,lam,seed", sorted(GROW_PINS))
     def test_pinned_sets(self, m, lam, seed):
-        p = mofs.Params(m, lam)
-        if m == 2:
-            grown = mofs.grow_maximal(p, SearchConfig(seed=seed))
-        else:  # F(5;1) from one random square; its type is over the guard
-            start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
-            grown = mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
+        grown = pinned_growth(m, lam, seed)
         assert (grown.t, set_digest(grown)) == GROW_PINS[(m, lam, seed)]
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_m1_refused(self, lam):
+        # The only F(lam;lam) square is orthogonal to itself, so greedy
+        # growth would append it forever.
+        p = mofs.Params(1, lam)
+        only = next(mofs.enumerate_fsquares(p))
+        for seed_set in (p, mofs.verify_mofs([only])):
+            with pytest.raises(UndefinedForMOne):
+                mofs.grow_maximal(seed_set, SearchConfig(seed=0))
 
     @pytest.mark.parametrize(
         "config", [SearchConfig(seed=0, prefix=(2, 1, 2)), SearchConfig(seed=0, max_results=0)]
@@ -382,6 +398,21 @@ class TestGrowMaximal:
         p = mofs.Params(2, 2)
         grown = mofs.grow_maximal(p, SearchConfig(seed=9))
         assert grown.t <= mofs.upper_bound(p).value
+
+
+class TestCountExtensions:
+    @pytest.mark.parametrize("m,lam,seed", [(2, 3, 0), (2, 3, 1), (5, 1, 0), (5, 1, 1)])
+    def test_matches_extension_stream(self, m, lam, seed, tmp_path, capsys):
+        grown = pinned_growth(m, lam, seed)
+        mset = mofs.verify_mofs(grown.squares[:-1])
+        config = SearchConfig(force=True)
+        expected = len(list(mofs.extensions(mset, config)))
+        assert search._count(mset.params, mset.grids, config) == expected >= 1
+        path = tmp_path / "set.mofs"
+        path.write_text(mofs.encode(mset))
+        assert main(["extend", str(path), "--exhaustive", "--force"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"extensions: {expected}\nmaximal: no (exhaustive search)\n"
 
 
 class TestExhaustiveMaximality:
