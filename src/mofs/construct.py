@@ -13,11 +13,11 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params
+from .core import MofsError, Params, _fsquares
 from .verify import MofsSet, completeness_structure, verify_mofs
 
 
@@ -87,8 +87,27 @@ def prime_power_decomposition(n: int):
     return None
 
 
-@dataclass(frozen=True)
-class FieldTable:
+class _ArrayValued:
+    """Equality and hashing by value for a frozen dataclass with numpy array
+    fields, whose generated ``==`` would compare arrays elementwise."""
+
+    def _value(self) -> tuple:
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTable(_ArrayValued):
     """GF(p^k) as its two read-only q x q int64 tables.
 
     Element i has polynomial-basis coefficient vector given by the base-p
@@ -220,12 +239,11 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     ax = mul[reps][:, None, :, None]
     by = mul[1:][None, :, None, :]
     grids = symbols[add[ax, by]].reshape(-1, q, q)
-    squares = [FSquare(params, grid) for grid in grids]
-    return _checked(squares, (q - 1) ** 2 // (m - 1))
+    return _checked(params, grids, (q - 1) ** 2 // (m - 1))
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
+@dataclass(frozen=True, eq=False)
+class HadamardMatrix(_ArrayValued):
     order: int
     entries: np.ndarray
     normalized: bool
@@ -300,17 +318,17 @@ def construct_federer(h: HadamardMatrix) -> MofsSet:
     order = h.order
     if order < 4 or order % 4 != 0:
         raise UnsupportedOrder(f"need order 4n >= 4, got {order}")
-    params = Params(2, order // 2)
-    squares = []
-    for r in range(1, order):
-        for c in range(1, order):
-            grid = np.where(np.outer(h.entries[r], h.entries[c]) > 0, 1, 2)
-            squares.append(FSquare(params, grid))
-    return _checked(squares, (order - 1) ** 2)
+    # grids[r - 1, c - 1][x, y]: 1 where h[r][x] == h[c][y], else 2.
+    plus = h.entries[1:] > 0
+    same = plus[:, None, :, None] == plus[None, :, None, :]
+    grids = np.where(same, np.uint8(1), np.uint8(2)).reshape(-1, order, order)
+    return _checked(Params(2, order // 2), grids, (order - 1) ** 2)
 
 
-def _checked(squares, expected: int) -> MofsSet:
-    """Oracle check: the set must verify pairwise and be complete."""
+def _checked(params: Params, grids: np.ndarray, expected: int) -> MofsSet:
+    """Oracle check: the (t, n, n) stack must be regular, verify pairwise
+    and be complete."""
+    squares = _fsquares(params, grids)
     try:
         mset = verify_mofs(squares)
     except MofsError as exc:

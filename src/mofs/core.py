@@ -11,6 +11,7 @@ squares are plain int64 arrays computed from that grid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,15 @@ class Params:
     lam: int
 
     def __post_init__(self):
+        for name in ("m", "lam"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
+                value = operator.index(value)  # int and numpy ints, as plain int
+            except TypeError:
+                raise MofsError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, value)
         if self.m < 1:
             raise MofsError(f"m must be >= 1, got {self.m}")
         if self.lam < 1:
@@ -119,7 +129,7 @@ class FSquare:
             arr = _as_grid(params, grid)
             if not _trusted:
                 # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
-                _validate_regularity(params, arr)
+                _validate_regularity(params, arr[None])
             arr = arr.astype(np.int64, copy=False)
             arr.flags.writeable = False
             key = arr.tobytes()
@@ -140,28 +150,64 @@ class FSquare:
         return f"FSquare({self.params}, {self.grid.tolist()})"
 
 
-def _validate_regularity(params: Params, arr: np.ndarray) -> None:
+# Squares per chunk of a stack are capped so that one chunk holds at most
+# _CHUNK_CELLS cells, which bounds the temporaries of bulk validation and I/O.
+_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_squares(params: Params) -> int:
+    """Squares per chunk of a (t, n, n) stack of this type."""
+    return max(1, _CHUNK_CELLS // (params.n * params.n))
+
+
+def _validate_regularity(params: Params, stack: np.ndarray) -> None:
+    """Check a (t, n, n) integer stack chunk by chunk and raise, for its
+    first invalid square, the error of that square's first fault: an entry
+    outside 1..m (first in row-major order), else the lowest symbol with a
+    wrong count, its rows before its columns, lowest index first."""
     m, lam, n = params.m, params.lam, params.n
-    bad = (arr < 1) | (arr > m)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
-    # counts[i, a - 1]: occurrences of symbol a in row (column) i.
-    index = np.arange(n) * m
-    sym = arr.astype(np.int64, copy=False) - 1
-    row_counts = np.bincount((index[:, None] + sym).ravel(), minlength=n * m)
-    col_counts = np.bincount((index[None, :] + sym).ravel(), minlength=n * m)
-    row_counts, col_counts = row_counts.reshape(n, m), col_counts.reshape(n, m)
-    bad_rows, bad_cols = row_counts != lam, col_counts != lam
-    bad_symbols = bad_rows.any(axis=0) | bad_cols.any(axis=0)
-    if bad_symbols.any():
-        # The lowest symbol first, its rows before its columns, lowest index.
-        a = int(np.argmax(bad_symbols))
-        if bad_rows[:, a].any():
-            i = int(np.argmax(bad_rows[:, a]))
-            raise RowRegularityViolation(i, a + 1, int(row_counts[i, a]), lam)
-        j = int(np.argmax(bad_cols[:, a]))
-        raise ColumnRegularityViolation(j, a + 1, int(col_counts[j, a]), lam)
+    step = _chunk_squares(params)
+    for k0 in range(0, len(stack), step):
+        chunk = stack[k0 : k0 + step]
+        t = len(chunk)
+        out = ((chunk < 1) | (chunk > m)).any(axis=(1, 2))
+        # Only squares before the first one with an out-of-range entry are
+        # counted; their symbols index the counts safely.
+        ok = int(np.argmax(out)) if out.any() else t
+        # counts[k, i, a - 1]: occurrences of symbol a in row (column) i of k.
+        sym = chunk[:ok].astype(np.intp) - 1
+        index = np.arange(ok * n).reshape(ok, n) * m
+        size = ok * n * m
+        row_counts = np.bincount((index[:, :, None] + sym).ravel(), minlength=size)
+        col_counts = np.bincount((index[:, None, :] + sym).ravel(), minlength=size)
+        row_counts = row_counts.reshape(ok, n, m)
+        col_counts = col_counts.reshape(ok, n, m)
+        bad = ((row_counts != lam) | (col_counts != lam)).any(axis=(1, 2))
+        if bad.any():
+            k = int(np.argmax(bad))
+            rows, cols = row_counts[k], col_counts[k]
+            bad_rows, bad_cols = rows != lam, cols != lam
+            # The lowest symbol first, its rows before its columns, lowest index.
+            a = int(np.argmax(bad_rows.any(axis=0) | bad_cols.any(axis=0)))
+            if bad_rows[:, a].any():
+                i = int(np.argmax(bad_rows[:, a]))
+                raise RowRegularityViolation(i, a + 1, int(rows[i, a]), lam)
+            j = int(np.argmax(bad_cols[:, a]))
+            raise ColumnRegularityViolation(j, a + 1, int(cols[j, a]), lam)
+        if ok < t:
+            arr = chunk[ok]
+            i, j = np.argwhere((arr < 1) | (arr > m))[0]
+            raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
+
+
+def _fsquares(params: Params, stack: np.ndarray) -> list:
+    """Validate a (t, n, n) integer stack and wrap each square as an
+    FSquare, raising for the first invalid square as its constructor would."""
+    _validate_regularity(params, stack)
+    return [
+        FSquare(params, grid.astype(np.int64, copy=False).tobytes(), _trusted=True)
+        for grid in stack
+    ]
 
 
 def make_fsquare(params: Params, grid) -> FSquare:

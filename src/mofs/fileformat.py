@@ -4,6 +4,17 @@ Format: a header line ``MOFS m=<m> lambda=<lam> count=<t>``, then each
 square as n lines of n space-separated symbols, consecutive squares
 separated by exactly one blank line.  Lines starting with ``#`` are
 comments and are ignored on decode.  Files end with a newline.
+
+Both directions work on the (t, n, n) stack in chunks of squares (at most
+``core._CHUNK_CELLS`` cells each).  ``encode`` formats a chunk into one
+byte buffer through a per-symbol digit table.  ``decode`` first takes the
+bulk path: a file laid out exactly as ``encode`` writes it (header on the
+first line, ``count`` blocks of n lines, single spaces, one blank line
+between blocks, ASCII digits only) is parsed a chunk at a time as bytes
+with numpy and its squares are validated one chunk per call.  Any other
+file, and any file whose squares fail validation, goes to the per-line
+parser, which is the only path that reports a malformed file; so every
+``ParseError`` and its ``line_no`` come from the same line-by-line rules.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import re
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params
+from .core import FSquare, MofsError, Params, _chunk_squares, _fsquares
 from .verify import MofsSet, verify_mofs
 
 
@@ -28,15 +39,113 @@ class HeaderMismatch(MofsError):
 
 _HEADER_RE = re.compile(r"^MOFS m=(\d+) lambda=(\d+) count=(\d+)$")
 
+_NEWLINE, _SPACE, _ZERO = ord("\n"), ord(" "), ord("0")
+
 
 def encode(mset: MofsSet) -> str:
     params = mset.params
-    lines = [f"MOFS m={params.m} lambda={params.lam} count={mset.t}"]
-    for idx, grid in enumerate(mset.grids):
-        if idx:
-            lines.append("")
-        lines.extend(" ".join(map(str, row)) for row in grid.tolist())
-    return "\n".join(lines) + "\n"
+    m, n = params.m, params.n
+    # A cell is written as up to three parts: slot 0 the blank line before
+    # every square but the first, slot 1 the separator before the cell (a
+    # newline at a row start, else a space), then the decimal digits of its
+    # symbol.  table[a] holds those bytes for symbol a, keep[a] which of them
+    # are written.
+    digits = [str(a).encode("ascii") for a in range(m + 1)]
+    width = len(digits[-1])
+    table = np.zeros((m + 1, width + 2), np.uint8)
+    keep = np.zeros((m + 1, width + 2), bool)
+    table[:, :2] = (_NEWLINE, _SPACE)
+    for a, d in enumerate(digits):
+        table[a, 2 : 2 + len(d)] = np.frombuffer(d, np.uint8)
+        keep[a, 1 : 2 + len(d)] = True
+    parts = [f"MOFS m={m} lambda={params.lam} count={mset.t}"]
+    step = _chunk_squares(params)
+    for k0 in range(0, mset.t, step):
+        chunk = mset.grids[k0 : k0 + step]
+        cells, written = table.take(chunk, axis=0), keep.take(chunk, axis=0)
+        cells[:, :, 0, 1] = _NEWLINE
+        written[:, 0, 0, 0] = True
+        if k0 == 0:
+            written[0, 0, 0, 0] = False
+        parts.append(cells[written].tobytes().decode("ascii"))
+    parts.append("\n")
+    return "".join(parts)
+
+
+def decode(text: str) -> MofsSet:
+    """Parse and fully validate (regularity and pairwise orthogonality)."""
+    squares = _decode_bulk(text)
+    if squares is None:
+        squares = _decode_lines(text)
+    return verify_mofs(squares)
+
+
+def _decode_bulk(text: str):
+    """The validated squares of a file laid out exactly as ``encode`` writes
+    it, or None for any other file and for any invalid square."""
+    end = text.find("\n")
+    match = _HEADER_RE.match(text[:end]) if end >= 0 else None
+    if match is None:
+        return None
+    m, lam, count = (int(g) for g in match.groups())
+    if m < 1 or lam < 1 or count < 1:
+        return None
+    params = Params(m, lam)
+    n = params.n
+    # Each square is n rows of n one-digit-or-wider cells, each cell ending
+    # in a space or a newline, then a blank line, apart from the last's blank
+    # line.  The length check bounds every allocation below by the size of
+    # the file, before anything of size n * n is built.
+    if len(text) - end < count * (2 * n * n + 1):
+        return None
+    if text.count("\n", end + 1) != count * (n + 1) - 1:
+        return None
+    width = len(str(m))
+    # The non-digit bytes of one square and its blank line, in order.
+    row = np.full(n, _SPACE, np.uint8)
+    row[-1] = _NEWLINE
+    square_seps = np.append(np.tile(row, n), np.uint8(_NEWLINE))
+
+    squares = []
+    pos = end + 1
+    step = _chunk_squares(params)
+    for k0 in range(0, count, step):
+        t = min(step, count - k0)
+        start = pos
+        for k in range(k0, k0 + t):
+            if k == count - 1:
+                pos = len(text)
+            else:
+                pos = text.find("\n\n", pos) + 2
+                if pos == 1:
+                    return None
+        # The last square gets its blank line here, so every chunk is t
+        # repetitions of n rows and a blank line.
+        block = text[start:pos] if pos < len(text) else text[start:] + "\n"
+        try:
+            raw = np.frombuffer(block.encode("ascii"), np.uint8)
+        except UnicodeEncodeError:
+            return None
+        seps = np.flatnonzero((raw - _ZERO) > 9).astype(np.int32)
+        expected = np.tile(square_seps, t)
+        if len(seps) != len(expected) or (raw[seps] != expected).any():
+            return None
+        # lengths[k, c]: digits before separator c of square k.  A cell has
+        # 1..width digits before its separator, a blank line none.
+        lengths = np.diff(seps, prepend=np.int32(-1)).reshape(t, -1) - 1
+        blank, lengths = lengths[:, -1], lengths[:, :-1]
+        if blank.any() or lengths.min() < 1 or lengths.max() > width:
+            return None
+        ends = seps.reshape(t, -1)[:, :-1]
+        values = (raw[ends - 1] - _ZERO).astype(np.int64)
+        for k in range(2, width + 1):
+            more = (raw[ends - k] - _ZERO).astype(np.int64) * 10 ** (k - 1)
+            values += np.where(lengths >= k, more, 0)
+        try:
+            squares += _fsquares(params, values.reshape(t, n, n))
+        except MofsError:
+            return None
+    return squares
 
 
 def _parse_rows(block, n: int) -> list:
@@ -53,8 +162,9 @@ def _parse_rows(block, n: int) -> list:
     return rows
 
 
-def decode(text: str) -> MofsSet:
-    """Parse and fully validate (regularity and pairwise orthogonality)."""
+def _decode_lines(text: str) -> list:
+    """Parse a file line by line into validated squares, raising at the
+    first fault in file order."""
     numbered = [
         (i + 1, line)
         for i, line in enumerate(text.split("\n"))
@@ -112,4 +222,4 @@ def decode(text: str) -> MofsSet:
         raise ParseError(numbered[pos][0], "trailing content after the last square")
     if len(squares) != count:
         raise HeaderMismatch(f"header says {count} squares, found {len(squares)}")
-    return verify_mofs(squares)
+    return squares

@@ -115,6 +115,72 @@ def naive_fsquares(params):
     return out
 
 
+def per_square_regularity_check(params, arr):
+    """The per-square regularity check that the stack validator replaced,
+    kept as its reference: raises the error of the square's first fault."""
+    from mofs.core import (
+        ColumnRegularityViolation,
+        RowRegularityViolation,
+        SymbolOutOfRange,
+    )
+
+    m, lam, n = params.m, params.lam, params.n
+    bad = (arr < 1) | (arr > m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
+    # counts[i, a - 1]: occurrences of symbol a in row (column) i.
+    index = np.arange(n) * m
+    sym = arr.astype(np.int64, copy=False) - 1
+    row_counts = np.bincount((index[:, None] + sym).ravel(), minlength=n * m)
+    col_counts = np.bincount((index[None, :] + sym).ravel(), minlength=n * m)
+    row_counts, col_counts = row_counts.reshape(n, m), col_counts.reshape(n, m)
+    bad_rows, bad_cols = row_counts != lam, col_counts != lam
+    bad_symbols = bad_rows.any(axis=0) | bad_cols.any(axis=0)
+    if bad_symbols.any():
+        # The lowest symbol first, its rows before its columns, lowest index.
+        a = int(np.argmax(bad_symbols))
+        if bad_rows[:, a].any():
+            i = int(np.argmax(bad_rows[:, a]))
+            raise RowRegularityViolation(i, a + 1, int(row_counts[i, a]), lam)
+        j = int(np.argmax(bad_cols[:, a]))
+        raise ColumnRegularityViolation(j, a + 1, int(col_counts[j, a]), lam)
+
+
+def first_per_square_error(params, stack):
+    """(index, error) of the first square of ``stack`` that the per-square
+    check rejects, or None."""
+    for k, arr in enumerate(stack):
+        try:
+            per_square_regularity_check(params, arr)
+        except mofs.MofsError as exc:
+            return k, exc
+    return None
+
+
+def corrupted_stacks(seed, count=12):
+    """(params, stack) pairs: constructed complete sets as int64 stacks with
+    one to three cells of random squares set to a random other value."""
+    rng = random.Random(seed)
+    sets = [
+        mofs.construct_prime_power(3, 2),  # 32 x F(9;3)
+        mofs.construct_prime_power(11, 1),  # 10 x F(11;1), two-digit symbols
+        mofs.construct_prime_power(2, 4),  # 225 x F(16;8), two chunks
+        mofs.construct_federer(mofs.hadamard(12)),  # 121 x F(12;6)
+    ]
+    out = []
+    for _ in range(count):
+        mset = rng.choice(sets)
+        m, n = mset.params.m, mset.params.n
+        stack = mset.grids.astype(np.int64)
+        for _ in range(rng.randint(1, 3)):
+            k, i, j = rng.randrange(mset.t), rng.randrange(n), rng.randrange(n)
+            values = [v for v in (0, *range(1, m + 1), m + 1, -1) if v != stack[k, i, j]]
+            stack[k, i, j] = rng.choice(values)
+        out.append((mset.params, stack))
+    return out
+
+
 def naive_superposition(g1, g2, m):
     """Direct cell count of ordered symbol pairs."""
     counts = np.zeros((m, m), dtype=np.int64)

@@ -396,6 +396,40 @@ class TestHadamard:
             mofs.hadamard(order)
 
 
+class TestValueEquality:
+    def test_equal_builds_compare_and_hash_equal(self):
+        for a, b in [
+            (mofs.hadamard(4), mofs.hadamard(4)),
+            (mofs.hadamard(12), mofs.hadamard(12)),
+            (field_build(2, 2), field_build(2, 2)),
+            (field_build(5, 1), field_build(5, 1)),
+        ]:
+            assert a is not b
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+
+    def test_different_values_compare_unequal(self):
+        h4 = mofs.hadamard(4)
+        flipped = dataclasses.replace(h4, normalized=False)
+        assert h4 != mofs.hadamard(8)
+        assert h4 != flipped
+        assert h4 != dataclasses.replace(h4, entries=-h4.entries)
+        assert field_build(2, 2) != field_build(2, 3)
+        assert field_build(2, 2) != field_build(3, 1)
+        f = field_build(3, 1)
+        assert f != dataclasses.replace(f, mul_table=f.add_table)
+        # Same bytes, other shape or dtype.
+        assert h4 != dataclasses.replace(h4, entries=h4.entries.reshape(2, 8))
+        assert h4 != dataclasses.replace(h4, entries=h4.entries.view(np.uint64))
+        assert h4 != "not a matrix" and field_build(2, 2) != h4
+
+    def test_usable_in_sets(self):
+        hs = {mofs.hadamard(o) for o in (4, 8, 4, 12, 8)}
+        assert hs == {mofs.hadamard(4), mofs.hadamard(8), mofs.hadamard(12)}
+        fields = {field_build(p, k) for p, k in [(2, 2), (3, 1), (2, 2), (3, 1)]}
+        assert len(fields) == 2 and field_build(2, 2) in fields
+
+
 class TestConstructFederer:
     @pytest.mark.parametrize(
         "order,count,lam", [(4, 9, 2), (8, 49, 4), (12, 121, 6)]

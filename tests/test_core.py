@@ -14,7 +14,16 @@ from mofs.core import (
     UncoveredCell,
 )
 
-from conftest import EXAMPLE_GRID, EXAMPLE_I1, EXAMPLE_I2, EXAMPLE_I3
+from mofs.core import _chunk_squares, _validate_regularity
+
+from conftest import (
+    EXAMPLE_GRID,
+    EXAMPLE_I1,
+    EXAMPLE_I2,
+    EXAMPLE_I3,
+    corrupted_stacks,
+    first_per_square_error,
+)
 
 
 def random_square(m, lam, seed):
@@ -52,6 +61,22 @@ class TestParams:
     def test_rejects_nonpositive(self, m, lam):
         with pytest.raises(mofs.MofsError):
             mofs.Params(m, lam)
+
+    @pytest.mark.parametrize(
+        "m,lam",
+        [(2.0, 3), (2, 3.0), ("2", 1), (2, "1"), (True, 2), (2, False),
+         (np.float64(2), 1), (np.True_, 1), (None, 1)],
+    )
+    def test_rejects_non_integers(self, m, lam):
+        with pytest.raises(mofs.MofsError, match="must be an integer"):
+            mofs.Params(m, lam)
+
+    def test_numpy_integers_stored_as_int(self):
+        p = mofs.Params(np.int64(2), np.uint8(3))
+        assert p == mofs.Params(2, 3)
+        assert hash(p) == hash(mofs.Params(2, 3))
+        assert type(p.m) is int and type(p.lam) is int
+        assert str(p) == "F(6;3)"
 
 
 class TestMakeFSquare:
@@ -161,6 +186,41 @@ class TestMakeFSquare:
         s = mofs.make_fsquare(mofs.Params(3, 2), grid)
         assert s.grid.dtype == np.int64
         assert s.grid.tolist() == EXAMPLE_GRID
+
+
+class TestStackValidator:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupted_stack_matches_per_square_check(self, seed):
+        for params, stack in corrupted_stacks(seed):
+            expected = first_per_square_error(params, stack)
+            if expected is None:
+                _validate_regularity(params, stack)
+                continue
+            k, error = expected
+            with pytest.raises(type(error)) as exc:
+                _validate_regularity(params, stack)
+            assert str(exc.value) == str(error)
+            # The squares before the first bad one pass on their own.
+            _validate_regularity(params, stack[:k])
+
+    def test_later_chunk_is_checked(self):
+        mset = mofs.construct_prime_power(2, 4)
+        params, stack = mset.params, mset.grids.copy()
+        assert mset.t > _chunk_squares(params)
+        stack[-1, 3, 5] = 3
+        with pytest.raises(SymbolOutOfRange, match=r"entry \(3,5\) = 3 not in 1..2"):
+            _validate_regularity(params, stack)
+
+    def test_regularity_fault_before_out_of_range_square(self):
+        p = mofs.Params(2, 1)
+        stack = np.array([[[1, 2], [2, 1]], [[1, 1], [2, 2]], [[1, 9], [2, 1]]])
+        with pytest.raises(RowRegularityViolation, match="row 0: symbol 1 occurs 2"):
+            _validate_regularity(p, stack)
+
+    def test_valid_stacks_pass(self):
+        for mset in (mofs.construct_prime_power(2, 4), mofs.construct_prime_power(11, 1)):
+            _validate_regularity(mset.params, mset.grids)
+            _validate_regularity(mset.params, mset.grids[:0])
 
 
 class TestIndicator:

@@ -1,19 +1,43 @@
-"""Decode fuzzing: a mutated file gives a set or a MofsError, nothing else."""
+"""Decode fuzzing: a mutated file gives a set or a MofsError, nothing else,
+and the same outcome as the line-by-line reference decoder."""
 
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
-from mofs.fileformat import ParseError, decode, encode
+import mofs.fileformat
+from mofs.core import FSquare, MofsError, Params, _CHUNK_CELLS, _chunk_squares
+from mofs.fileformat import HeaderMismatch, ParseError, decode, encode
+from mofs.verify import verify_mofs
+
+from conftest import corrupted_stacks, first_per_square_error, hand_built_sets
+
+
+def _comments_and_no_gaps(text):
+    """The same set with comment lines and no blank lines between squares."""
+    lines = [line for line in text.split("\n") if line]
+    lines.insert(0, "# leading comment")
+    lines.insert(3, "#")
+    lines.insert(len(lines) // 2, "# between rows")
+    return "\n".join(lines) + "\n# trailing comment\n"
+
+
+FEDERER16 = mofs.construct_federer(mofs.hadamard(16))  # 225 x F(16;8)
 
 VALID_FILES = [
     encode(mofs.construct_federer(mofs.hadamard(4))),  # 9 x F(4;2)
     encode(mofs.construct_prime_power(3, 1)),  # 2 x F(3;1)
+    # 225 squares: two chunks, and not a multiple of the chunk.
+    encode(FEDERER16),
+    encode(mofs.construct_prime_power(11, 1)),  # 10 x F(11;1), two-digit symbols
+    _comments_and_no_gaps(encode(mofs.construct_prime_power(3, 2))),
 ]
+VALID_IDS = ["federer4", "pp3-1", "federer16", "pp11-1", "comments-no-gaps"]
 
 BAD_TOKENS = ["99999999999999999999999", "1.5", "-1", "0", "x", ""]
 HEADER_VALUES = ["0", "1", "2", "3", "9", "1000000000000", "99999999999999999999999"]
@@ -53,6 +77,113 @@ def mutate(text, mutations):
     return "\n".join(lines)
 
 
+# The line-by-line decoder as it was before the bulk path, kept verbatim as
+# the reference that every decode outcome is compared with.
+_HEADER_RE = re.compile(r"^MOFS m=(\d+) lambda=(\d+) count=(\d+)$")
+
+
+def _reference_parse_rows(block, n: int) -> list:
+    """Parse numbered lines one by one, raising at the first bad line."""
+    rows = []
+    for line_no, line in block:
+        try:
+            row = [int(v) for v in line.split()]
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer entry: {line!r}") from exc
+        if len(row) != n:
+            raise ParseError(line_no, f"expected {n} entries, got {len(row)}")
+        rows.append(row)
+    return rows
+
+
+def reference_decode(text: str):
+    """Parse and fully validate (regularity and pairwise orthogonality)."""
+    numbered = [
+        (i + 1, line)
+        for i, line in enumerate(text.split("\n"))
+        if not line.startswith("#")
+    ]
+    # Drop the artifact of the trailing newline.
+    if numbered and numbered[-1][1] == "":
+        numbered.pop()
+
+    pos = 0
+    while pos < len(numbered) and numbered[pos][1] == "":
+        pos += 1
+    if pos == len(numbered):
+        raise ParseError(1, "empty file")
+    line_no, header = numbered[pos]
+    match = _HEADER_RE.match(header)
+    if match is None:
+        raise ParseError(line_no, f"bad header: {header!r}")
+    m, lam, count = (int(g) for g in match.groups())
+    try:
+        params = Params(m, lam)
+    except MofsError as exc:
+        raise ParseError(line_no, str(exc)) from exc
+    n = params.n
+    pos += 1
+
+    squares = []
+    for _ in range(count):
+        while pos < len(numbered) and numbered[pos][1] == "":
+            pos += 1
+        block = []
+        while len(block) < n and pos < len(numbered) and numbered[pos][1] != "":
+            block.append(numbered[pos])
+            pos += 1
+        if len(block) < n:
+            _reference_parse_rows(block, n)  # a bad line before the gap is reported first
+            raise ParseError(
+                numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
+                f"square {len(squares) + 1} is truncated",
+            )
+        try:
+            grid = np.array([line.split() for _, line in block], dtype=np.int64)
+        except (ValueError, OverflowError):
+            grid = None
+        if grid is None or grid.shape != (n, n):
+            grid = _reference_parse_rows(block, n)
+        try:
+            squares.append(FSquare(params, grid))
+        except MofsError as exc:
+            raise ParseError(block[0][0], str(exc)) from exc
+
+    while pos < len(numbered) and numbered[pos][1] == "":
+        pos += 1
+    if pos < len(numbered):
+        raise ParseError(numbered[pos][0], "trailing content after the last square")
+    if len(squares) != count:
+        raise HeaderMismatch(f"header says {count} squares, found {len(squares)}")
+    return verify_mofs(squares)
+
+
+def _move_line_break(text):
+    """Break the first row after its first symbol and join the rest of it to
+    the second row: the same bytes but one, in other places."""
+    header, row, rest = text.split("\n", 2)
+    return header + "\n" + row.replace(" ", "\n", 1) + " " + rest
+
+
+def reference_encode(params, grids) -> str:
+    """The row-by-row encoder that the chunked one replaced, on a (possibly
+    invalid) stack of grids."""
+    lines = [f"MOFS m={params.m} lambda={params.lam} count={len(grids)}"]
+    for idx, grid in enumerate(grids):
+        if idx:
+            lines.append("")
+        lines.extend(" ".join(map(str, row)) for row in grid.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def outcome(decoder, text):
+    """The set a decoder returns, or its error's type, message and line."""
+    try:
+        return decoder(text)
+    except MofsError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
 class TestDecodeFuzz:
     @given(
         st.sampled_from(VALID_FILES),
@@ -60,11 +191,10 @@ class TestDecodeFuzz:
     )
     @settings(max_examples=300, deadline=None)
     def test_mutated_file_raises_only_mofs_errors(self, text, mutations):
-        try:
-            mset = decode(mutate(text, mutations))
-        except mofs.MofsError:
-            return
-        assert isinstance(mset, mofs.MofsSet)
+        mutated = mutate(text, mutations)
+        got = outcome(decode, mutated)
+        assert isinstance(got, mofs.MofsSet) or issubclass(got[0], MofsError)
+        assert got == outcome(reference_decode, mutated)
 
     def test_huge_header_fails_fast(self):
         text = "MOFS m=1000000000000 lambda=1000000000000 count=1000000000000\n"
@@ -72,3 +202,82 @@ class TestDecodeFuzz:
         with pytest.raises(ParseError):
             decode(text + "1 2\n2 1\n")
         assert time.perf_counter() - start < 1
+
+    def test_blank_body_of_a_huge_square_fails_fast(self):
+        # As many newlines as the header's one square needs, but no cells:
+        # n * n bytes of cells must not be asked for on n bytes of file.
+        text = "MOFS m=1 lambda=100000 count=1\n" + "\n" * 100000
+        start = time.perf_counter()
+        expected = (ParseError, "line 100001: square 1 is truncated", 100001)
+        assert outcome(decode, text) == expected
+        assert outcome(reference_decode, text) == expected
+        assert time.perf_counter() - start < 1
+
+
+class TestBulkPath:
+    def test_valid_files_span_the_chunk_cases(self):
+        p, t = FEDERER16.params, FEDERER16.t
+        assert t * p.n * p.n > _CHUNK_CELLS
+        assert t % _chunk_squares(p) != 0
+        assert "count=10" in VALID_FILES[3] and " 10 " in VALID_FILES[3]
+
+    @pytest.mark.parametrize("mset", [*hand_built_sets(), FEDERER16])
+    def test_encode_matches_the_reference(self, mset):
+        # The hand-built sets are not orthogonal; their symbols take up to
+        # three digits.
+        text = encode(mset)
+        assert text == reference_encode(mset.params, mset.grids)
+        assert outcome(decode, text) == outcome(reference_decode, text)
+
+    @pytest.mark.parametrize("text", VALID_FILES, ids=VALID_IDS)
+    def test_valid_files_decode_like_the_reference(self, text):
+        assert decode(text) == reference_decode(text)
+
+    @pytest.mark.parametrize("text", VALID_FILES[:4], ids=VALID_IDS[:4])
+    def test_encoded_files_never_use_the_line_parser(self, text, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the per-line parser ran on an encoded file")
+
+        monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
+        assert encode(decode(text)) == text
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda s: s.replace("\n", "\r\n"), id="crlf"),
+            pytest.param(lambda s: s.replace(" ", "  ", 1), id="double-space"),
+            pytest.param(lambda s: s.replace("\n1 ", "\n01 ", 1), id="leading-zero"),
+            pytest.param(lambda s: s.replace("\n1 ", "\n21 ", 1), id="wide-symbol"),
+            pytest.param(lambda s: s.replace("\n\n", "\n1\n", 1), id="token-in-gap"),
+            pytest.param(_move_line_break, id="moved-line-break"),
+            pytest.param(lambda s: s.replace("\n2", "\n\uff12", 1), id="non-ascii-digit"),
+            pytest.param(lambda s: s[:-1], id="no-final-newline"),
+            pytest.param(lambda s: s + "\n", id="trailing-blank-line"),
+            pytest.param(lambda s: "\n" + s, id="blank-line-before-header"),
+            pytest.param(lambda s: s.replace("\n\n", "\n\n\n", 1), id="two-blank-lines"),
+            pytest.param(lambda s: s.replace("\n\n", "\n", 1), id="no-blank-line"),
+            pytest.param(lambda s: s.replace("\n", "\n# c\n", 1), id="comment"),
+            pytest.param(lambda s: s.replace("count=225", "count=224"), id="count-low"),
+            pytest.param(lambda s: s.replace("count=225", "count=226"), id="count-high"),
+        ],
+    )
+    def test_non_canonical_layouts_agree_with_the_reference(self, edit):
+        text = edit(encode(FEDERER16))
+        assert outcome(decode, text) == outcome(reference_decode, text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_bad_square_reported_at_its_first_line(self, seed):
+        for params, stack in corrupted_stacks(seed, count=6):
+            text = reference_encode(params, stack)
+            expected = first_per_square_error(params, stack)
+            if expected is None:
+                continue
+            k, error = expected
+            line_no = 2 + k * (params.n + 1)
+            with pytest.raises(ParseError) as exc:
+                decode(text)
+            assert exc.value.line_no == line_no
+            assert str(exc.value) == f"line {line_no}: {error}"
+            assert outcome(reference_decode, text) == (
+                ParseError, str(exc.value), line_no
+            )
