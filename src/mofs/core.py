@@ -63,6 +63,16 @@ class RegularityViolation(MofsError):
     pass
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a plain int (numpy ints too, bools not), else MofsError."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise MofsError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Params:
     """Type parameters of a frequency square: m symbols, repetition lam."""
@@ -72,14 +82,7 @@ class Params:
 
     def __post_init__(self):
         for name in ("m", "lam"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):
-                    raise TypeError
-                value = operator.index(value)  # int and numpy ints, as plain int
-            except TypeError:
-                raise MofsError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.m < 1:
             raise MofsError(f"m must be >= 1, got {self.m}")
         if self.lam < 1:

@@ -1,15 +1,19 @@
 """Enumeration, extension search, greedy growth, and the exhaustive
 maximality oracle.
 
-Squares are generated in lexicographic grid order by one row-by-row
-backtracking engine over the valid row patterns, for every m.  It keeps
-per-column symbol counts and, against every member of the set being
-extended, the running count of each ordered symbol pair, all packed into
-two ints so that adding a row and checking every bound is a few integer
-operations.  The patterns that fit the column counts depend on those
-counts alone, so a per-type column-fit table, filled as the search meets
-new counts and kept between searches, lists them for each node; a node
-tests only their pair counts.  The last row yields each square as the
+Squares are generated in lexicographic grid order by one depth-first
+engine over the valid row patterns, for every m.  It keeps per-column
+symbol counts and, against every member of the set being extended, the
+running count of each ordered symbol pair, all packed into two ints so
+that adding a row and checking every bound is a few integer operations.
+The patterns that fit the column counts depend on those counts alone, so
+a per-type column-fit table, filled as the search meets new counts and
+kept between searches, lists them for each node; a node tests only their
+pair counts.  The last two rows are not searched node by node: a square is
+orthogonal to every member iff each pair count ends at exactly lam^2, so a
+per-search tail table maps the pair counts that the two rows can add,
+under the column counts they complete, to those rows, and one lookup of
+what the counts still lack finds them.  Each square comes out as the
 joined int64 bytes of its rows, which ``FSquare`` wraps without copying
 and ``count_fsquares`` only counts.
 """
@@ -25,7 +29,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params
+from .core import FSquare, MofsError, Params, _as_int
 from .verify import MofsSet, UndefinedForMOne, _stack, verify_mofs
 
 DEFAULT_MAX_ENUM = 10_000_000
@@ -57,6 +61,22 @@ class SearchConfig:
     max_results: int | None = None
     prefix: tuple = ()
     force: bool = False
+
+    def __post_init__(self):
+        if self.max_results is not None:
+            limit = _as_int(self.max_results, "max_results")
+            if limit < 0:
+                raise MofsError(f"max_results must be >= 0, got {limit}")
+            object.__setattr__(self, "max_results", limit)
+        try:
+            prefix = tuple(self.prefix)
+        except TypeError:
+            raise MofsError(
+                f"prefix must be an iterable of integers, got {self.prefix!r}"
+            ) from None
+        object.__setattr__(
+            self, "prefix", tuple(_as_int(a, "a prefix symbol") for a in prefix)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -116,6 +136,11 @@ def estimate_count(params: Params) -> int:
 # and 20 greedy F(6;2) growths about 11 000, so the cap bounds memory on
 # larger types without clearing on these.
 _FIT_CAP = 1 << 14
+# Column states a search's tail table holds before it is cleared.  An entry
+# holds the completions of one state: at most 20 two-row completions on
+# F(6;3), 10 on F(6;2) and 4 on F(5;1), whose whole enumeration meets
+# 2 040 states in one search (F(6;3) 141).
+_TAIL_CAP = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +223,10 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
 
 
 def _engine(params, pair_inc, n_members, first_order, prefix):
-    """Backtracking enumerator over row patterns, with packed counters,
-    for squares orthogonal to ``n_members`` members whose pair increments
-    are ``pair_inc`` (see :func:`_pair_increments`).  Yields each square's
-    key: its rows' native int64 bytes, joined.
+    """Depth-first enumerator over row patterns, with packed counters, for
+    squares orthogonal to ``n_members`` members whose pair increments are
+    ``pair_inc`` (see :func:`_pair_increments`).  Yields each square's key:
+    its rows' native int64 bytes, joined.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -216,10 +241,25 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
     Which patterns fit the columns depends on ``cols`` alone, so the type's
     column-fit table maps each ``cols`` met to the ascending tuple of the
     patterns that fit it; it outlives the call and is cleared when it holds
-    ``_FIT_CAP`` entries.  A node below the first row loops over its tuple
-    and tests the pairs only; the first row takes ``first_order`` (or
-    ascending order) filtered by ``prefix``, all of which fit.  The last
-    row yields its leaves from its own loop.
+    ``_FIT_CAP`` entries.  The first row takes ``first_order`` (or
+    ascending order) filtered by ``prefix``, all of which fit; lower rows
+    take their node's tuple.  One explicit stack holds, per row, the
+    iterator over those patterns and the counters above it.
+
+    The loop places rows 0..``stop``, ``stop`` = max(n - 3, 0); the rows
+    below it (two, or fewer when n < 3) are looked up, so the first row
+    always keeps its order and prefix.  Their column counts force the last
+    row, and a square is orthogonal to every member iff each pair field
+    ends at exactly ``full``, its bias plus lam^2.  So the per-call tail
+    table maps each ``cols`` met below ``stop`` to a dict from the packed
+    pair counts the remaining rows add to the ascending tuple of those
+    rows' bytes, and a surviving node at ``stop`` yields the hits of one
+    lookup of ``full - pairs``.  The packed compare is exact: a field is
+    at most its bias plus lam^2 = top - 1 before the lookup and the rows
+    add at most 2 lam <= lam^2 + 1 <= top to it, so no add carries and no
+    subtract borrows between fields; with no members every completion
+    matches 0.  The increments depend on the members, so the table lives
+    for one call, cleared when it holds ``_TAIL_CAP`` entries.
     """
     m, lam, n = params.m, params.lam, params.n
     patterns, dtype, _, col_inc, row_bytes, fit = _pattern_tables(m, lam)
@@ -230,42 +270,69 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
         return _pack(np.full((1, count), value), dtype)[0]
 
     col_guard, pair_guard = fields(top, m * n), fields(top, n_pairs)
+    full = fields(top - 1, n_pairs)
     every = range(len(patterns))
-    order = every if first_order is None else first_order
-    prefix = tuple(prefix)
-    row0 = tuple(p for p in order if patterns[p][: len(prefix)] == prefix)
-    last = n - 1
-    rows = []
+    stop = max(n - 3, 0)
+    tail = {}
 
-    def rec(i: int, cols: int, pairs: int):
-        inc = pair_inc[i]
-        if i == 0:
-            fits = row0
-        else:
-            fits = fit.get(cols)
-            if fits is None:
-                fits = tuple(p for p in every if not (cols + col_inc[p]) & col_guard)
-                if len(fit) >= _FIT_CAP:
-                    fit.clear()
-                fit[cols] = fits
-        if i == last:
-            for p in fits:
-                if not (pairs + inc[p]) & pair_guard:
-                    yield b"".join(rows) + row_bytes[p]
+    def fits(cols):
+        found = tuple(p for p in every if not (cols + col_inc[p]) & col_guard)
+        if len(fit) >= _FIT_CAP:
+            fit.clear()
+        fit[cols] = found
+        return found
+
+    def ends(i, cols):
+        # (pair increment, bytes) of every completion of rows i..n-1.
+        if i == n:
+            yield 0, b""
             return
-        for p in fits:
+        for p in fit.get(cols) or fits(cols):
+            for added, rest in ends(i + 1, cols + col_inc[p]):
+                yield pair_inc[i][p] + added, row_bytes[p] + rest
+
+    def tail_of(cols):
+        found = {}
+        for added, rest in ends(stop + 1, cols):
+            found.setdefault(added, []).append(rest)
+        if len(tail) >= _TAIL_CAP:
+            tail.clear()
+        tail[cols] = found = {added: tuple(rests) for added, rests in found.items()}
+        return found
+
+    order = every if first_order is None else first_order
+    row0 = [p for p in order if patterns[p][: len(prefix)] == prefix]
+    rows = [b""] * stop
+    cols0 = fields(top - 1 - lam, m * n)
+    stack = [(iter(row0), cols0, fields(top - 1 - lam * lam, n_pairs))]
+    while stack:
+        i = len(stack) - 1
+        patterns_left, cols, pairs = stack[-1]
+        inc = pair_inc[i]
+        if i < stop:
+            for p in patterns_left:
+                next_pairs = pairs + inc[p]
+                if not next_pairs & pair_guard:
+                    rows[i] = row_bytes[p]
+                    next_cols = cols + col_inc[p]
+                    below = fit.get(next_cols) or fits(next_cols)
+                    stack.append((iter(below), next_cols, next_pairs))
+                    break
+            else:
+                stack.pop()
+            continue
+        stack.pop()
+        head = b"".join(rows)
+        for p in patterns_left:
             next_pairs = pairs + inc[p]
             if next_pairs & pair_guard:
                 continue
-            rows.append(row_bytes[p])
-            yield from rec(i + 1, cols + col_inc[p], next_pairs)
-            rows.pop()
-
-    yield from rec(
-        0,
-        fields(top - 1 - lam, m * n),
-        fields(top - 1 - lam * lam, n_pairs),
-    )
+            next_cols = cols + col_inc[p]
+            hits = (tail.get(next_cols) or tail_of(next_cols)).get(full - next_pairs)
+            if hits:
+                node = head + row_bytes[p]
+                for rest in hits:
+                    yield node + rest
 
 
 def _keys(params: Params, members: np.ndarray, config: SearchConfig):

@@ -115,6 +115,29 @@ def naive_fsquares(params):
     return out
 
 
+def row_stack_fsquares(params):
+    """Filter oracle for types beyond :func:`naive_fsquares`: every stack of
+    n regular rows, in lexicographic order, kept iff its columns are
+    regular.  Independent of the library; F(4;1) has 331 776 stacks."""
+    from itertools import product
+
+    m, lam, n = params.m, params.lam, params.n
+    rows = np.array(
+        [
+            r
+            for r in product(range(1, m + 1), repeat=n)
+            if all(r.count(a) == lam for a in range(1, m + 1))
+        ],
+        dtype=np.int64,
+    )
+    # Row indices of every stack, the first row varying slowest.
+    grids = rows[np.indices((len(rows),) * n).reshape(n, -1).T]
+    ok = np.ones(len(grids), dtype=bool)
+    for a in range(1, m + 1):
+        ok &= ((grids == a).sum(axis=1) == lam).all(axis=1)
+    return grids[ok]
+
+
 def per_square_regularity_check(params, arr):
     """The per-square regularity check that the stack validator replaced,
     kept as its reference: raises the error of the square's first fault."""

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from mofs.search import (
 )
 from mofs.verify import UndefinedForMOne
 
-from conftest import naive_fsquares
+from conftest import naive_fsquares, row_stack_fsquares
 
 
 def grids(stream):
@@ -136,6 +136,35 @@ class TestEnumerate:
         assert err.startswith("error: ") and "MOFS_MAX_ENUM" in err
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_results": -1},
+            {"max_results": 2.5},
+            {"max_results": True},
+            {"max_results": "3"},
+            {"prefix": 5},
+            {"prefix": None},
+            {"prefix": (1, "2")},
+            {"prefix": "12"},
+            {"prefix": (1.0,)},
+            {"prefix": (np.True_,)},
+        ],
+    )
+    def test_bad_values_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(mofs.MofsError, match=name):
+            SearchConfig(**kwargs)
+
+    def test_values_stored_as_plain_ints(self):
+        config = SearchConfig(max_results=np.int64(3), prefix=[np.uint8(2), 1])
+        assert config.max_results == 3 and type(config.max_results) is int
+        assert config.prefix == (2, 1) and {type(a) for a in config.prefix} == {int}
+        assert SearchConfig(prefix=iter([1])).prefix == (1,)
+        assert SearchConfig(max_results=0).max_results == 0
+
+
 class TestEstimateCount:
     def test_exact_for_two_symbols(self):
         assert estimate_count(mofs.Params(2, 3)) == 297200
@@ -240,6 +269,117 @@ class TestEngineOracle:
         assert list(mofs.extensions(mofs.verify_mofs([only]))) == [only]
 
 
+# The types whose tail starts below the first row (n = 3) or covers fewer
+# than two rows (n < 3), and F(4;1), the first with a row between.
+EDGE_TYPES = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (4, 1)]
+
+
+def orthogonal_mask(p, members, stack):
+    """Which grids of the (k, n, n) ``stack`` are orthogonal to every one of
+    the ``members`` grids, by counting each ordered symbol pair directly."""
+    ok = np.ones(len(stack), dtype=bool)
+    for member in members:
+        pair = ((stack - 1) * p.m + (np.asarray(member) - 1)).reshape(len(stack), -1)
+        counts = (pair[:, :, None] == np.arange(p.m * p.m)).sum(axis=1)
+        ok &= (counts == p.lam**2).all(axis=1)
+    return ok
+
+
+def as_tuples(grids):
+    return [tuple(map(tuple, g)) for g in np.asarray(grids).tolist()]
+
+
+@pytest.fixture(scope="module")
+def edge_squares():
+    """Every square of each edge type, in lexicographic order, from the
+    row-stack filter oracle."""
+    return {t: row_stack_fsquares(mofs.Params(*t)) for t in EDGE_TYPES}
+
+
+class TestEdgeTypes:
+    """The engine on the smallest types, against generate-and-filter."""
+
+    @pytest.mark.parametrize("m,lam", EDGE_TYPES)
+    def test_extensions_match_oracle_in_order(self, m, lam, edge_squares):
+        p = mofs.Params(m, lam)
+        every = edge_squares[(m, lam)]
+        assert grids(mofs.enumerate_fsquares(p)) == as_tuples(every)
+        subsets = [(k,) for k in range(len(every))]
+        pairs = [
+            (k, l)
+            for k in range(len(every))
+            for l in np.flatnonzero(orthogonal_mask(p, every[k : k + 1], every))
+            if k < l
+        ]
+        assert bool(pairs) == (m > 2)
+        # F(4;1) has 3 456 orthogonal pairs; a seeded sample of them is kept.
+        subsets += random.Random(m).sample(pairs, min(len(pairs), 150))
+        for subset in subsets:
+            members = every[list(subset)]
+            mset = mofs.verify_mofs([mofs.make_fsquare(p, g) for g in members])
+            oracle = as_tuples(every[orthogonal_mask(p, members, every)])
+            assert grids(mofs.extensions(mset)) == oracle
+
+    @pytest.mark.parametrize("m,lam", EDGE_TYPES)
+    def test_prefix_partitions_concatenate(self, m, lam, edge_squares):
+        p = mofs.Params(m, lam)
+        member = mofs.verify_mofs([mofs.make_fsquare(p, edge_squares[(m, lam)][-1])])
+        for stream in (
+            lambda config: mofs.enumerate_fsquares(p, config),
+            lambda config: mofs.extensions(member, config),
+        ):
+            whole = grids(stream(SearchConfig()))
+            for length in range(p.n + 1):
+                parts = []
+                for prefix in product(range(1, m + 1), repeat=length):
+                    parts += grids(stream(SearchConfig(prefix=prefix)))
+                assert parts == whole
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_follows_first_row_order(self, m, seed, edge_squares):
+        # Each step adds the orthogonal square whose first row comes first
+        # in that step's shuffled pattern order, lowest square first on a tie.
+        p = mofs.Params(m, 1)
+        every = edge_squares[(m, 1)]
+        patterns = search._pattern_tables(m, 1)[0]
+        with_mates = (g for g in every if orthogonal_mask(p, [g], every).any())
+        start = next(islice(with_mates, seed, None))
+        rng = random.Random(seed)
+        expected = [start]
+        while True:
+            order = list(range(len(patterns)))
+            rng.shuffle(order)
+            rank = {patterns[q]: r for r, q in enumerate(order)}
+            mates = every[orthogonal_mask(p, expected, every)]
+            if not len(mates):
+                break
+            expected.append(min(mates, key=lambda g: rank[tuple(g[0])]))
+        start_set = mofs.verify_mofs([mofs.make_fsquare(p, start)])
+        grown = mofs.grow_maximal(start_set, SearchConfig(seed=seed))
+        assert grids(grown.squares) == as_tuples(expected)
+        assert grown.t >= 2
+
+
+def assert_pinned_streams():
+    """Two streams' digests, recorded with the engine before it had a
+    column-fit table."""
+    f62 = mofs.enumerate_fsquares(
+        mofs.Params(3, 2), SearchConfig(force=True, max_results=20000)
+    )
+    assert stream_digest(f62) == (
+        20000,
+        "2f5b5ac92573290e714a659a0c8d043796df45cbd4509a9e4a0b8c72f8d35a92",
+    )
+    f51 = mofs.enumerate_fsquares(
+        mofs.Params(5, 1), SearchConfig(prefix=(3, 1), force=True)
+    )
+    assert stream_digest(f51) == (
+        8064,
+        "e7dc4c02c360e60584811d7cabc13a57fdeed6f1a11fc42e6f571a55e68a6ce9",
+    )
+
+
 def column_counts(p, cols):
     """A column-fit table key decoded: counts[a - 1, j] is the number of
     symbol a in column j on the rows so far."""
@@ -295,27 +435,23 @@ class TestEngineTables:
         monkeypatch.setattr(search, "_FIT_CAP", 3)
         for m, lam in [(3, 2), (5, 1)]:
             search._pattern_tables(m, lam)[-1].clear()
-        # Recorded with the engine before it had a column-fit table.
-        f62 = mofs.enumerate_fsquares(
-            mofs.Params(3, 2), SearchConfig(force=True, max_results=20000)
-        )
-        assert stream_digest(f62) == (
-            20000,
-            "2f5b5ac92573290e714a659a0c8d043796df45cbd4509a9e4a0b8c72f8d35a92",
-        )
-        f51 = mofs.enumerate_fsquares(
-            mofs.Params(5, 1), SearchConfig(prefix=(3, 1), force=True)
-        )
-        assert stream_digest(f51) == (
-            8064,
-            "e7dc4c02c360e60584811d7cabc13a57fdeed6f1a11fc42e6f571a55e68a6ce9",
-        )
+        assert_pinned_streams()
         p = mofs.Params(5, 1)
         start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(0))])
         grown = mofs.grow_maximal(start, SearchConfig(seed=0, force=True))
         assert (grown.t, set_digest(grown)) == GROW_PINS[(5, 1, 0)]
         for m, lam in [(3, 2), (5, 1)]:
             assert len(search._pattern_tables(m, lam)[-1]) <= 3
+
+    def test_tail_table_overflow_keeps_results(self, monkeypatch):
+        mset = mofs.verify_mofs(pinned_growth(2, 3, 1).squares[:-1])
+        count = search._count(mset.params, mset.grids, SearchConfig())
+        # Every new column state below the loop now clears the table first.
+        monkeypatch.setattr(search, "_TAIL_CAP", 1)
+        assert_pinned_streams()
+        grown = pinned_growth(2, 3, 1)
+        assert (grown.t, set_digest(grown)) == GROW_PINS[(2, 3, 1)]
+        assert search._count(mset.params, mset.grids, SearchConfig()) == count >= 1
 
     @pytest.mark.parametrize(
         "m,lam,config",
