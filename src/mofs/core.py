@@ -116,28 +116,22 @@ class FSquare:
     """A validated frequency square.  Immutable after construction.
 
     Use :func:`make_fsquare` (or the constructor) with a symbol grid over
-    1..m; validation is eager, so an FSquare value cannot exist in an
-    invalid state.
+    1..m.  The constructor always validates, so an FSquare value cannot
+    exist in an invalid state; squares that are valid by construction
+    (search leaves, validated stacks) are wrapped by the private
+    :func:`_leaves` instead.
     """
 
     __slots__ = ("params", "grid", "_key")
 
-    def __init__(self, params: Params, grid, *, _trusted: bool = False):
-        if _trusted and isinstance(grid, bytes):
-            # A search leaf: the native int64 cells of a valid square, row by
-            # row.  The array borrows the immutable bytes, so it stays read-only.
-            key = grid
-            arr = np.frombuffer(key, np.int64).reshape(params.n, params.n)
-        else:
-            arr = _as_grid(params, grid)
-            if not _trusted:
-                # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
-                _validate_regularity(params, arr[None])
-            arr = arr.astype(np.int64, copy=False)
-            arr.flags.writeable = False
-            key = arr.tobytes()
+    def __init__(self, params: Params, grid):
+        arr = _as_grid(params, grid)
+        # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
+        _validate_regularity(params, arr[None])
+        key = arr.astype(np.int64, copy=False).tobytes()
+        # The grid borrows its key, as a leaf's does: read-only for good.
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "grid", arr)
+        object.__setattr__(self, "grid", np.ndarray(arr.shape, np.int64, key))
         object.__setattr__(self, "_key", (params, key))
 
     def __setattr__(self, name, value):
@@ -207,10 +201,26 @@ def _fsquares(params: Params, stack: np.ndarray) -> list:
     """Validate a (t, n, n) integer stack and wrap each square as an
     FSquare, raising for the first invalid square as its constructor would."""
     _validate_regularity(params, stack)
-    return [
-        FSquare(params, grid.astype(np.int64, copy=False).tobytes(), _trusted=True)
-        for grid in stack
-    ]
+    keys = (grid.astype(np.int64, copy=False).tobytes() for grid in stack)
+    return list(_leaves(params, keys))
+
+
+def _leaves(params: Params, keys):
+    """FSquares for ``keys``, without validation: each key holds the native
+    int64 cells, row by row, of a square of the type that is valid by
+    construction.  Each grid borrows its own key, so it is read-only and
+    cannot be made writeable; equality and hashing match the constructor's."""
+    shape, int64 = (params.n, params.n), np.dtype(np.int64)
+    new, array = object.__new__, np.ndarray
+    set_params = FSquare.params.__set__
+    set_grid = FSquare.grid.__set__
+    set_key = FSquare._key.__set__
+    for key in keys:
+        square = new(FSquare)
+        set_params(square, params)
+        set_grid(square, array(shape, int64, key))
+        set_key(square, (params, key))
+        yield square
 
 
 def make_fsquare(params: Params, grid) -> FSquare:

@@ -14,8 +14,9 @@ orthogonal to every member iff each pair count ends at exactly lam^2, so a
 per-search tail table maps the pair counts that the two rows can add,
 under the column counts they complete, to those rows, and one lookup of
 what the counts still lack finds them.  Each square comes out as the
-joined int64 bytes of its rows, which ``FSquare`` wraps without copying
-and ``count_fsquares`` only counts.
+joined int64 bytes of its rows; ``count_fsquares`` only counts them, and
+the streams wrap each as an ``FSquare`` whose grid borrows those bytes,
+without calling the validating constructor (``core._leaves``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params, _as_int
+from .core import FSquare, MofsError, Params, _as_int, _leaves
 from .verify import MofsSet, UndefinedForMOne, _stack, verify_mofs
 
 DEFAULT_MAX_ENUM = 10_000_000
@@ -49,7 +50,8 @@ class InfeasibleSizeGuard(MofsError):
 class SearchConfig:
     """Knobs for the search operations.
 
-    Identical seed and config give identical outcomes.  ``prefix``
+    Identical seed and config give identical outcomes; ``seed`` is None
+    or an integer, and ``force`` a bool.  ``prefix``
     restricts the first row to start with the given symbols, which
     partitions the search space between runs; ``max_results`` caps a
     stream.  Greedy growth and the exhaustive maximality check need the
@@ -63,6 +65,11 @@ class SearchConfig:
     force: bool = False
 
     def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        if not isinstance(self.force, (bool, np.bool_)):
+            raise MofsError(f"force must be a bool, got {self.force!r}")
+        object.__setattr__(self, "force", bool(self.force))
         if self.max_results is not None:
             limit = _as_int(self.max_results, "max_results")
             if limit < 0:
@@ -345,20 +352,15 @@ def _keys(params: Params, members: np.ndarray, config: SearchConfig):
     return islice(keys, config.max_results)
 
 
-def _squares(params: Params, keys):
-    for key in keys:
-        yield FSquare(params, key, _trusted=True)
-
-
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    yield from _squares(params, _keys(params, _stack(params, ()), config))
+    yield from _leaves(params, _keys(params, _stack(params, ()), config))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     """Every F-square orthogonal to all members of the set, with early
     pruning of partial grids on running pair counts."""
-    yield from _squares(mset.params, _keys(mset.params, mset.grids, config))
+    yield from _leaves(mset.params, _keys(mset.params, mset.grids, config))
 
 
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
@@ -387,7 +389,7 @@ def exhaustive_maximality(
 ) -> bool:
     """Ground truth: true iff no F-square extends the set."""
     _require_whole_space(config)
-    return next(extensions(mset, config), None) is None
+    return next(_keys(mset.params, mset.grids, config), None) is None
 
 
 def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
@@ -424,7 +426,7 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         key = next(_engine(params, pair_inc, len(squares), first_order, ()), None)
         if key is None:
             break
-        square = FSquare(params, key, _trusted=True)
+        [square] = _leaves(params, [key])
         new_inc = _pair_increments(params, square.grid[None])
         shift = len(squares) * member_bits
         pair_inc = [
@@ -449,4 +451,4 @@ def random_fsquare(params: Params, rng: random.Random) -> FSquare:
         [syms[((rows[i] + cols[j]) % n) // lam] for j in range(n)]
         for i in range(n)
     ]
-    return FSquare(params, grid, _trusted=True)
+    return FSquare(params, grid)

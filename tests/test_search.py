@@ -8,6 +8,7 @@ import pytest
 import mofs
 from mofs import search
 from mofs.cli import main
+from mofs.core import DimensionMismatch, RowRegularityViolation
 from mofs.search import (
     InfeasibleSizeGuard,
     SearchConfig,
@@ -150,6 +151,16 @@ class TestSearchConfig:
             {"prefix": "12"},
             {"prefix": (1.0,)},
             {"prefix": (np.True_,)},
+            {"seed": [1]},
+            {"seed": {"a": 1}},
+            {"seed": 1.5},
+            {"seed": "1"},
+            {"seed": b"1"},
+            {"seed": True},
+            {"force": "no"},
+            {"force": 0.5},
+            {"force": 0},
+            {"force": None},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -163,6 +174,10 @@ class TestSearchConfig:
         assert config.prefix == (2, 1) and {type(a) for a in config.prefix} == {int}
         assert SearchConfig(prefix=iter([1])).prefix == (1,)
         assert SearchConfig(max_results=0).max_results == 0
+        config = SearchConfig(seed=np.int32(7), force=np.True_)
+        assert config.seed == 7 and type(config.seed) is int
+        assert config.force is True
+        assert SearchConfig().seed is None and SearchConfig().force is False
 
 
 class TestEstimateCount:
@@ -398,15 +413,28 @@ class TestEngineTables:
         leaves = [
             *mofs.enumerate_fsquares(p, config),
             *mofs.extensions(start, config),
-            *mofs.grow_maximal(start, SearchConfig(seed=1, force=True)).squares[1:],
+            *mofs.grow_maximal(start, SearchConfig(seed=1, force=True)).squares,
+            *mofs.decode(mofs.encode(start)).squares,
+            *mofs.construct_prime_power(3, 1).squares,
         ]
         for sq in leaves:
-            again = mofs.make_fsquare(p, sq.grid.tolist())
+            n = sq.params.n
+            again = mofs.make_fsquare(sq.params, sq.grid.tolist())
             assert sq == again and hash(sq) == hash(again)
-            assert sq.grid.dtype == np.int64 and sq.grid.shape == (p.n, p.n)
+            assert sq.grid.dtype == np.int64 and sq.grid.shape == (n, n)
             assert not sq.grid.flags.writeable
             with pytest.raises(ValueError):
                 sq.grid.flags.writeable = True
+            # The grid borrows the square's own key: no copy, no shared chunk.
+            assert type(sq.grid.base) is bytes and len(sq.grid.base) == n * n * 8
+
+    def test_constructor_always_validates(self):
+        p = mofs.Params(2, 2)
+        key = next(mofs.enumerate_fsquares(p)).grid.base
+        with pytest.raises(DimensionMismatch):
+            mofs.FSquare(p, key)
+        with pytest.raises(RowRegularityViolation):
+            mofs.FSquare(p, [[1, 1, 1, 2], [2, 2, 2, 1], [1, 1, 2, 2], [2, 2, 1, 1]])
 
     @pytest.mark.parametrize("m,lam", [(1, 3), (2, 3), (3, 2), (4, 1), (5, 1)])
     def test_fit_table_matches_brute_force(self, m, lam):
