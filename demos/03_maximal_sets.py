@@ -9,6 +9,8 @@ If it appears (and is not constant), the set is provably maximal with no
 search at all.
 """
 
+import numpy as np
+
 import mofs
 from mofs.search import SearchConfig
 
@@ -48,6 +50,6 @@ cyclic = [
     [[2, 3, 1], [1, 2, 3], [3, 1, 2]],
     [[3, 1, 2], [2, 3, 1], [1, 2, 3]],
 ]
-triple = mofs.MofsSet(p3, tuple(mofs.make_fsquare(p3, g) for g in cyclic))
+triple = mofs.MofsSet(p3, np.array(cyclic))
 pm = mofs.parity_matrix(triple, (1, 1, 1))
 print(f"\nconstant parity matrix -> certificate: {mofs.detect_full_relation(pm)}")

@@ -12,7 +12,7 @@ import sys
 from . import construct, fileformat, maximality, search
 from .core import MofsError, Params
 from .search import InfeasibleSizeGuard, SearchConfig
-from .verify import completeness_structure, upper_bound, verify_mofs
+from .verify import completeness_structure, upper_bound
 
 
 def _write_set(mset, path):

@@ -13,12 +13,12 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MofsError, Params, _fsquares
-from .verify import MofsSet, completeness_structure, verify_mofs
+from .core import MofsError, Params, _ArrayValued
+from .verify import MofsSet, _verified, completeness_structure
 
 
 class NotPrime(MofsError):
@@ -85,25 +85,6 @@ def prime_power_decomposition(n: int):
                 e += 1
             return (p, e) if q == 1 and is_prime(p) else None
     return None
-
-
-class _ArrayValued:
-    """Equality and hashing by value for a frozen dataclass with numpy array
-    fields, whose generated ``==`` would compare arrays elementwise."""
-
-    def _value(self) -> tuple:
-        return tuple(
-            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-            for v in (getattr(self, f.name) for f in fields(self))
-        )
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,15 +182,25 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     down to GF(m) (a surjective GF(m)-linear map).  The result is
     re-verified before being returned.
     """
+    if h < 1:
+        raise UnsupportedSize(f"h must be >= 1, got {h}")
+    # The size is checked before m is factored, a factor at a time, so that
+    # neither a large m nor a large h takes long to refuse.
+    q = m
+    for _ in range(h - 1):
+        if not 1 < q <= MAX_FIELD_SIZE:
+            break
+        q *= m
+    if q > MAX_FIELD_SIZE:
+        # The power itself only while it stays short enough to print: below
+        # 2^(MAX_FIELD_SIZE^2), or m itself.
+        short = h == 1 or (h <= MAX_FIELD_SIZE and m.bit_length() <= MAX_FIELD_SIZE)
+        size = m**h if short else f"{m}^{h}"
+        raise UnsupportedSize(f"m^h = {size} exceeds the configured maximum")
     decomp = prime_power_decomposition(m)
     if decomp is None:
         raise NotPrimePower(f"{m} is not a prime power")
-    if h < 1:
-        raise UnsupportedSize(f"h must be >= 1, got {h}")
     p, e = decomp
-    q = m**h
-    if q > MAX_FIELD_SIZE:
-        raise UnsupportedSize(f"m^h = {q} exceeds the configured maximum")
     f = field_build(p, e * h)
     add, mul = f.add_table, f.mul_table
     x = np.arange(q)
@@ -328,9 +319,9 @@ def construct_federer(h: HadamardMatrix) -> MofsSet:
 def _checked(params: Params, grids: np.ndarray, expected: int) -> MofsSet:
     """Oracle check: the (t, n, n) stack must be regular, verify pairwise
     and be complete."""
-    squares = _fsquares(params, grids)
+    mset = MofsSet(params, grids)
     try:
-        mset = verify_mofs(squares)
+        _verified(mset)
     except MofsError as exc:
         raise ConstructionSelfCheckFailed(str(exc)) from exc
     if mset.params.m >= 2:

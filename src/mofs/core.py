@@ -5,14 +5,15 @@ over the symbols 1..m in which every symbol occurs exactly lam times in
 every row and in every column.  Its indicator squares I_a(S) are the m
 0/1 arrays marking where each symbol sits, so S = sum_a a * I_a(S), and
 the paper's proofs become exact integer inner products of them.  A square
-is stored once, as its symbol grid (``FSquare.grid``); its indicator
-squares are plain int64 arrays computed from that grid.
+is stored once, as its symbol grid (``FSquare.grid``), and a set as its
+stacked grids (``MofsSet.grids``), validated in bulk here; indicator
+squares are plain int64 arrays computed from a grid.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,15 +98,36 @@ class Params:
         return f"F({self.n};{self.lam})"
 
 
-def _as_grid(params: Params, grid) -> np.ndarray:
-    # Always a private copy: the square must not share a caller's memory.
+class _ArrayValued:
+    """Equality and hashing by value for a frozen dataclass with numpy array
+    fields, whose generated ``==`` would compare arrays elementwise."""
+
+    def _value(self) -> tuple:
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+def _as_grid(params: Params, grid, stacked: bool = False) -> np.ndarray:
+    # An integer n x n array (a (t, n, n) stack when ``stacked``), and always
+    # a private copy: the value must not share a caller's memory.
     try:
         arr = np.array(grid)
     except ValueError:
         raise DimensionMismatch("grid rows have different lengths") from None
-    if arr.shape != (params.n, params.n):
+    if arr.shape[stacked:] != (params.n, params.n):
+        what = "a stack of {0}x{0} grids" if stacked else "a {0}x{0} grid"
         raise DimensionMismatch(
-            f"expected a {params.n}x{params.n} grid, got shape {arr.shape}"
+            f"expected {what.format(params.n)}, got shape {arr.shape}"
         )
     if arr.dtype.kind not in "iu":  # floats, or ints too large for int64
         raise SymbolOutOfRange(f"entries must be int64 integers, got {arr.dtype}")
@@ -195,14 +217,6 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
             arr = chunk[ok]
             i, j = np.argwhere((arr < 1) | (arr > m))[0]
             raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
-
-
-def _fsquares(params: Params, stack: np.ndarray) -> list:
-    """Validate a (t, n, n) integer stack and wrap each square as an
-    FSquare, raising for the first invalid square as its constructor would."""
-    _validate_regularity(params, stack)
-    keys = (grid.astype(np.int64, copy=False).tobytes() for grid in stack)
-    return list(_leaves(params, keys))
 
 
 def _leaves(params: Params, keys):

@@ -11,10 +11,10 @@ byte buffer through a per-symbol digit table.  ``decode`` first takes the
 bulk path: a file laid out exactly as ``encode`` writes it (header on the
 first line, ``count`` blocks of n lines, single spaces, one blank line
 between blocks, ASCII digits only) is parsed a chunk at a time as bytes
-with numpy and its squares are validated one chunk per call.  Any other
-file, and any file whose squares fail validation, goes to the per-line
-parser, which is the only path that reports a malformed file; so every
-``ParseError`` and its ``line_no`` come from the same line-by-line rules.
+with numpy into one stack, which is validated once.  Any other file, and
+any file whose squares fail validation, goes to the per-line parser, which
+is the only path that reports a malformed file; so every ``ParseError`` and
+its ``line_no`` come from the same line-by-line rules.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import re
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params, _chunk_squares, _fsquares
-from .verify import MofsSet, verify_mofs
+from .core import MofsError, Params, _as_grid, _chunk_squares, _validate_regularity
+from .verify import MofsSet, _verified
 
 
 class ParseError(MofsError):
@@ -74,14 +74,14 @@ def encode(mset: MofsSet) -> str:
 
 def decode(text: str) -> MofsSet:
     """Parse and fully validate (regularity and pairwise orthogonality)."""
-    squares = _decode_bulk(text)
-    if squares is None:
-        squares = _decode_lines(text)
-    return verify_mofs(squares)
+    mset = _decode_bulk(text)
+    if mset is None:
+        mset = _decode_lines(text)
+    return _verified(mset)
 
 
 def _decode_bulk(text: str):
-    """The validated squares of a file laid out exactly as ``encode`` writes
+    """The unverified set of a file laid out exactly as ``encode`` writes
     it, or None for any other file and for any invalid square."""
     end = text.find("\n")
     match = _HEADER_RE.match(text[:end]) if end >= 0 else None
@@ -106,7 +106,7 @@ def _decode_bulk(text: str):
     row[-1] = _NEWLINE
     square_seps = np.append(np.tile(row, n), np.uint8(_NEWLINE))
 
-    squares = []
+    stack = np.empty((count, n, n), np.min_scalar_type(m))
     pos = end + 1
     step = _chunk_squares(params)
     for k0 in range(0, count, step):
@@ -141,11 +141,14 @@ def _decode_bulk(text: str):
         for k in range(2, width + 1):
             more = (raw[ends - k] - _ZERO).astype(np.int64) * 10 ** (k - 1)
             values += np.where(lengths >= k, more, 0)
-        try:
-            squares += _fsquares(params, values.reshape(t, n, n))
-        except MofsError:
+        # Range-checked before the narrowing cast, so no entry wraps.
+        if values.min() < 1 or values.max() > m:
             return None
-    return squares
+        stack[k0 : k0 + t] = values.reshape(t, n, n)
+    try:
+        return MofsSet(params, stack)
+    except MofsError:
+        return None
 
 
 def _parse_rows(block, n: int) -> list:
@@ -162,8 +165,8 @@ def _parse_rows(block, n: int) -> list:
     return rows
 
 
-def _decode_lines(text: str) -> list:
-    """Parse a file line by line into validated squares, raising at the
+def _decode_lines(text: str) -> MofsSet:
+    """Parse a file line by line into an unverified set, raising at the
     first fault in file order."""
     numbered = [
         (i + 1, line)
@@ -191,7 +194,7 @@ def _decode_lines(text: str) -> list:
     n = params.n
     pos += 1
 
-    squares = []
+    grids = []
     for _ in range(count):
         while pos < len(numbered) and numbered[pos][1] == "":
             pos += 1
@@ -203,23 +206,20 @@ def _decode_lines(text: str) -> list:
             _parse_rows(block, n)  # a bad line before the gap is reported first
             raise ParseError(
                 numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
-                f"square {len(squares) + 1} is truncated",
+                f"square {len(grids) + 1} is truncated",
             )
+        rows = _parse_rows(block, n)
         try:
-            grid = np.array([line.split() for _, line in block], dtype=np.int64)
-        except (ValueError, OverflowError):
-            grid = None
-        if grid is None or grid.shape != (n, n):
-            grid = _parse_rows(block, n)
-        try:
-            squares.append(FSquare(params, grid))
+            grid = _as_grid(params, rows)
+            _validate_regularity(params, grid[None])
         except MofsError as exc:
             raise ParseError(block[0][0], str(exc)) from exc
+        grids.append(grid)
 
     while pos < len(numbered) and numbered[pos][1] == "":
         pos += 1
     if pos < len(numbered):
         raise ParseError(numbered[pos][0], "trailing content after the last square")
-    if len(squares) != count:
-        raise HeaderMismatch(f"header says {count} squares, found {len(squares)}")
-    return squares
+    if len(grids) != count:
+        raise HeaderMismatch(f"header says {count} squares, found {len(grids)}")
+    return MofsSet(params, np.array(grids, np.int64).reshape(count, n, n))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params, SymbolOutOfRange
+from .core import MofsError, Params, SymbolOutOfRange
 from .verify import MofsSet
 
 

@@ -31,15 +31,15 @@ from math import comb, factorial
 import numpy as np
 
 from .core import FSquare, MofsError, Params, _as_int, _leaves
-from .verify import MofsSet, UndefinedForMOne, _stack, verify_mofs
+from .verify import MofsSet, UndefinedForMOne, _verified
 
 DEFAULT_MAX_ENUM = 10_000_000
 
 
 class InfeasibleSizeGuard(MofsError):
-    def __init__(self, estimate, ceiling):
+    def __init__(self, estimate, ceiling, kind="estimated"):
         super().__init__(
-            f"estimated {estimate} squares exceeds the ceiling {ceiling};"
+            f"{kind} {estimate} squares exceeds the ceiling {ceiling};"
             f" raise MOFS_MAX_ENUM or force to override"
         )
         self.estimate = estimate
@@ -199,6 +199,15 @@ def _guard(params: Params, config: SearchConfig) -> None:
         ceiling = int(raw)
     except ValueError:
         raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
+    # For m >= 2 the n distinct rows of the cyclic square permute into n!
+    # distinct squares.  That lower bound passes the ceiling after a few
+    # factors, while the estimate below takes unbounded time as n grows.
+    if params.m >= 2:
+        least = 1
+        for k in range(2, params.n + 1):
+            least *= k
+            if least > ceiling:
+                raise InfeasibleSizeGuard(least, ceiling, "at least")
     estimate = estimate_count(params)
     if estimate > ceiling:
         raise InfeasibleSizeGuard(estimate, ceiling)
@@ -354,7 +363,7 @@ def _keys(params: Params, members: np.ndarray, config: SearchConfig):
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    yield from _leaves(params, _keys(params, _stack(params, ()), config))
+    yield from _leaves(params, _keys(params, _no_members(params), config))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
@@ -372,7 +381,11 @@ def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
     """Number of F-squares of the type, by full enumeration without
     building the squares."""
-    return _count(params, _stack(params, ()), config)
+    return _count(params, _no_members(params), config)
+
+
+def _no_members(params: Params) -> np.ndarray:
+    return np.zeros((0, params.n, params.n), np.uint8)
 
 
 def _require_whole_space(config: SearchConfig) -> None:
@@ -404,9 +417,9 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     """
     _require_whole_space(config)
     if isinstance(seed_set, Params):
-        params, squares = seed_set, []
+        params, grids = seed_set, _no_members(seed_set)
     else:
-        params, squares = seed_set.params, list(seed_set.squares)
+        params, grids = seed_set.params, seed_set.grids
     if params.m == 1:
         raise UndefinedForMOne(
             "greedy growth is undefined for m = 1: the only square is"
@@ -419,22 +432,22 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     # member's increments are ORed in above the others' instead of
     # rebuilding them all.
     member_bits = params.m**2 * 8 * dtype.itemsize
-    pair_inc = _pair_increments(params, _stack(params, squares))
+    pair_inc = _pair_increments(params, grids)
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        key = next(_engine(params, pair_inc, len(squares), first_order, ()), None)
+        key = next(_engine(params, pair_inc, len(grids), first_order, ()), None)
         if key is None:
             break
-        [square] = _leaves(params, [key])
-        new_inc = _pair_increments(params, square.grid[None])
-        shift = len(squares) * member_bits
+        grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)
+        new_inc = _pair_increments(params, grid)
+        shift = len(grids) * member_bits
         pair_inc = [
             [old | new << shift for old, new in zip(row, new_row)]
             for row, new_row in zip(pair_inc, new_inc)
         ]
-        squares.append(square)
-    return verify_mofs(squares)
+        grids = np.concatenate((grids, grid))
+    return _verified(MofsSet(params, grids))
 
 
 def random_fsquare(params: Params, rng: random.Random) -> FSquare:

@@ -1,4 +1,9 @@
-"""Orthogonality testing, MOFS-set validation, and completeness structure."""
+"""Orthogonality testing, MOFS-set validation, and completeness structure.
+
+A set is its stack, ``MofsSet.grids``, and its FSquares are wrapped from it
+on first use.  Every verified set passes through ``_verified``, the one
+place pairwise orthogonality and the size bound are checked.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params
+from .core import (
+    FSquare,
+    MofsError,
+    Params,
+    _ArrayValued,
+    _as_grid,
+    _leaves,
+    _validate_regularity,
+)
 
 
 class ParamMismatch(MofsError):
@@ -34,34 +47,38 @@ class NotOrthogonal(MofsError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class MofsSet:
-    """A pairwise-orthogonal tuple of frequency squares with shared parameters.
+@dataclass(frozen=True, eq=False)
+class MofsSet(_ArrayValued):
+    """A pairwise-orthogonal set of frequency squares with shared parameters,
+    stored as its stack: ``grids`` is a read-only (t, n, n) array of the
+    narrowest unsigned type that holds the symbols 1..m.
 
-    Construct through :func:`verify_mofs`, which validates the pairwise
-    orthogonality before handing the value out.
+    The constructor copies the stack and checks its shape and every
+    square's regularity, not orthogonality; :func:`verify_mofs` checks
+    that too before handing the value out.  Equality and hashing are by
+    value.
     """
 
     params: Params
-    squares: tuple
+    grids: np.ndarray
+
+    def __post_init__(self):
+        grids = _as_grid(self.params, self.grids, stacked=True)
+        # Before the narrowing cast, so an entry above m cannot wrap into range.
+        _validate_regularity(self.params, grids)
+        grids = grids.astype(np.min_scalar_type(self.params.m), copy=False)
+        grids.flags.writeable = False
+        object.__setattr__(self, "grids", grids)
 
     @property
     def t(self) -> int:
-        return len(self.squares)
+        return len(self.grids)
 
     @cached_property
-    def grids(self) -> np.ndarray:
-        """The squares' grids stacked as one read-only (t, n, n) array."""
-        return _stack(self.params, self.squares)
-
-
-def _stack(params: Params, squares) -> np.ndarray:
-    """The one in-memory layout of a set: its grids as a read-only (t, n, n)
-    array of the narrowest unsigned type that holds the symbols 1..m."""
-    grids = np.array([s.grid for s in squares], np.min_scalar_type(params.m))
-    grids = grids.reshape(-1, params.n, params.n)
-    grids.flags.writeable = False
-    return grids
+    def squares(self) -> tuple:
+        """The members as FSquares, wrapped from ``grids`` on first use."""
+        keys = (grid.astype(np.int64).tobytes() for grid in self.grids)
+        return tuple(_leaves(self.params, keys))
 
 
 @dataclass(frozen=True)
@@ -85,8 +102,11 @@ def superposition_counts(s: FSquare, s2: FSquare) -> np.ndarray:
     """m x m matrix whose (j, j') entry counts cells where s=j and s2=j'."""
     if s.params != s2.params:
         raise ParamMismatch(f"{s.params} vs {s2.params}")
-    m = s.params.m
-    codes = (s.grid - 1) * m + (s2.grid - 1)
+    return _superposition(s.grid, s2.grid, s.params.m)
+
+
+def _superposition(grid, grid2, m: int) -> np.ndarray:
+    codes = (grid.astype(np.intp) - 1) * m + (grid2 - 1)
     return np.bincount(codes.ravel(), minlength=m * m).reshape(m, m)
 
 
@@ -164,8 +184,16 @@ def verify_mofs(squares) -> MofsSet:
     for s in squares[1:]:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
-    mset = MofsSet(params, squares)
-    t = mset.t
+    grids = np.array([s.grid for s in squares], np.min_scalar_type(params.m))
+    return _verified(MofsSet(params, grids))
+
+
+def _verified(mset: MofsSet) -> MofsSet:
+    """``mset`` once its squares are pairwise orthogonal and no more than
+    the bound allows, else the error :func:`verify_mofs` documents."""
+    params, t = mset.params, mset.t
+    if not t:
+        raise MofsError("a MOFS set needs at least one square")
     # A set larger than the bound always has a failing pair with k below the
     # bound, and the kernel stops at the first row tile holding a failure, so
     # such a set costs O(bound * t) pair checks, not O(t^2).
@@ -173,7 +201,7 @@ def verify_mofs(squares) -> MofsSet:
     if pair is not None:
         k, l = pair
         target = params.lam * params.lam
-        counts = superposition_counts(squares[k], squares[l])
+        counts = _superposition(mset.grids[k], mset.grids[l], params.m)
         a, b = np.argwhere(counts != target)[0]
         raise NotOrthogonal(
             k + 1, l + 1, int(a) + 1, int(b) + 1, int(counts[a, b]), target

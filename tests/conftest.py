@@ -61,7 +61,7 @@ def cyclic_triple_set():
     # Not pairwise orthogonal (the three are cyclic shifts of each other);
     # the parity machinery only needs F-squares, so build the set directly.
     p = mofs.Params(3, 1)
-    return mofs.MofsSet(p, tuple(mofs.make_fsquare(p, g) for g in CYCLIC_TRIPLE))
+    return mofs.MofsSet(p, np.array(CYCLIC_TRIPLE))
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +88,8 @@ def hand_built_sets():
     for m, lam, t in types:
         p = mofs.Params(m, lam)
         squares = tuple(mofs.random_fsquare(p, rng) for _ in range(t))
-        out.append(pytest.param(mofs.MofsSet(p, squares), id=f"{p}x{t}"))
+        grids = np.array([s.grid for s in squares])
+        out.append(pytest.param(mofs.MofsSet(p, grids), id=f"{p}x{t}"))
     return out
 
 

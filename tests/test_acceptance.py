@@ -158,7 +158,7 @@ def test_criterion_6_enumeration_counts():
 
 def test_criterion_7_constant_parity_guard():
     p = mofs.Params(3, 1)
-    mset = mofs.MofsSet(p, tuple(mofs.make_fsquare(p, g) for g in CYCLIC_TRIPLE))
+    mset = mofs.MofsSet(p, np.array(CYCLIC_TRIPLE))
     pm = mofs.parity_matrix(mset, (1, 1, 1))
     assert (pm.bits == 1).all()
     assert mofs.detect_full_relation(pm) is None

@@ -225,3 +225,66 @@ class TestCli:
         monkeypatch.setattr(maximality, "parity_matrix", counted)
         assert main(["analyze", str(path)]) == 0
         assert choices == [(a,) * t for a in range(1, m + 1)]
+
+
+def _run_cli(*argv, timeout=60):
+    """``mofs argv`` in a subprocess, so a hang fails the test, not the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mofs.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "mofs.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
+class TestRefusedQuickly:
+    """Infeasible requests are refused in bounded time, without computing
+    the size they would have."""
+
+    @pytest.fixture(scope="class")
+    def set_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sets")
+        files = {"h24": root / "h24.mofs", "f16": root / "f16.mofs"}
+        assert main(["construct", "--hadamard", "24", "-o", str(files["h24"])]) == 0
+        assert main(["construct", "--prime-power", "2", "4", "-o", str(files["f16"])]) == 0
+        return files
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["extend", "h24", "--exhaustive"], id="extend-h24-exhaustive"),
+            pytest.param(["extend", "h24", "--greedy", "--seed", "0"], id="extend-h24-greedy"),
+            pytest.param(["extend", "f16", "--exhaustive"], id="extend-f16-exhaustive"),
+            pytest.param(["count", "2", "50"], id="count-2-50"),
+            pytest.param(["count", "3000", "1"], id="count-3000-1"),
+        ],
+    )
+    def test_size_guard(self, set_files, argv):
+        argv = [str(set_files.get(a, a)) for a in argv]
+        done = _run_cli(*argv)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("refused: at least ")
+        assert "exceeds the ceiling 10000000" in done.stderr
+
+    def test_size_guard_keeps_the_estimate_for_small_types(self):
+        with pytest.raises(mofs.InfeasibleSizeGuard) as exc:
+            mofs.count_fsquares(mofs.Params(3, 3))
+        assert str(exc.value).startswith("estimated ")
+        assert exc.value.estimate == mofs.search.estimate_count(mofs.Params(3, 3))
+
+    @pytest.mark.parametrize(
+        "m,h,size",
+        [
+            ("1000000007", "1", "1000000007"),
+            ("2", "1000000000000", "2^1000000000000"),
+            ("3", "33", "3^33"),
+            ("2", "6", "64"),
+            ("33", "1", "33"),
+        ],
+    )
+    def test_prime_power_size(self, m, h, size):
+        done = _run_cli("construct", "--prime-power", m, h)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"error: m^h = {size} exceeds the configured maximum\n"

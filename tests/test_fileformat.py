@@ -281,3 +281,13 @@ class TestBulkPath:
             assert outcome(reference_decode, text) == (
                 ParseError, str(exc.value), line_no
             )
+
+    def test_wide_token_does_not_wrap_into_range(self):
+        # In an m = 255 file a cell is one byte; 999 would wrap to 231, the
+        # value it replaces, and the square would pass as valid.
+        p = Params(255, 1)
+        cyclic = (np.arange(255)[:, None] + np.arange(255)) % 255 + 1
+        text = encode(verify_mofs([FSquare(p, cyclic)]))
+        bad = text.replace(" 231 ", " 999 ", 1)
+        with pytest.raises(ParseError, match=r"line 2: entry \(0,230\) = 999 not in 1..255"):
+            decode(bad)

@@ -32,7 +32,7 @@ class TestParityMatrix:
     def test_m1_constant(self):
         p = mofs.Params(1, 2)
         s = mofs.make_fsquare(p, np.ones((2, 2), dtype=int))
-        mset = mofs.MofsSet(p, (s, s, s))
+        mset = mofs.MofsSet(p, np.stack([s.grid] * 3))
         pm = mofs.parity_matrix(mset, (1, 1, 1))
         assert (pm.bits == 1).all()  # t odd, every indicator is J
 

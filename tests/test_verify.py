@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
+from mofs.core import DimensionMismatch, SymbolOutOfRange
+from mofs.search import SearchConfig
 from mofs.verify import NotOrthogonal, ParamMismatch, UndefinedForMOne
 
-from conftest import hand_built_sets, naive_superposition
+from conftest import corrupted_stacks, hand_built_sets, naive_superposition
 
 
 def permute_symbols(s, perm):
@@ -292,3 +294,113 @@ class TestGrids:
         assert np.array_equal(mset.grids, np.stack([s.grid for s in mset.squares]))
         with pytest.raises(ValueError):
             mset.grids[0, 0, 0] = 2
+
+
+class TestDirectConstruction:
+    """``MofsSet(params, grids)`` checks the stack, not orthogonality."""
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            pytest.param(np.ones((2, 2)), id="no-stack-axis"),
+            pytest.param(np.ones((1, 2, 3), int), id="not-square"),
+            pytest.param(np.ones((1, 4, 4), int), id="other-side"),
+            pytest.param([[[1, 2], [2, 1]], [[1, 2]]], id="ragged"),
+        ],
+    )
+    def test_bad_shape(self, grids):
+        with pytest.raises(DimensionMismatch):
+            mofs.MofsSet(mofs.Params(2, 1), grids)
+
+    def test_squares_are_not_a_stack(self):
+        p = mofs.Params(2, 1)
+        squares = tuple(mofs.enumerate_fsquares(p))
+        with pytest.raises(DimensionMismatch):
+            mofs.MofsSet(p, squares)
+
+    def test_float_entries(self):
+        with pytest.raises(SymbolOutOfRange, match="entries must be"):
+            mofs.MofsSet(mofs.Params(2, 1), np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+
+    def test_out_of_range_entry_does_not_wrap(self):
+        # 257 would read as 1 in the set's uint8 stack.
+        grids = np.array([[[1, 2], [2, 1]], [[1, 2], [2, 257]]])
+        with pytest.raises(SymbolOutOfRange, match=r"entry \(1,1\) = 257 not in 1..2"):
+            mofs.MofsSet(mofs.Params(2, 1), grids)
+
+    @pytest.mark.parametrize("params,stack", corrupted_stacks(11, count=8))
+    def test_first_bad_square_raises_its_fsquare_error(self, params, stack):
+        k = next(k for k, grid in enumerate(stack) if not _valid(params, grid))
+        with pytest.raises(mofs.MofsError) as want:
+            mofs.FSquare(params, stack[k])
+        with pytest.raises(type(want.value)) as got:
+            mofs.MofsSet(params, stack)
+        assert str(got.value) == str(want.value)
+
+    def test_regular_but_not_orthogonal_is_accepted(self):
+        p = mofs.Params(2, 1)
+        square = [[1, 2], [2, 1]]
+        mset = mofs.MofsSet(p, [square, square])
+        assert mset.t == 2
+        with pytest.raises(NotOrthogonal):
+            mofs.verify_mofs(mset.squares)
+
+    def test_copies_the_callers_array(self):
+        p = mofs.Params(2, 2)
+        grids = np.array([sq.grid for sq in mofs.enumerate_fsquares(p)][:3])
+        mset = mofs.MofsSet(p, grids)
+        grids[0] = 3 - grids[0]
+        assert not np.shares_memory(mset.grids, grids)
+        assert not (mset.grids[0] == grids[0]).any()
+        assert mset.grids.dtype == np.uint8 and not mset.grids.flags.writeable
+        # A read-only stack of the set's own dtype is copied too.
+        again = mofs.MofsSet(p, mset.grids)
+        assert not np.shares_memory(again.grids, mset.grids)
+
+    def test_equality_and_hash_by_value(self):
+        mset = mofs.construct_prime_power(3, 1)
+        wide = mofs.MofsSet(mset.params, mset.grids.astype(np.int64))
+        assert wide == mset and hash(wide) == hash(mset)
+        assert {wide, mset} == {mset}
+        assert mset != mofs.MofsSet(mset.params, mset.grids[::-1])
+        assert mset != mofs.MofsSet(mset.params, mset.grids[:1])
+        assert mset != mset.squares and mset != "a set"
+
+    def test_squares_wrap_the_stack(self):
+        mset = mofs.construct_prime_power(3, 2)
+        assert "squares" not in vars(mset)
+        squares = mset.squares
+        assert squares is mset.squares and len(squares) == mset.t
+        assert all(isinstance(sq, mofs.FSquare) for sq in squares)
+        assert np.array_equal(np.stack([sq.grid for sq in squares]), mset.grids)
+
+
+def _valid(params, grid):
+    try:
+        mofs.FSquare(params, grid)
+    except mofs.MofsError:
+        return False
+    return True
+
+
+class TestNoSquaresBuilt:
+    """Decoding, building and growing a set keep it as its stack alone."""
+
+    def test_decode(self, federer4):
+        assert "squares" not in vars(mofs.decode(mofs.encode(federer4)))
+        # The per-line parser too (a comment sends the file there).
+        text = mofs.encode(federer4).replace("\n", "\n# c\n", 1)
+        assert "squares" not in vars(mofs.decode(text))
+
+    def test_construct(self):
+        for mset in (
+            mofs.construct_prime_power(2, 3),
+            mofs.construct_federer(mofs.hadamard(8)),
+        ):
+            assert "squares" not in vars(mset)
+
+    def test_grow_maximal(self, federer4):
+        start = mofs.verify_mofs([federer4.squares[0]])
+        grown = mofs.grow_maximal(start, SearchConfig(seed=3))
+        assert grown.t > 1 and "squares" not in vars(grown)
+        assert "squares" not in vars(mofs.grow_maximal(mofs.Params(2, 2), SearchConfig(seed=3)))
