@@ -9,8 +9,6 @@ If it appears (and is not constant), the set is provably maximal with no
 search at all.
 """
 
-import numpy as np
-
 import mofs
 from mofs.search import SearchConfig
 
@@ -43,13 +41,15 @@ for seed, (mset, verdict) in enumerate(grown):
 
 # The certificate must be non-constant: an all-ones parity matrix (three
 # cyclic order-3 Latin squares, each contributing an all-ones parity row
-# pattern) proves nothing, and the detector returns None.
+# pattern) proves nothing, and the detector returns None.  The three are
+# not mutually orthogonal, so no MofsSet holds them; their parity matrix is
+# built here from their symbol-1 indicator squares.
 p3 = mofs.Params(3, 1)
 cyclic = [
     [[1, 2, 3], [3, 1, 2], [2, 3, 1]],
     [[2, 3, 1], [1, 2, 3], [3, 1, 2]],
     [[3, 1, 2], [2, 3, 1], [1, 2, 3]],
 ]
-triple = mofs.MofsSet(p3, np.array(cyclic))
-pm = mofs.parity_matrix(triple, (1, 1, 1))
+bits = sum(mofs.indicator(mofs.make_fsquare(p3, grid), 1) for grid in cyclic) % 2
+pm = mofs.ParityMatrix(p3, 3, (1, 1, 1), bits)
 print(f"\nconstant parity matrix -> certificate: {mofs.detect_full_relation(pm)}")

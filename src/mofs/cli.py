@@ -186,10 +186,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "greedy", False) and args.seed is None:
         parser.error("--greedy requires an explicit --seed")
+    if getattr(args, "exhaustive", False) and (args.seed, args.output) != (None, None):
+        parser.error("--seed and -o/--output apply only to --greedy")
     try:
         return args.func(args)
     except InfeasibleSizeGuard as exc:
-        print(f"refused: {exc} (use --force to override)", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 1
     except (MofsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

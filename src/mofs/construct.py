@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MofsError, Params, _ArrayValued
-from .verify import MofsSet, _verified, completeness_structure
+from .verify import MofsSet, completeness_structure
 
 
 class NotPrime(MofsError):
@@ -317,11 +317,9 @@ def construct_federer(h: HadamardMatrix) -> MofsSet:
 
 
 def _checked(params: Params, grids: np.ndarray, expected: int) -> MofsSet:
-    """Oracle check: the (t, n, n) stack must be regular, verify pairwise
-    and be complete."""
-    mset = MofsSet(params, grids)
+    """Oracle check: the (t, n, n) stack must be a MOFS set, and complete."""
     try:
-        _verified(mset)
+        mset = MofsSet(params, grids)
     except MofsError as exc:
         raise ConstructionSelfCheckFailed(str(exc)) from exc
     if mset.params.m >= 2:

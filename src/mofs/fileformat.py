@@ -12,9 +12,9 @@ bulk path: a file laid out exactly as ``encode`` writes it (header on the
 first line, ``count`` blocks of n lines, single spaces, one blank line
 between blocks, ASCII digits only) is parsed a chunk at a time as bytes
 with numpy into one stack, which is validated once.  Any other file, and
-any file whose squares fail validation, goes to the per-line parser, which
-is the only path that reports a malformed file; so every ``ParseError`` and
-its ``line_no`` come from the same line-by-line rules.
+any file with a square that is not regular, goes to the per-line parser,
+which is the only path that reports a malformed file; so every
+``ParseError`` and its ``line_no`` come from the same line-by-line rules.
 """
 
 from __future__ import annotations
@@ -23,18 +23,23 @@ import re
 
 import numpy as np
 
-from .core import MofsError, Params, _as_grid, _chunk_squares, _validate_regularity
-from .verify import MofsSet, _verified
+from .core import (
+    ColumnRegularityViolation,
+    MofsError,
+    Params,
+    RowRegularityViolation,
+    SymbolOutOfRange,
+    _as_grid,
+    _chunk_squares,
+    _validate_regularity,
+)
+from .verify import MofsSet
 
 
 class ParseError(MofsError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class HeaderMismatch(MofsError):
-    pass
 
 
 _HEADER_RE = re.compile(r"^MOFS m=(\d+) lambda=(\d+) count=(\d+)$")
@@ -75,14 +80,14 @@ def encode(mset: MofsSet) -> str:
 def decode(text: str) -> MofsSet:
     """Parse and fully validate (regularity and pairwise orthogonality)."""
     mset = _decode_bulk(text)
-    if mset is None:
-        mset = _decode_lines(text)
-    return _verified(mset)
+    return _decode_lines(text) if mset is None else mset
 
 
 def _decode_bulk(text: str):
-    """The unverified set of a file laid out exactly as ``encode`` writes
-    it, or None for any other file and for any invalid square."""
+    """The set of a file laid out exactly as ``encode`` writes it, or None
+    for any other file and for any square that is not regular.  A file of
+    regular squares that do not form a MOFS set raises the constructor's
+    error here, since the per-line parser would read the same squares."""
     end = text.find("\n")
     match = _HEADER_RE.match(text[:end]) if end >= 0 else None
     if match is None:
@@ -147,7 +152,7 @@ def _decode_bulk(text: str):
         stack[k0 : k0 + t] = values.reshape(t, n, n)
     try:
         return MofsSet(params, stack)
-    except MofsError:
+    except (SymbolOutOfRange, RowRegularityViolation, ColumnRegularityViolation):
         return None
 
 
@@ -166,8 +171,8 @@ def _parse_rows(block, n: int) -> list:
 
 
 def _decode_lines(text: str) -> MofsSet:
-    """Parse a file line by line into an unverified set, raising at the
-    first fault in file order."""
+    """Parse a file line by line into a set, raising at the first fault in
+    file order."""
     numbered = [
         (i + 1, line)
         for i, line in enumerate(text.split("\n"))
@@ -220,6 +225,4 @@ def _decode_lines(text: str) -> MofsSet:
         pos += 1
     if pos < len(numbered):
         raise ParseError(numbered[pos][0], "trailing content after the last square")
-    if len(grids) != count:
-        raise HeaderMismatch(f"header says {count} squares, found {len(grids)}")
     return MofsSet(params, np.array(grids, np.int64).reshape(count, n, n))

@@ -31,7 +31,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import FSquare, MofsError, Params, _as_int, _leaves
-from .verify import MofsSet, UndefinedForMOne, _verified
+from .verify import MofsSet, UndefinedForMOne
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -40,7 +40,7 @@ class InfeasibleSizeGuard(MofsError):
     def __init__(self, estimate, ceiling, kind="estimated"):
         super().__init__(
             f"{kind} {estimate} squares exceeds the ceiling {ceiling};"
-            f" raise MOFS_MAX_ENUM or force to override"
+            f" raise MOFS_MAX_ENUM or force (--force) to override"
         )
         self.estimate = estimate
         self.ceiling = ceiling
@@ -192,13 +192,28 @@ def _pattern_tables(m: int, lam: int):
 
 
 def _guard(params: Params, config: SearchConfig) -> None:
-    if config.force or config.max_results is not None:
+    if config.force:
         return
     raw = os.environ.get("MOFS_MAX_ENUM", str(DEFAULT_MAX_ENUM))
     try:
         ceiling = int(raw)
     except ValueError:
         raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
+    if config.max_results is not None and config.max_results <= ceiling:
+        # A capped stream stops early, but the engine still tables all
+        # P = n!/(lam!)^m row patterns, and P is a lower bound on the count:
+        # every regular first row completes to a (circulant) square.  P is
+        # the product of C(n - a*lam, lam) over a < m - 1, built one integer
+        # step at a time; after s steps it is at least 2^s, so this takes at
+        # most log2(ceiling) + 1 steps for any m and lam.
+        least = 1
+        for a in range(params.m - 1):
+            left = params.n - a * params.lam
+            for j in range(1, params.lam + 1):
+                least = least * (left - j + 1) // j
+                if least > ceiling:
+                    raise InfeasibleSizeGuard(least, ceiling, "at least")
+        return
     # For m >= 2 the n distinct rows of the cyclic square permute into n!
     # distinct squares.  That lower bound passes the ceiling after a few
     # factors, while the estimate below takes unbounded time as n grows.
@@ -447,7 +462,7 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
             for row, new_row in zip(pair_inc, new_inc)
         ]
         grids = np.concatenate((grids, grid))
-    return _verified(MofsSet(params, grids))
+    return MofsSet(params, grids)
 
 
 def random_fsquare(params: Params, rng: random.Random) -> FSquare:

@@ -1,8 +1,9 @@
 """Orthogonality testing, MOFS-set validation, and completeness structure.
 
 A set is its stack, ``MofsSet.grids``, and its FSquares are wrapped from it
-on first use.  Every verified set passes through ``_verified``, the one
-place pairwise orthogonality and the size bound are checked.
+on first use.  A MofsSet is verified on construction: its constructor is
+the one place pairwise orthogonality and the size bound are checked, so
+every set that exists is a MOFS.
 """
 
 from __future__ import annotations
@@ -49,26 +50,50 @@ class NotOrthogonal(MofsError):
 
 @dataclass(frozen=True, eq=False)
 class MofsSet(_ArrayValued):
-    """A pairwise-orthogonal set of frequency squares with shared parameters,
-    stored as its stack: ``grids`` is a read-only (t, n, n) array of the
-    narrowest unsigned type that holds the symbols 1..m.
+    """A set of mutually orthogonal frequency squares with shared
+    parameters, verified on construction and stored as its stack: ``grids``
+    is a read-only (t, n, n) array of the narrowest unsigned type that
+    holds the symbols 1..m.
 
-    The constructor copies the stack and checks its shape and every
-    square's regularity, not orthogonality; :func:`verify_mofs` checks
-    that too before handing the value out.  Equality and hashing are by
-    value.
+    The constructor copies the stack and checks its shape, every square's
+    regularity, pairwise orthogonality and the size bound, raising the
+    error :func:`verify_mofs` documents; so a MofsSet value is always a
+    verified MOFS.  Equality and hashing are by value.
     """
 
     params: Params
     grids: np.ndarray
 
     def __post_init__(self):
-        grids = _as_grid(self.params, self.grids, stacked=True)
+        params = self.params
+        grids = _as_grid(params, self.grids, stacked=True)
         # Before the narrowing cast, so an entry above m cannot wrap into range.
-        _validate_regularity(self.params, grids)
-        grids = grids.astype(np.min_scalar_type(self.params.m), copy=False)
+        _validate_regularity(params, grids)
+        grids = grids.astype(np.min_scalar_type(params.m), copy=False)
         grids.flags.writeable = False
         object.__setattr__(self, "grids", grids)
+        t = len(grids)
+        if not t:
+            raise MofsError("a MOFS set needs at least one square")
+        # A set larger than the bound always has a failing pair with k below
+        # the bound, and the kernel stops at the first row tile holding a
+        # failure, so such a set costs O(bound * t) pair checks, not O(t^2).
+        pair = _first_failing_pair(grids.reshape(t, -1), params)
+        if pair is not None:
+            k, l = pair
+            target = params.lam * params.lam
+            counts = _superposition(grids[k], grids[l], params.m)
+            a, b = np.argwhere(counts != target)[0]
+            raise NotOrthogonal(
+                k + 1, l + 1, int(a) + 1, int(b) + 1, int(counts[a, b]), target
+            )
+        if params.m >= 2:
+            bound = upper_bound(params)
+            if t > bound.value:
+                raise MofsError(
+                    f"impossible: {t} pairwise-orthogonal squares exceeds the"
+                    f" bound {bound.value}"
+                )
 
     @property
     def t(self) -> int:
@@ -185,35 +210,7 @@ def verify_mofs(squares) -> MofsSet:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
     grids = np.array([s.grid for s in squares], np.min_scalar_type(params.m))
-    return _verified(MofsSet(params, grids))
-
-
-def _verified(mset: MofsSet) -> MofsSet:
-    """``mset`` once its squares are pairwise orthogonal and no more than
-    the bound allows, else the error :func:`verify_mofs` documents."""
-    params, t = mset.params, mset.t
-    if not t:
-        raise MofsError("a MOFS set needs at least one square")
-    # A set larger than the bound always has a failing pair with k below the
-    # bound, and the kernel stops at the first row tile holding a failure, so
-    # such a set costs O(bound * t) pair checks, not O(t^2).
-    pair = _first_failing_pair(mset.grids.reshape(t, -1), params)
-    if pair is not None:
-        k, l = pair
-        target = params.lam * params.lam
-        counts = _superposition(mset.grids[k], mset.grids[l], params.m)
-        a, b = np.argwhere(counts != target)[0]
-        raise NotOrthogonal(
-            k + 1, l + 1, int(a) + 1, int(b) + 1, int(counts[a, b]), target
-        )
-    if params.m >= 2:
-        bound = upper_bound(params)
-        if t > bound.value:
-            raise MofsError(
-                f"impossible: {t} pairwise-orthogonal squares exceeds the"
-                f" bound {bound.value}"
-            )
-    return mset
+    return MofsSet(params, grids)
 
 
 def upper_bound(params: Params) -> UpperBound:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mofs
+from mofs.core import _validate_regularity
 
 # The worked F(6;2) example used throughout the golden-vector tests.
 EXAMPLE_GRID = [
@@ -56,12 +57,25 @@ def example_square():
     return mofs.make_fsquare(mofs.Params(3, 2), EXAMPLE_GRID)
 
 
+def unverified_set(params, grids):
+    """A MofsSet of a regular (t, n, n) stack that need not be pairwise
+    orthogonal, made without the constructor, which would refuse it."""
+    stack = np.array(grids)
+    _validate_regularity(params, stack)
+    stack = stack.astype(np.min_scalar_type(params.m))
+    stack.flags.writeable = False
+    mset = object.__new__(mofs.MofsSet)
+    object.__setattr__(mset, "params", params)
+    object.__setattr__(mset, "grids", stack)
+    return mset
+
+
 @pytest.fixture
 def cyclic_triple_set():
     # Not pairwise orthogonal (the three are cyclic shifts of each other);
-    # the parity machinery only needs F-squares, so build the set directly.
+    # the parity machinery only needs F-squares, so skip the constructor.
     p = mofs.Params(3, 1)
-    return mofs.MofsSet(p, np.array(CYCLIC_TRIPLE))
+    return unverified_set(p, CYCLIC_TRIPLE)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +94,7 @@ def workload_complete_sets():
 
 
 def hand_built_sets():
-    """Unverified sets of random squares, built directly as MofsSets, over
+    """Unverified sets of random squares, built by :func:`unverified_set`, over
     several types (the last needs two bytes per symbol), as pytest params."""
     rng = random.Random(2024)
     types = [(2, 1, 3), (2, 3, 5), (3, 2, 4), (4, 1, 7), (5, 2, 2), (256, 1, 3)]
@@ -89,7 +103,7 @@ def hand_built_sets():
         p = mofs.Params(m, lam)
         squares = tuple(mofs.random_fsquare(p, rng) for _ in range(t))
         grids = np.array([s.grid for s in squares])
-        out.append(pytest.param(mofs.MofsSet(p, grids), id=f"{p}x{t}"))
+        out.append(pytest.param(unverified_set(p, grids), id=f"{p}x{t}"))
     return out
 
 

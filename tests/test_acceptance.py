@@ -21,6 +21,7 @@ from conftest import (
     EXAMPLE_I3,
     brute_force_full_relation,
     naive_fsquares,
+    unverified_set,
 )
 
 GREEDY_SEEDS = list(range(20))
@@ -158,7 +159,7 @@ def test_criterion_6_enumeration_counts():
 
 def test_criterion_7_constant_parity_guard():
     p = mofs.Params(3, 1)
-    mset = mofs.MofsSet(p, np.array(CYCLIC_TRIPLE))
+    mset = unverified_set(p, CYCLIC_TRIPLE)
     pm = mofs.parity_matrix(mset, (1, 1, 1))
     assert (pm.bits == 1).all()
     assert mofs.detect_full_relation(pm) is None

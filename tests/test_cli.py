@@ -9,7 +9,7 @@ import pytest
 import mofs
 from mofs import maximality
 from mofs.cli import main
-from mofs.fileformat import HeaderMismatch, ParseError, decode, encode
+from mofs.fileformat import ParseError, decode, encode
 from mofs.verify import NotOrthogonal
 
 from conftest import EXAMPLE_GRID
@@ -141,6 +141,22 @@ class TestCli:
             main(["extend", str(path), "--greedy"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--seed", "3", "-o", "out.mofs"], ["--seed", "3"], ["-o", "out.mofs"]],
+        ids=["seed-and-output", "seed", "output"],
+    )
+    def test_exhaustive_refuses_greedy_options(self, tmp_path, capsys, extra):
+        path = tmp_path / "set.mofs"
+        main(["construct", "--hadamard", "4", "-o", str(path)])
+        out = tmp_path / "out.mofs"
+        argv = [str(out) if a == "out.mofs" else a for a in extra]
+        with pytest.raises(SystemExit) as exc:
+            main(["extend", str(path), "--exhaustive", *argv])
+        assert exc.value.code == 2
+        assert "apply only to --greedy" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_extend_exhaustive_complete(self, tmp_path, capsys):
         path = tmp_path / "set.mofs"
         main(["construct", "--hadamard", "4", "-o", str(path)])
@@ -229,9 +245,14 @@ class TestCli:
 
 def _run_cli(*argv, timeout=60):
     """``mofs argv`` in a subprocess, so a hang fails the test, not the suite."""
+    return _run_python("-m", "mofs.cli", *argv, timeout=timeout)
+
+
+def _run_python(*args, timeout=60):
+    """``python args`` in a subprocess with a timeout."""
     env = {**os.environ, "PYTHONPATH": str(Path(mofs.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "mofs.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -267,6 +288,33 @@ class TestRefusedQuickly:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("refused: at least ")
         assert "exceeds the ceiling 10000000" in done.stderr
+
+    @pytest.mark.parametrize(
+        "call,kind",
+        [
+            pytest.param(
+                "next(mofs.enumerate_fsquares(mofs.Params(2, 50),"
+                " mofs.SearchConfig(max_results=1)))",
+                "at least",
+                id="capped-stream-of-many-patterns",
+            ),
+            pytest.param(
+                "mofs.count_fsquares(mofs.Params(9, 1),"
+                " mofs.SearchConfig(max_results=10**12))",
+                "estimated",
+                id="cap-above-the-ceiling",
+            ),
+        ],
+    )
+    def test_capped_search_keeps_the_guard(self, call, kind):
+        done = _run_python(
+            "-c",
+            f"import mofs\ntry:\n    {call}\n"
+            "except mofs.InfeasibleSizeGuard as exc:\n    print(exc)\n",
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith(f"{kind} ")
+        assert "exceeds the ceiling 10000000" in done.stdout
 
     def test_size_guard_keeps_the_estimate_for_small_types(self):
         with pytest.raises(mofs.InfeasibleSizeGuard) as exc:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import mofs
 import mofs.fileformat
 from mofs.core import FSquare, MofsError, Params, _CHUNK_CELLS, _chunk_squares
-from mofs.fileformat import HeaderMismatch, ParseError, decode, encode
-from mofs.verify import verify_mofs
+from mofs.fileformat import ParseError, decode, encode
+from mofs.verify import NotOrthogonal, verify_mofs
 
 from conftest import corrupted_stacks, first_per_square_error, hand_built_sets
 
@@ -80,6 +80,10 @@ def mutate(text, mutations):
 # The line-by-line decoder as it was before the bulk path, kept verbatim as
 # the reference that every decode outcome is compared with.
 _HEADER_RE = re.compile(r"^MOFS m=(\d+) lambda=(\d+) count=(\d+)$")
+
+
+class HeaderMismatch(MofsError):
+    """The reference decoder's count check, which its loop never lets fail."""
 
 
 def _reference_parse_rows(block, n: int) -> list:
@@ -240,6 +244,19 @@ class TestBulkPath:
 
         monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
         assert encode(decode(text)) == text
+
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_regular_non_mofs_file_is_refused_by_the_bulk_path(self, mset, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the per-line parser ran on an encoded file")
+
+        with pytest.raises(NotOrthogonal) as want:
+            verify_mofs(mset.squares)
+        text = encode(mset)
+        monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
+        with pytest.raises(NotOrthogonal) as got:
+            decode(text)
+        assert vars(got.value) == vars(want.value)
 
     @pytest.mark.parametrize(
         "edit",

@@ -297,7 +297,7 @@ class TestGrids:
 
 
 class TestDirectConstruction:
-    """``MofsSet(params, grids)`` checks the stack, not orthogonality."""
+    """``MofsSet(params, grids)`` checks the stack and verifies the set."""
 
     @pytest.mark.parametrize(
         "grids",
@@ -337,17 +337,55 @@ class TestDirectConstruction:
             mofs.MofsSet(params, stack)
         assert str(got.value) == str(want.value)
 
-    def test_regular_but_not_orthogonal_is_accepted(self):
-        p = mofs.Params(2, 1)
-        square = [[1, 2], [2, 1]]
-        mset = mofs.MofsSet(p, [square, square])
-        assert mset.t == 2
-        with pytest.raises(NotOrthogonal):
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_not_orthogonal_raises_what_verify_mofs_raises(self, mset):
+        p, grids = mset.params, mset.grids
+        with pytest.raises(NotOrthogonal) as want:
             mofs.verify_mofs(mset.squares)
+        with pytest.raises(NotOrthogonal) as got:
+            mofs.MofsSet(p, grids)
+        assert vars(got.value) == vars(want.value)
+        assert str(got.value) == str(want.value)
+        # The lexicographically first failing pair and symbol pair, counted
+        # cell by cell.
+        target = p.lam * p.lam
+        k, l, counts = next(
+            (k, l, counts)
+            for k in range(mset.t)
+            for l in range(k + 1, mset.t)
+            for counts in [naive_superposition(grids[k], grids[l], p.m)]
+            if (counts != target).any()
+        )
+        a, b = np.argwhere(counts != target)[0]
+        err = got.value
+        assert (err.k, err.l, err.a, err.b) == (k + 1, l + 1, a + 1, b + 1)
+        assert (err.count, err.expected) == (counts[a, b], target)
+
+    def test_empty_stack_is_refused(self):
+        with pytest.raises(mofs.MofsError) as want:
+            mofs.verify_mofs([])
+        with pytest.raises(type(want.value), match="needs at least one square") as got:
+            mofs.MofsSet(mofs.Params(2, 1), np.zeros((0, 2, 2), np.int64))
+        assert str(got.value) == str(want.value)
+
+    def test_stack_over_the_bound_is_refused(self):
+        # 530 squares of F(24;12), whose bound is 529: the last repeats the
+        # first, and the failing pair's k is below the bound.
+        mset = mofs.construct_federer(mofs.hadamard(24))
+        grids = np.concatenate((mset.grids, mset.grids[:1]))
+        assert len(grids) > mofs.upper_bound(mset.params).value
+        with pytest.raises(NotOrthogonal) as got:
+            mofs.MofsSet(mset.params, grids)
+        assert (got.value.k, got.value.l) == (1, 530)
+        squares = mset.squares + mset.squares[:1]
+        with pytest.raises(NotOrthogonal) as want:
+            mofs.verify_mofs(squares)
+        assert str(got.value) == str(want.value)
 
     def test_copies_the_callers_array(self):
         p = mofs.Params(2, 2)
-        grids = np.array([sq.grid for sq in mofs.enumerate_fsquares(p)][:3])
+        # Three members of a verified F(4;2) set, as a writeable int64 stack.
+        grids = mofs.construct_federer(mofs.hadamard(4)).grids[:3].astype(np.int64)
         mset = mofs.MofsSet(p, grids)
         grids[0] = 3 - grids[0]
         assert not np.shares_memory(mset.grids, grids)
