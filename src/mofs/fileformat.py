@@ -225,4 +225,7 @@ def _decode_lines(text: str) -> MofsSet:
         pos += 1
     if pos < len(numbered):
         raise ParseError(numbered[pos][0], "trailing content after the last square")
-    return MofsSet(params, np.array(grids, np.int64).reshape(count, n, n))
+    if not count:
+        # MofsSet's refusal, before a (0, n, n) stack that a huge n cannot shape.
+        raise MofsError("a MOFS set needs at least one square")
+    return MofsSet(params, np.array(grids, np.int64))

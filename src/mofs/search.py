@@ -1,8 +1,21 @@
 """Enumeration, extension search, greedy growth, and the exhaustive
 maximality oracle.
 
-Squares are generated in lexicographic grid order by one depth-first
-engine over the valid row patterns, for every m.  It keeps per-column
+Two exact methods find squares, chosen by D, the number of free cells of
+the linear system an extension's indicators solve (row and column sums
+lam, lam^2 against each indicator of each member).  A search with at
+least one member and D <= ``_DUAL_MAX_D`` takes the linear-dual path: the
+system, row-reduced modulo a prime, leaves 2^D 0/1 assignments of its
+free cells, met in the middle; each candidate indicator is then checked
+exactly in integers, and m pairwise disjoint candidates that cover every
+cell make m! squares.  It is complete whatever the rank modulo the prime:
+every integer 0/1 solution solves the reduced system too, so it is among
+the assignments (see :func:`_candidates`).  Every other search, with no
+members or a larger D, runs the engine below; both give the same squares
+in the same order.
+
+The engine generates squares in lexicographic grid order, depth first
+over the valid row patterns, for every m.  It keeps per-column
 symbol counts and, against every member of the set being extended, the
 running count of each ordered symbol pair, all packed into two ints so
 that adding a row and checking every bound is a few integer operations.
@@ -21,11 +34,12 @@ without calling the validating constructor (``core._leaves``).
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -148,6 +162,12 @@ _FIT_CAP = 1 << 14
 # F(6;3), 10 on F(6;2) and 4 on F(5;1), whose whole enumeration meets
 # 2 040 states in one search (F(6;3) 141).
 _TAIL_CAP = 1 << 12
+# The most free cells (D) for which the linear-dual search replaces the
+# engine, and its prime: below 2^31, so a product of residues fits an int64.
+_DUAL_MAX_D = 18
+_PRIME = 2**31 - 1
+# Candidates checked exactly at a time.
+_BLOCK = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +260,8 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
     symbol in the member), so member k's m^2 fields are contiguous."""
     m = params.m
     patterns, dtype, pattern_hot = _pattern_tables(m, params.lam)[:3]
+    if not len(members):
+        return [[0] * len(patterns)] * params.n
     # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
     member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
     return [
@@ -366,41 +388,254 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
                     yield node + rest
 
 
+def _system(params: Params, members: np.ndarray) -> np.ndarray:
+    """The integer system [A | b] that an extension's indicator x of one
+    symbol solves: every row and column sum lam, and for every member k
+    and symbol b, <x, I_b(S_k)> = lam^2."""
+    m, lam, n = params.m, params.lam, params.n
+    cells = np.arange(n * n)
+    rows = (cells // n == np.arange(n)[:, None]).astype(np.int64)
+    cols = (cells % n == np.arange(n)[:, None]).astype(np.int64)
+    hot = members.reshape(len(members), 1, -1) == np.arange(1, m + 1)[:, None]
+    a = np.concatenate((rows, cols, hot.reshape(-1, n * n).astype(np.int64)))
+    b = np.full((len(a), 1), lam * lam)
+    b[: 2 * n] = lam
+    return np.concatenate((a, b), axis=1)
+
+
+def _row_reduce(system: np.ndarray, p: int):
+    """Gauss-Jordan elimination of ``system`` modulo the prime ``p``:
+    (pivot columns, reduced rows on them), or None when the system has no
+    solution mod p.  Residues stay below 2^31, so products fit an int64."""
+    a = system % p
+    pivots, r = [], 0
+    for j in range(a.shape[1] - 1):
+        k = r + int(a[r:, j].argmax())
+        if not a[k, j]:
+            continue
+        a[[r, k]] = a[[k, r]]
+        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
+        hit = np.flatnonzero(a[:, j])
+        hit = hit[hit != r]
+        a[hit] = (a[hit] - a[hit, j, None] * a[r]) % p
+        pivots.append(j)
+        r += 1
+        if r == len(a):
+            break
+    if a[r:, -1].any():
+        return None
+    return pivots, a[:r]
+
+
+def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndarray:
+    """(rank, 2^len(free)) residues: column u is ``start`` minus the reduced
+    columns of the free cells whose bits are set in u, mod p."""
+    out = start[:, None] % p
+    for j in free:
+        out = np.concatenate((out, (out - reduced[:, j, None]) % p), axis=1)
+    return out
+
+
+def _candidates(params: Params, members: np.ndarray):
+    """The 0/1 indicators of one symbol of the squares orthogonal to every
+    member, as a (c, n*n) uint8 array, or None when the system leaves more
+    than ``_DUAL_MAX_D`` free cells mod ``_PRIME``.
+
+    Row-reduced mod p, the system fixes each pivot cell as its constant
+    minus the free cells' columns (D of them), so the 2^D 0/1 assignments
+    of the free cells give every candidate.  They are met in the middle:
+    each half of the free cells has a (rank, 2^(D/2)) residue table, the
+    halves are joined on one pivot (its residue must come out 0 or 1),
+    and the pairs are filtered one pivot at a time, so no array outgrows
+    the 2^D pairs.  Every survivor is then checked exactly, in integers,
+    against every equation of the unreduced system.
+
+    Completeness does not depend on the rank mod p: an integer 0/1
+    solution also solves the system mod p, so its free cells are one of
+    the 2^D assignments and its pivot cells pass every filter.  A rank
+    that drops mod p only adds free cells, and so candidates; the exact
+    check removes each false one.  A system with no solution mod p has
+    no integer solution.
+    """
+    n, t = params.n, len(members)
+    # An exact lower bound on D for a MOFS: the system's rank over the
+    # rationals is 2n - 1 + t(m - 1) at most, and the rank mod p is no more.
+    if (n - 1) ** 2 - t * (params.m - 1) > _DUAL_MAX_D:
+        return None
+    system = _system(params, members)
+    reduced = _row_reduce(system, _PRIME)
+    if reduced is None:
+        return np.zeros((0, n * n), np.uint8)
+    pivots, reduced = reduced
+    free = sorted(set(range(n * n)) - set(pivots))
+    if len(free) > _DUAL_MAX_D:
+        return None
+    p, rank = _PRIME, len(pivots)
+    low, high = free[: len(free) // 2], free[len(free) // 2 :]
+    left = _half(reduced, low, p, reduced[:, -1])
+    right = (-_half(reduced, high, p, np.zeros(rank, np.int64))) % p
+    # x on pivot i is left[i, u] - right[i, w] mod p, which must be 0 or 1,
+    # so each residue of one half pairs with at most two of the other's.
+    # The join is on the pivot whose residues are the most distinct on one
+    # half: if all are, it yields at most twice the other half's size.
+    def distinct(table):
+        steps = np.diff(np.sort(table, axis=1), axis=1) != 0
+        return (steps.sum(axis=1) + 1) / table.shape[1]
+
+    join = int(np.argmax(np.maximum(distinct(left), distinct(right))))
+    by = np.argsort(right[join], kind="stable")
+    ends = right[join, by]
+    u, w = [], []
+    for diff in (0, 1):
+        want = (left[join] - diff) % p
+        lo = np.searchsorted(ends, want)
+        count = np.searchsorted(ends, want, "right") - lo
+        u.append(np.repeat(np.arange(len(want)), count))
+        w.append(by[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)])
+    u, w = np.concatenate(u), np.concatenate(w)
+    for i in range(rank):
+        keep = (left[i, u] - right[i, w]) % p <= 1
+        u, w = u[keep], w[keep]
+    x = np.zeros((len(u), n * n), np.uint8)
+    x[:, pivots] = ((left[:, u] - right[:, w]) % p).T
+    x[:, low] = u[:, None] >> np.arange(len(low)) & 1
+    x[:, high] = w[:, None] >> np.arange(len(high)) & 1
+    # In blocks of candidates, so the product stays small whatever p is.
+    a, b = system[:, :-1].T, system[:, -1]
+    exact = [(x[k : k + _BLOCK] @ a == b).all(axis=1) for k in range(0, len(x), _BLOCK)]
+    return x[np.concatenate(exact)] if exact else x
+
+
+def _covers(params: Params, candidates: np.ndarray) -> list:
+    """Every set of m pairwise disjoint candidates that covers every cell,
+    as the (n, n) array of each cell's candidate index within the set.
+    Candidates are numbered in the order their first cells appear, so the
+    set's squares in lexicographic order are symbol assignments in
+    ``itertools.permutations`` order."""
+    n = params.n
+    packed = np.packbits(candidates, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    holding = [np.flatnonzero(candidates[:, cell]).tolist() for cell in range(n * n)]
+    last = {mask: k for k, mask in enumerate(masks)}
+    found = []
+
+    def cover(left, chosen):
+        if len(chosen) == params.m - 1:
+            # The last candidate is the cells still left, if it is one.
+            if left in last:
+                chosen = chosen + [last[left]]
+                found.append(candidates[chosen].argmax(axis=0).reshape(n, n))
+            return
+        for k in holding[(left & -left).bit_length() - 1]:
+            if masks[k] | left == left:
+                cover(left & ~masks[k], chosen + [k])
+
+    cover((1 << (n * n)) - 1, [])
+    return found
+
+
+def _dual_covers(params: Params, members: np.ndarray):
+    """The covers (see :func:`_covers`) of the extensions of ``members``,
+    or None where the engine searches instead: no members, or more than
+    ``_DUAL_MAX_D`` free cells."""
+    if not len(members):
+        return None
+    candidates = _candidates(params, members)
+    return None if candidates is None else _covers(params, candidates)
+
+
+def _grid_order(m: int):
+    """Sort key of squares' keys in lexicographic grid order: the native
+    int64 bytes themselves while every symbol fits their first byte."""
+    if m < 256:
+        return None
+    return lambda key: np.frombuffer(key, np.int64).tolist()
+
+
+def _cover_keys(params: Params, covers: list, prefix: tuple):
+    """The keys of the squares of ``covers``, in lexicographic order, whose
+    first row starts with ``prefix``."""
+    symbols = np.array(list(permutations(range(1, params.m + 1))), np.int64)
+
+    def squares(labels):
+        for assign in symbols:
+            if assign[labels[0, : len(prefix)]].tolist() == list(prefix):
+                yield assign[labels].tobytes()
+
+    return heapq.merge(*map(squares, covers), key=_grid_order(params.m))
+
+
+def _first_by_rank(params: Params, covers: list, first_order: list):
+    """The key the engine finds first when its first row takes
+    ``first_order``: the square whose first row comes first in that order,
+    then the lowest in grid order."""
+    patterns = _pattern_tables(params.m, params.lam)[0]
+    by_row = {}
+    for labels in covers:
+        by_row.setdefault(tuple(labels[0].tolist()), []).append(labels)
+    for q in first_order:
+        # A first row fits a cover iff it has one symbol per candidate.
+        row = patterns[q]
+        relabel = {}
+        shape = tuple(relabel.setdefault(a, len(relabel)) for a in row)
+        if shape in by_row:
+            assign = np.zeros(params.m, np.int64)
+            assign[list(shape)] = row
+            keys = [assign[labels].tobytes() for labels in by_row[shape]]
+            return min(keys, key=_grid_order(params.m))
+    return None
+
+
 def _keys(params: Params, members: np.ndarray, config: SearchConfig):
     """The keys of the squares orthogonal to the (k, n, n) ``members``,
     in lexicographic order, after the size guard and the config's limits."""
     _guard(params, config)
-    keys = _engine(
-        params, _pair_increments(params, members), len(members), None, config.prefix
-    )
-    return islice(keys, config.max_results)
+    covers = _dual_covers(params, members)
+    return islice(_stream(params, members, covers, config.prefix), config.max_results)
+
+
+def _stream(params: Params, members: np.ndarray, covers, prefix: tuple):
+    """The keys of :func:`_keys` before the cap: from the linear-dual
+    ``covers``, or from the engine where they are None."""
+    if covers is None:
+        return _engine(params, _pair_increments(params, members), len(members), None, prefix)
+    return _cover_keys(params, covers, prefix)
 
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    yield from _leaves(params, _keys(params, _no_members(params), config))
+    yield from _leaves(params, _keys(params, _NO_MEMBERS, config))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
-    """Every F-square orthogonal to all members of the set, with early
-    pruning of partial grids on running pair counts."""
+    """Every F-square orthogonal to all members of the set, in
+    lexicographic grid order."""
     yield from _leaves(mset.params, _keys(mset.params, mset.grids, config))
 
 
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, counted
-    from the engine's keys without building the squares."""
-    return sum(1 for _ in _keys(params, members, config))
+    without building the squares: m! per cover on the linear-dual path,
+    else from the keys."""
+    _guard(params, config)
+    covers = _dual_covers(params, members)
+    if covers is None or config.prefix:
+        keys = _stream(params, members, covers, config.prefix)
+        return sum(1 for _ in islice(keys, config.max_results))
+    found = len(covers) * factorial(params.m)
+    return found if config.max_results is None else min(found, config.max_results)
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
     """Number of F-squares of the type, by full enumeration without
     building the squares."""
-    return _count(params, _no_members(params), config)
+    return _count(params, _NO_MEMBERS, config)
 
 
-def _no_members(params: Params) -> np.ndarray:
-    return np.zeros((0, params.n, params.n), np.uint8)
+# The stack of no members.  Its shape does not depend on n, so a type too
+# large to shape an (n, n) array still reaches the size guard.
+_NO_MEMBERS = np.zeros((0, 0, 0), np.uint8)
+_NO_MEMBERS.flags.writeable = False
 
 
 def _require_whole_space(config: SearchConfig) -> None:
@@ -424,15 +659,17 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     """Greedy growth to a maximal set.
 
     ``seed_set`` is a MofsSet, or a Params to start from nothing.  Each
-    step adds the first extension found, with the first-row pattern order
-    permuted by the seed; the loop ends when no extension exists, so the
+    step permutes the first-row pattern order by the seed and adds the
+    extension whose first row comes first in it, the lowest in grid order
+    on a tie: the engine's first find, or the same square picked from the
+    linear-dual covers.  The loop ends when no extension exists, so the
     result is maximal by construction (and re-verified).  For m = 1 the
     only square is orthogonal to itself, so growth would never end; it
     raises ``UndefinedForMOne`` instead.
     """
     _require_whole_space(config)
     if isinstance(seed_set, Params):
-        params, grids = seed_set, _no_members(seed_set)
+        params, grids = seed_set, _NO_MEMBERS
     else:
         params, grids = seed_set.params, seed_set.grids
     if params.m == 1:
@@ -445,23 +682,30 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     patterns, dtype = _pattern_tables(params.m, params.lam)[:2]
     # Member k's m^2 pair fields start at bit k * member_bits, so a new
     # member's increments are ORed in above the others' instead of
-    # rebuilding them all.
+    # rebuilding them all.  They are built when the engine first runs.
     member_bits = params.m**2 * 8 * dtype.itemsize
-    pair_inc = _pair_increments(params, grids)
+    pair_inc = None
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        key = next(_engine(params, pair_inc, len(grids), first_order, ()), None)
+        covers = _dual_covers(params, grids)
+        if covers is not None:
+            key = _first_by_rank(params, covers, first_order)
+        else:
+            if pair_inc is None:
+                pair_inc = _pair_increments(params, grids)
+            key = next(_engine(params, pair_inc, len(grids), first_order, ()), None)
         if key is None:
             break
         grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)
-        new_inc = _pair_increments(params, grid)
-        shift = len(grids) * member_bits
-        pair_inc = [
-            [old | new << shift for old, new in zip(row, new_row)]
-            for row, new_row in zip(pair_inc, new_inc)
-        ]
-        grids = np.concatenate((grids, grid))
+        if pair_inc is not None:
+            new_inc = _pair_increments(params, grid)
+            shift = len(grids) * member_bits
+            pair_inc = [
+                [old | new << shift for old, new in zip(row, new_row)]
+                for row, new_row in zip(pair_inc, new_inc)
+            ]
+        grids = np.concatenate((grids, grid)) if len(grids) else grid
     return MofsSet(params, grids)
 
 

@@ -280,6 +280,8 @@ class TestRefusedQuickly:
             pytest.param(["extend", "f16", "--exhaustive"], id="extend-f16-exhaustive"),
             pytest.param(["count", "2", "50"], id="count-2-50"),
             pytest.param(["count", "3000", "1"], id="count-3000-1"),
+            # n = 10^21 cannot shape an (n, n) array: the guard runs first.
+            pytest.param(["count", "1000000000", "1000000000000"], id="count-huge-n"),
         ],
     )
     def test_size_guard(self, set_files, argv):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import mofs
 import mofs.fileformat
+from mofs.cli import main
 from mofs.core import FSquare, MofsError, Params, _CHUNK_CELLS, _chunk_squares
 from mofs.fileformat import ParseError, decode, encode
 from mofs.verify import NotOrthogonal, verify_mofs
@@ -206,6 +207,22 @@ class TestDecodeFuzz:
         with pytest.raises(ParseError):
             decode(text + "1 2\n2 1\n")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "MOFS m=1000000000000 lambda=1000000000000 count=0",
+            "MOFS m=3000000000 lambda=1 count=0",
+        ],
+    )
+    def test_empty_set_of_a_huge_type_is_refused(self, header, tmp_path, capsys):
+        # Refused before a (0, n, n) stack, which numpy cannot shape here.
+        with pytest.raises(MofsError, match="at least one square"):
+            decode(header + "\n")
+        path = tmp_path / "empty.mofs"
+        path.write_text(header + "\n")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err == "error: a MOFS set needs at least one square\n"
 
     def test_blank_body_of_a_huge_square_fails_fast(self):
         # As many newlines as the header's one square needs, but no cells:

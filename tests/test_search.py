@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -616,3 +617,105 @@ class TestRandomFSquare:
             for _ in range(5):
                 s = mofs.random_fsquare(p, rng)
                 mofs.make_fsquare(p, s.grid)  # revalidate from scratch
+
+
+# Greedy sets beyond GROW_PINS that the linear-dual path is checked on.
+DUAL_SOURCES = sorted(GROW_PINS) + [(2, 3, 3), (2, 3, 4), (5, 1, 4), (5, 1, 5)]
+
+
+@lru_cache(maxsize=None)
+def dual_inputs(m, lam, seed):
+    """A greedy set and its subsets with the last 1-3 members dropped."""
+    grown = pinned_growth(m, lam, seed)
+    return [grown] + [
+        mofs.verify_mofs(grown.squares[:-drop]) for drop in (1, 2, 3) if drop < grown.t
+    ]
+
+
+def search_outcomes(mset):
+    """What every search entry point makes of ``mset``."""
+    config = SearchConfig(force=True)
+    whole = grids(mofs.extensions(mset, config))
+    prefix = whole[0][0][:2] if whole else (1, 2)
+    return (
+        search._count(mset.params, mset.grids, config),
+        whole,
+        grids(mofs.extensions(mset, SearchConfig(force=True, prefix=prefix))),
+        grids(mofs.extensions(mset, SearchConfig(force=True, max_results=3))),
+        mofs.exhaustive_maximality(mset, config),
+        grids(mofs.grow_maximal(mset, SearchConfig(seed=7, force=True)).squares),
+    )
+
+
+def uses_dual(mset):
+    return search._candidates(mset.params, mset.grids) is not None
+
+
+class TestLinearDual:
+    """The linear-dual search against the engine, which runs wherever the
+    cap on free cells is below every D."""
+
+    @pytest.mark.parametrize("m,lam,seed", DUAL_SOURCES)
+    def test_matches_the_engine(self, m, lam, seed, monkeypatch):
+        sets = dual_inputs(m, lam, seed)
+        dual = [search_outcomes(mset) for mset in sets]
+        assert any(map(uses_dual, sets))
+        monkeypatch.setattr(search, "_DUAL_MAX_D", -1)
+        assert not any(map(uses_dual, sets))
+        assert [search_outcomes(mset) for mset in sets] == dual
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_prime_keeps_every_result(self, p, monkeypatch):
+        # Mod 3 the rank drops on the (2, 3, 1) set, mod 5 on the F(5;1)
+        # sets: the dual path then meets more free cells and false
+        # candidates, which the exact check must remove.
+        sets = dual_inputs(2, 3, 1) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
+        expected = [search_outcomes(mset) for mset in sets]
+        found = [search._candidates(mset.params, mset.grids) for mset in sets]
+        monkeypatch.setattr(search, "_PRIME", p)
+        dropped = 0
+        for mset, want in zip(sets, found):
+            system = search._system(mset.params, mset.grids)
+            reduced = search._row_reduce(system, p)
+            exact_rank = 2 * mset.params.n - 1 + mset.t * (mset.params.m - 1)
+            got = search._candidates(mset.params, mset.grids)
+            if got is not None and (reduced is None or len(reduced[0]) < exact_rank):
+                dropped += 1
+                assert sorted(map(bytes, got)) == sorted(map(bytes, want))
+        assert dropped
+        assert [search_outcomes(mset) for mset in sets] == expected
+
+    @pytest.mark.parametrize("m,h", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("removed", [1, 2, 3])
+    def test_recovers_removed_squares(self, m, h, removed):
+        complete = mofs.construct_prime_power(m, h)
+        members = mofs.verify_mofs(complete.squares[:-removed])
+        assert uses_dual(members)
+        found = list(mofs.extensions(members, SearchConfig(force=True)))
+        assert set(complete.squares[-removed:]) <= set(found)
+        assert grids(found) == sorted(grids(found))
+        for square in found:
+            mofs.verify_mofs([*members.squares, square])
+        assert search._count(members.params, members.grids, SearchConfig(force=True)) == len(
+            found
+        )
+
+    def test_cover_keys_sort_by_grid_for_wide_symbols(self):
+        # Native key bytes sort like grids only while symbols fit a byte.
+        keys = [np.array(g, np.int64).tobytes() for g in ([[2, 256]], [[256, 2]], [[3, 1]])]
+        assert sorted(keys, key=search._grid_order(300)) == [keys[0], keys[2], keys[1]]
+        assert search._grid_order(255) is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        mofs.count_fsquares,
+        lambda params: next(mofs.enumerate_fsquares(params)),
+        mofs.grow_maximal,
+    ],
+)
+def test_guard_runs_before_any_n_by_n_array(call):
+    # n = 10^21 cannot shape an (n, n) array.
+    with pytest.raises(InfeasibleSizeGuard):
+        call(mofs.Params(10**9, 10**12))
