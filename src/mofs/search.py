@@ -2,17 +2,23 @@
 maximality oracle.
 
 Two exact methods find squares, chosen by D, the number of free cells of
-the linear system an extension's indicators solve (row and column sums
-lam, lam^2 against each indicator of each member).  A search with at
-least one member and D <= ``_DUAL_MAX_D`` takes the linear-dual path: the
-system, row-reduced modulo a prime, leaves 2^D 0/1 assignments of its
-free cells, met in the middle; each candidate indicator is then checked
-exactly in integers, and m pairwise disjoint candidates that cover every
-cell make m! squares.  It is complete whatever the rank modulo the prime:
-every integer 0/1 solution solves the reduced system too, so it is among
-the assignments (see :func:`_candidates`).  Every other search, with no
-members or a larger D, runs the engine below; both give the same squares
-in the same order.
+the linear system that an extension's indicator of one symbol solves.
+Its unknowns are the (n-1)^2 interior cells, since the row and column
+sums lam fix the last row and column, and it has one equation, lam^2,
+per member and per symbol but the last; so for a set of t squares
+D = (n-1)^2 - t(m - 1), the paper's bound.  A search with at least one
+member and D <= ``_DUAL_MAX_D`` takes the linear-dual path: the system,
+row-reduced modulo the prime 2^21 - 9 a panel of columns at a time
+(float64 products whose sums stay below 2^53, so exact), leaves 2^D 0/1
+assignments of its free cells, met in the middle; each candidate
+indicator is then checked exactly, in float64 products whose sums are at
+most n^2, and m pairwise disjoint candidates that cover every cell make
+m! squares.  It is complete whatever the rank modulo the prime: every
+integer 0/1 solution solves the reduced system too, so it is among the
+assignments (see :func:`_candidates`).  Greedy growth solves the system
+once; each later step keeps the candidates orthogonal to the square it
+added.  Every other search, with no members or a larger D, runs the
+engine below; both give the same squares in the same order.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -163,11 +169,20 @@ _FIT_CAP = 1 << 14
 # 2 040 states in one search (F(6;3) 141).
 _TAIL_CAP = 1 << 12
 # The most free cells (D) for which the linear-dual search replaces the
-# engine, and its prime: below 2^31, so a product of residues fits an int64.
+# engine.  On greedy growth of F(6;3) and F(5;1) a cap of 20 ties with 18
+# and takes more memory; 22 is 1.7 times slower.
 _DUAL_MAX_D = 18
-_PRIME = 2**31 - 1
-# Candidates checked exactly at a time.
+# The elimination's prime and the widest panel it eliminates at once.  It
+# keeps residues in float64, where a sum of k products of residues is below
+# k * p^2 < 2^53, so exact, while k <= 2^11: a panel has at most that many
+# columns.  Of 64, 128 and 256, 128 was the fastest on F(32;16) minus 6
+# squares and on federer(64) minus 3.
+_PRIME = 2**21 - 9
+_PANEL = 128
+# Candidates checked exactly at a time, and the most cells of member
+# indicators they are checked against at a time.
 _BLOCK = 1 << 12
+_CELLS = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -389,42 +404,78 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
 
 
 def _system(params: Params, members: np.ndarray) -> np.ndarray:
-    """The integer system [A | b] that an extension's indicator x of one
-    symbol solves: every row and column sum lam, and for every member k
-    and symbol b, <x, I_b(S_k)> = lam^2."""
+    """The integer system [A | b] that the (n-1)^2 interior cells y of an
+    extension's indicator x of one symbol solve, in row-major order.
+
+    The row and column sums lam fix the border: x[i, n-1] is lam minus
+    row i of y, x[n-1, j] lam minus column j, and the corner the sum of y
+    minus (n - 2) lam.  With the border so written, there is a row for
+    each member k and symbol b < m: <x, I_b(S_k)> = lam^2.  Symbol m's
+    follows, as the I_b(S_k) sum to J and <x, J> = n lam = m lam^2."""
     m, lam, n = params.m, params.lam, params.n
-    cells = np.arange(n * n)
-    rows = (cells // n == np.arange(n)[:, None]).astype(np.int64)
-    cols = (cells % n == np.arange(n)[:, None]).astype(np.int64)
-    hot = members.reshape(len(members), 1, -1) == np.arange(1, m + 1)[:, None]
-    a = np.concatenate((rows, cols, hot.reshape(-1, n * n).astype(np.int64)))
-    b = np.full((len(a), 1), lam * lam)
-    b[: 2 * n] = lam
-    return np.concatenate((a, b), axis=1)
+    hot = members[:, None] == np.arange(1, m)[:, None, None]
+    hot = hot.reshape(-1, n, n).astype(np.int8)
+    a = hot[:, :-1, :-1] - hot[:, :-1, -1:] - hot[:, -1:, :-1] + hot[:, -1:, -1:]
+    # lam^2 minus the border's constant part, 2 lam (lam - c) - (n - 2) lam c
+    # with c the indicator's corner: its last row and column hold lam ones.
+    b = n * lam * hot[:, -1, -1].astype(np.int64) - lam * lam
+    return np.concatenate((a.reshape(len(hot), (n - 1) ** 2), b[:, None]), axis=1)
 
 
 def _row_reduce(system: np.ndarray, p: int):
     """Gauss-Jordan elimination of ``system`` modulo the prime ``p``:
     (pivot columns, reduced rows on them), or None when the system has no
-    solution mod p.  Residues stay below 2^31, so products fit an int64."""
+    solution mod p.
+
+    It eliminates a panel of at most ``_PANEL`` columns at a time.  The
+    column loop finds the panel's pivots on the panel alone, in int64
+    (residues are below 2^21, so products fit), and ``track`` records each
+    row as its value when the panel began plus a multiple of the pivot
+    rows as they stood then (a pivot row drops the first term).  One
+    float64 product then updates every column right of the panel; each of
+    its sums has at most ``_PANEL`` terms below p^2, so it stays below
+    2^53 and exact.  Rows are never swapped: ``owner`` lists each pivot's
+    row."""
     a = system % p
-    pivots, r = [], 0
-    for j in range(a.shape[1] - 1):
-        k = r + int(a[r:, j].argmax())
-        if not a[k, j]:
-            continue
-        a[[r, k]] = a[[k, r]]
-        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
-        hit = np.flatnonzero(a[:, j])
-        hit = hit[hit != r]
-        a[hit] = (a[hit] - a[hit, j, None] * a[r]) % p
-        pivots.append(j)
-        r += 1
-        if r == len(a):
+    rows, width = a.shape
+    pivots, owner, spare = [], [], np.ones(rows, bool)
+    for start in range(0, width - 1, _PANEL):
+        if len(owner) == rows:
             break
-    if a[r:, -1].any():
+        stop, first = min(start + _PANEL, width - 1), len(owner)
+        wide = stop - start
+        track = np.zeros((rows, min(rows - first, wide)), np.int64)
+        panel = np.concatenate((a[:, start:stop], track), axis=1)
+        for j in range(wide):
+            hit = panel[:, j].nonzero()[0]
+            fresh = hit[spare[hit]]
+            if not len(fresh):
+                continue
+            k = int(fresh[0])
+            spare[k] = False
+            # Row k is 0 left of column j (earlier pivots cleared it, and
+            # spare rows are 0 on the panel's other earlier columns) and
+            # right of its own track column.
+            end = wide + len(owner) - first + 1
+            panel[k, end - 1] = 1
+            panel[k, j:end] = panel[k, j:end] * pow(int(panel[k, j]), -1, p) % p
+            hit = hit[hit != k]
+            sub = panel[hit, j:end]
+            panel[hit, j:end] = (sub - sub[:, :1] * panel[k, j:end]) % p
+            pivots.append(start + j)
+            owner.append(k)
+            if len(owner) == rows:
+                break
+        mine = owner[first:]
+        track = panel[:, wide : wide + len(mine)].astype(np.float64)
+        below = a[mine, stop:].astype(np.float64)
+        a[mine, stop:] = 0
+        np.add(a[:, stop:], track @ below, out=a[:, stop:], casting="unsafe")
+        a[:, stop:] %= p
+        a[:, start:stop] = panel[:, :wide]
+    if a[spare, -1].any():
         return None
-    return pivots, a[:r]
+    return pivots, a[owner]
 
 
 def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndarray:
@@ -436,48 +487,91 @@ def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndar
     return out
 
 
+def _orthogonal(params: Params, x: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Which rows of the (c, n*n) 0/1 ``x`` have <x, I_b(S_k)> = lam^2 for
+    every member k and symbol b.  The products are float64 GEMMs over
+    blocks of candidates and of members; each sum is at most n^2, so exact."""
+    n = params.n
+    keep = np.ones(len(x), bool)
+    step = max(1, _CELLS // (params.m * n * n))
+    symbols = np.arange(1, params.m + 1)[:, None]
+    for k in range(0, len(members), step):
+        hot = members[k : k + step].reshape(-1, 1, n * n) == symbols
+        hot = hot.reshape(-1, n * n).T.astype(np.float64)
+        for c in range(0, len(x), _BLOCK):
+            rows = c + np.flatnonzero(keep[c : c + _BLOCK])
+            keep[rows] = (x[rows].astype(np.float64) @ hot == params.lam**2).all(axis=1)
+    return keep
+
+
 def _candidates(params: Params, members: np.ndarray):
     """The 0/1 indicators of one symbol of the squares orthogonal to every
     member, as a (c, n*n) uint8 array, or None when the system leaves more
     than ``_DUAL_MAX_D`` free cells mod ``_PRIME``.
 
-    Row-reduced mod p, the system fixes each pivot cell as its constant
-    minus the free cells' columns (D of them), so the 2^D 0/1 assignments
-    of the free cells give every candidate.  They are met in the middle:
-    each half of the free cells has a (rank, 2^(D/2)) residue table, the
-    halves are joined on one pivot (its residue must come out 0 or 1),
-    and the pairs are filtered one pivot at a time, so no array outgrows
-    the 2^D pairs.  Every survivor is then checked exactly, in integers,
-    against every equation of the unreduced system.
+    The unknowns are the (n-1)^2 interior cells (see :func:`_system`); for
+    a MOFS the system has rank t(m - 1) over the rationals, so D is
+    (n-1)^2 - t(m - 1), and 0 for a complete set.  Row-reduced mod p (see
+    :func:`_row_reduce`), it fixes each pivot cell as its constant minus
+    the free cells' columns.  Each border cell, lam minus its interior row
+    or column, takes the same form once the pivots are substituted, in one
+    float64 product that is exact since its coefficients are 0, 1 or -1.  So
+    the 2^D 0/1 assignments of the free cells give every candidate.  They
+    are met in the middle: each half of the free cells has a residue table
+    over the pivot and border cells, the halves are joined on one of those
+    cells (its residue must come out 0 or 1), and the pairs are filtered
+    16 cells at a time, so no array outgrows 16 times the 2^D pairs, and
+    every border cell is 0 or 1.  Every survivor is then checked exactly:
+    row and column sums lam (a border cell is only known mod p), and
+    lam^2 against every indicator of every member (:func:`_orthogonal`).
 
     Completeness does not depend on the rank mod p: an integer 0/1
     solution also solves the system mod p, so its free cells are one of
-    the 2^D assignments and its pivot cells pass every filter.  A rank
-    that drops mod p only adds free cells, and so candidates; the exact
-    check removes each false one.  A system with no solution mod p has
-    no integer solution.
+    the 2^D assignments and its pivot and border cells pass every filter.
+    A rank that drops mod p only adds free cells, and so candidates; the
+    exact check removes each false one.  A system with no solution mod p
+    has no integer solution.  So the candidates are exactly the 0/1
+    solutions, and those of a set are the candidates of any subset that
+    are orthogonal to the other members, which :func:`grow_maximal` uses.
     """
-    n, t = params.n, len(members)
-    # An exact lower bound on D for a MOFS: the system's rank over the
-    # rationals is 2n - 1 + t(m - 1) at most, and the rank mod p is no more.
-    if (n - 1) ** 2 - t * (params.m - 1) > _DUAL_MAX_D:
+    m, lam, n, t = params.m, params.lam, params.n, len(members)
+    side = n - 1
+    # An exact lower bound on D: the rank mod p is at most t(m - 1).
+    if side * side - t * (m - 1) > _DUAL_MAX_D:
         return None
-    system = _system(params, members)
-    reduced = _row_reduce(system, _PRIME)
+    reduced = _row_reduce(_system(params, members), _PRIME)
     if reduced is None:
         return np.zeros((0, n * n), np.uint8)
     pivots, reduced = reduced
-    free = sorted(set(range(n * n)) - set(pivots))
+    free = sorted(set(range(side * side)) - set(pivots))
     if len(free) > _DUAL_MAX_D:
         return None
-    p, rank = _PRIME, len(pivots)
-    low, high = free[: len(free) // 2], free[len(free) // 2 :]
+    # Each pivot cell, then each border cell (last column, last row,
+    # corner), as a constant (the last column) minus the free cells'
+    # columns.  A border row starts as the interior cells it subtracts.
+    p, d, inner = _PRIME, len(free), np.arange(side * side)
+    border = np.concatenate(
+        (
+            inner // side == np.arange(side)[:, None],
+            inner % side == np.arange(side)[:, None],
+            np.full((1, side * side), -1),
+        )
+    ).astype(np.float64)
+    const = [lam] * (2 * side) + [(2 - n) * lam]
+    reduced = reduced[:, free + [-1]]
+    substituted = border[:, pivots] @ reduced.astype(np.float64)
+    border = np.column_stack((border[:, free], const)) - substituted
+    reduced = np.concatenate((reduced, border % p)).astype(np.int64)
+    cell = inner // side * n + inner % side
+    fixed = np.concatenate((cell[pivots], n * np.arange(1, n) - 1, n * side + np.arange(n)))
+    low, high = range(d // 2), range(d // 2, d)
     left = _half(reduced, low, p, reduced[:, -1])
-    right = (-_half(reduced, high, p, np.zeros(rank, np.int64))) % p
-    # x on pivot i is left[i, u] - right[i, w] mod p, which must be 0 or 1,
-    # so each residue of one half pairs with at most two of the other's.
-    # The join is on the pivot whose residues are the most distinct on one
-    # half: if all are, it yields at most twice the other half's size.
+    right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int64))) % p
+    # x on fixed cell i is left[i, u] - right[i, w] mod p, which must be 0
+    # or 1, so each residue of one half pairs with at most two of the
+    # other's.  The join is on the cell whose residues are the most
+    # distinct on one half: if all are, it yields at most twice the other
+    # half's size.
     def distinct(table):
         steps = np.diff(np.sort(table, axis=1), axis=1) != 0
         return (steps.sum(axis=1) + 1) / table.shape[1]
@@ -493,17 +587,16 @@ def _candidates(params: Params, members: np.ndarray):
         u.append(np.repeat(np.arange(len(want)), count))
         w.append(by[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)])
     u, w = np.concatenate(u), np.concatenate(w)
-    for i in range(rank):
-        keep = (left[i, u] - right[i, w]) % p <= 1
+    for i in range(0, len(reduced), 16):
+        keep = ((left[i : i + 16, u] - right[i : i + 16, w]) % p <= 1).all(axis=0)
         u, w = u[keep], w[keep]
     x = np.zeros((len(u), n * n), np.uint8)
-    x[:, pivots] = ((left[:, u] - right[:, w]) % p).T
-    x[:, low] = u[:, None] >> np.arange(len(low)) & 1
-    x[:, high] = w[:, None] >> np.arange(len(high)) & 1
-    # In blocks of candidates, so the product stays small whatever p is.
-    a, b = system[:, :-1].T, system[:, -1]
-    exact = [(x[k : k + _BLOCK] @ a == b).all(axis=1) for k in range(0, len(x), _BLOCK)]
-    return x[np.concatenate(exact)] if exact else x
+    x[:, fixed] = ((left[:, u] - right[:, w]) % p).T
+    x[:, cell[free[: d // 2]]] = u[:, None] >> np.arange(len(low)) & 1
+    x[:, cell[free[d // 2 :]]] = w[:, None] >> np.arange(len(high)) & 1
+    grid = x.reshape(-1, n, n)
+    x = x[((grid.sum(axis=1) == lam) & (grid.sum(axis=2) == lam)).all(axis=1)]
+    return x[_orthogonal(params, x, members)]
 
 
 def _covers(params: Params, candidates: np.ndarray) -> list:
@@ -515,7 +608,10 @@ def _covers(params: Params, candidates: np.ndarray) -> list:
     n = params.n
     packed = np.packbits(candidates, axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    holding = [np.flatnonzero(candidates[:, cell]).tolist() for cell in range(n * n)]
+    # holding[cell]: the candidates that hold the cell, ascending.
+    cells, held = np.nonzero(candidates.T)
+    bounds, held = np.searchsorted(cells, np.arange(n * n + 1)).tolist(), held.tolist()
+    holding = [held[bounds[cell] : bounds[cell + 1]] for cell in range(n * n)]
     last = {mask: k for k, mask in enumerate(masks)}
     found = []
 
@@ -662,10 +758,13 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     step permutes the first-row pattern order by the seed and adds the
     extension whose first row comes first in it, the lowest in grid order
     on a tie: the engine's first find, or the same square picked from the
-    linear-dual covers.  The loop ends when no extension exists, so the
-    result is maximal by construction (and re-verified).  For m = 1 the
-    only square is orthogonal to itself, so growth would never end; it
-    raises ``UndefinedForMOne`` instead.
+    linear-dual covers.  Once the linear-dual path applies, its candidates
+    are solved for once: each later step keeps those orthogonal to the
+    square just added, which are exactly the new set's candidates.  The
+    loop ends when no extension exists, so the result is maximal by
+    construction (and re-verified).  For m = 1 the only square is
+    orthogonal to itself, so growth would never end; it raises
+    ``UndefinedForMOne`` instead.
     """
     _require_whole_space(config)
     if isinstance(seed_set, Params):
@@ -684,13 +783,14 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     # member's increments are ORed in above the others' instead of
     # rebuilding them all.  They are built when the engine first runs.
     member_bits = params.m**2 * 8 * dtype.itemsize
-    pair_inc = None
+    pair_inc = candidates = None
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        covers = _dual_covers(params, grids)
-        if covers is not None:
-            key = _first_by_rank(params, covers, first_order)
+        if candidates is None and len(grids):
+            candidates = _candidates(params, grids)
+        if candidates is not None:
+            key = _first_by_rank(params, _covers(params, candidates), first_order)
         else:
             if pair_inc is None:
                 pair_inc = _pair_increments(params, grids)
@@ -698,7 +798,9 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         if key is None:
             break
         grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)
-        if pair_inc is not None:
+        if candidates is not None:
+            candidates = candidates[_orthogonal(params, candidates, grid)]
+        elif pair_inc is not None:
             new_inc = _pair_increments(params, grid)
             shift = len(grids) * member_bits
             pair_inc = [

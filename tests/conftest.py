@@ -264,3 +264,30 @@ def brute_force_full_relation(bits):
             x, y = n - x, n - y
         found.add((x, y))
     return found
+
+
+def loop_row_reduce(system, p):
+    """Oracle for ``search._row_reduce``: the column-at-a-time Gauss-Jordan
+    loop it replaced, verbatim.  It needs at least one row.
+
+    Gauss-Jordan elimination of ``system`` modulo the prime ``p``:
+    (pivot columns, reduced rows on them), or None when the system has no
+    solution mod p.  Residues stay below 2^31, so products fit an int64."""
+    a = system % p
+    pivots, r = [], 0
+    for j in range(a.shape[1] - 1):
+        k = r + int(a[r:, j].argmax())
+        if not a[k, j]:
+            continue
+        a[[r, k]] = a[[k, r]]
+        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
+        hit = np.flatnonzero(a[:, j])
+        hit = hit[hit != r]
+        a[hit] = (a[hit] - a[hit, j, None] * a[r]) % p
+        pivots.append(j)
+        r += 1
+        if r == len(a):
+            break
+    if a[r:, -1].any():
+        return None
+    return pivots, a[:r]

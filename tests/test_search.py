@@ -9,6 +9,7 @@ import pytest
 import mofs
 from mofs import search
 from mofs.cli import main
+from mofs.construct import prime_power_decomposition
 from mofs.core import DimensionMismatch, RowRegularityViolation
 from mofs.search import (
     InfeasibleSizeGuard,
@@ -18,7 +19,7 @@ from mofs.search import (
 )
 from mofs.verify import UndefinedForMOne
 
-from conftest import naive_fsquares, row_stack_fsquares
+from conftest import loop_row_reduce, naive_fsquares, row_stack_fsquares
 
 
 def grids(stream):
@@ -666,18 +667,22 @@ class TestLinearDual:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_small_prime_keeps_every_result(self, p, monkeypatch):
-        # Mod 3 the rank drops on the (2, 3, 1) set, mod 5 on the F(5;1)
-        # sets: the dual path then meets more free cells and false
-        # candidates, which the exact check must remove.
+        # The interior-cell system of a MOFS has exact rank t(m - 1), which
+        # the working prime reaches on every one of these sets.  Mod 3 the
+        # rank drops on the whole (2, 3, 1) set, mod 5 on every F(5;1) set
+        # (the maximal ones have no solution mod 5): the dual path then
+        # meets more free cells and false candidates, which the exact
+        # check must remove.
         sets = dual_inputs(2, 3, 1) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
         expected = [search_outcomes(mset) for mset in sets]
         found = [search._candidates(mset.params, mset.grids) for mset in sets]
+        exact_ranks = [mset.t * (mset.params.m - 1) for mset in sets]
+        systems = [search._system(mset.params, mset.grids) for mset in sets]
+        assert [len(search._row_reduce(s, search._PRIME)[0]) for s in systems] == exact_ranks
         monkeypatch.setattr(search, "_PRIME", p)
         dropped = 0
-        for mset, want in zip(sets, found):
-            system = search._system(mset.params, mset.grids)
+        for mset, want, exact_rank, system in zip(sets, found, exact_ranks, systems):
             reduced = search._row_reduce(system, p)
-            exact_rank = 2 * mset.params.n - 1 + mset.t * (mset.params.m - 1)
             got = search._candidates(mset.params, mset.grids)
             if got is not None and (reduced is None or len(reduced[0]) < exact_rank):
                 dropped += 1
@@ -700,11 +705,109 @@ class TestLinearDual:
             found
         )
 
+    @pytest.mark.parametrize("m,lam", [(5, 1), (2, 3)])
+    def test_greedy_solves_once(self, m, lam, monkeypatch):
+        # After the first full solve each step filters the last step's
+        # candidates by the square it added.
+        calls = []
+
+        def counted(system, p):
+            calls.append(system.shape)
+            return row_reduce(system, p)
+
+        row_reduce = search._row_reduce
+        monkeypatch.setattr(search, "_row_reduce", counted)
+        p = mofs.Params(m, lam)
+        for seed in range(3):
+            start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
+            calls.clear()
+            grown = mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
+            assert len(calls) == 1 and grown.t > 2
+            assert mofs.exhaustive_maximality(grown, SearchConfig(force=True))
+
     def test_cover_keys_sort_by_grid_for_wide_symbols(self):
         # Native key bytes sort like grids only while symbols fit a byte.
         keys = [np.array(g, np.int64).tobytes() for g in ([[2, 256]], [[256, 2]], [[3, 1]])]
         assert sorted(keys, key=search._grid_order(300)) == [keys[0], keys[2], keys[1]]
         assert search._grid_order(255) is None
+
+
+def complete_sets(most):
+    """Every complete set the library constructs with n <= ``most``."""
+    sets = []
+    for m in range(2, most + 1):
+        if prime_power_decomposition(m) is None:
+            continue
+        h = 1
+        while m**h <= most:
+            sets.append(mofs.construct_prime_power(m, h))
+            h += 1
+    for order in (4, 8, 12, 16):
+        if order <= most:
+            sets.append(mofs.construct_federer(mofs.hadamard(order)))
+    return sets
+
+
+def random_systems(count, seed):
+    """Integer systems [A | b] of many shapes, with dependent rows, zero
+    columns and inconsistent right-hand sides among them."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 30, 2))
+        system = rng.integers(-3, 4, (rows, cols + 1))
+        if k % 2:
+            # Rank at most 3, so most right-hand sides are inconsistent.
+            system[:, :-1] = rng.integers(-3, 4, (rows, 3)) @ rng.integers(-3, 4, (3, cols))
+        if k % 3 == 0 and rows > 2:
+            system[-1] = system[0] + 2 * system[1]
+        if k % 5 == 0:
+            system[:, rng.integers(0, cols)] = 0
+        yield system
+
+
+def same_reduction(got, want):
+    if got is None or want is None:
+        return got is want
+    return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+class TestElimination:
+    """The panel elimination against the column loop it replaced."""
+
+    @pytest.mark.parametrize("panel", [1, 3, 7, 128])
+    def test_random_systems_match_the_loop(self, panel, monkeypatch):
+        monkeypatch.setattr(search, "_PANEL", panel)
+        outcomes = set()
+        for system in random_systems(300, panel):
+            want = loop_row_reduce(system.copy(), search._PRIME)
+            assert same_reduction(search._row_reduce(system, search._PRIME), want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "m,h,removed,panel", [(2, 4, 1, 16), (2, 4, 3, 128), (3, 3, 2, 64)]
+    )
+    def test_near_complete_systems_match_the_loop(self, m, h, removed, panel, monkeypatch):
+        # F(16;8) and F(27;9), as wide as two or more panels.
+        monkeypatch.setattr(search, "_PANEL", panel)
+        complete = mofs.construct_prime_power(m, h)
+        system = search._system(complete.params, complete.grids[:-removed])
+        assert system.shape[1] > panel + 1
+        want = loop_row_reduce(system.copy(), search._PRIME)
+        assert same_reduction(search._row_reduce(system, search._PRIME), want)
+
+    def test_complete_sets_leave_no_free_cell(self):
+        # For a complete set the interior system is square and of full rank,
+        # so D = 0, and its one solution J/m is no indicator.
+        sets = complete_sets(16)
+        assert len(sets) == 19
+        for mset in sets:
+            side = mset.params.n - 1
+            system = search._system(mset.params, mset.grids)
+            assert system.shape == (side * side, side * side + 1)
+            pivots, _ = search._row_reduce(system, search._PRIME)
+            assert pivots == list(range(side * side))
+            assert search._candidates(mset.params, mset.grids).shape == (0, mset.params.n**2)
 
 
 @pytest.mark.parametrize(
