@@ -78,10 +78,7 @@ def _cmd_analyze(args):
         report = completeness_structure(mset)
         _print_completeness(report)
         print(f"completeness block structure matches: {report.structure_matches}")
-    certs = [
-        maximality.detect_full_relation(maximality.parity_matrix(mset, (a,) * mset.t))
-        for a in range(1, params.m + 1)
-    ]
+    certs = list(maximality._certificates(mset))
     for a, cert in enumerate(certs, start=1):
         if cert is None:
             print(f"symbol {a}: parity matrix has no full-relation block form")

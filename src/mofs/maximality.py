@@ -9,6 +9,7 @@ repetition number is odd, the set admits no further orthogonal square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -144,10 +145,16 @@ def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
     in order (plus any user-supplied per-square choices); the first
     certificate found wins, which keeps the outcome deterministic.
     """
-    choices = [(a,) * mset.t for a in range(1, mset.params.m + 1)]
-    choices.extend(tuple(c) for c in extra_choices)
-    certs = (detect_full_relation(parity_matrix(mset, c)) for c in choices)
-    return _verdict(mset.params, certs)
+    extra = [tuple(c) for c in extra_choices]
+    return _verdict(mset.params, _certificates(mset, extra))
+
+
+def _certificates(mset: MofsSet, extra=()):
+    """The full-relation certificate, or None, of each uniform symbol
+    choice (a,) * t for a = 1..m in order, then of each choice in
+    ``extra``, built as they are read."""
+    uniform = ((a,) * mset.t for a in range(1, mset.params.m + 1))
+    return (detect_full_relation(parity_matrix(mset, c)) for c in chain(uniform, extra))
 
 
 def _verdict(params: Params, certs) -> MaximalityVerdict:

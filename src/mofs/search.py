@@ -11,14 +11,15 @@ member and D <= ``_DUAL_MAX_D`` takes the linear-dual path: the system,
 row-reduced modulo the prime 2^21 - 9 a panel of columns at a time
 (float64 products whose sums stay below 2^53, so exact), leaves 2^D 0/1
 assignments of its free cells, met in the middle; each candidate
-indicator is then checked exactly, in float64 products whose sums are at
-most n^2, and m pairwise disjoint candidates that cover every cell make
-m! squares.  It is complete whatever the rank modulo the prime: every
-integer 0/1 solution solves the reduced system too, so it is among the
-assignments (see :func:`_candidates`).  Greedy growth solves the system
-once; each later step keeps the candidates orthogonal to the square it
-added.  Every other search, with no members or a larger D, runs the
-engine below; both give the same squares in the same order.
+indicator is then checked exactly by the orthogonality kernel that
+verifies sets (``verify._meets``), and m pairwise disjoint candidates
+that cover every cell make m! squares.  It is complete whatever the rank
+modulo the prime: every integer 0/1 solution solves the reduced system
+too, so it is among the assignments (see :func:`_candidates`).  Greedy
+growth solves the system once; each later step keeps the candidates
+orthogonal to the square it added.  Every other search, with no members
+or a larger D, runs the engine below; both give the same squares in the
+same order.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -51,7 +52,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import FSquare, MofsError, Params, _as_int, _leaves
-from .verify import MofsSet, UndefinedForMOne
+from .verify import MofsSet, UndefinedForMOne, _meets
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -179,10 +180,6 @@ _DUAL_MAX_D = 18
 # squares and on federer(64) minus 3.
 _PRIME = 2**21 - 9
 _PANEL = 128
-# Candidates checked exactly at a time, and the most cells of member
-# indicators they are checked against at a time.
-_BLOCK = 1 << 12
-_CELLS = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -487,23 +484,6 @@ def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndar
     return out
 
 
-def _orthogonal(params: Params, x: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Which rows of the (c, n*n) 0/1 ``x`` have <x, I_b(S_k)> = lam^2 for
-    every member k and symbol b.  The products are float64 GEMMs over
-    blocks of candidates and of members; each sum is at most n^2, so exact."""
-    n = params.n
-    keep = np.ones(len(x), bool)
-    step = max(1, _CELLS // (params.m * n * n))
-    symbols = np.arange(1, params.m + 1)[:, None]
-    for k in range(0, len(members), step):
-        hot = members[k : k + step].reshape(-1, 1, n * n) == symbols
-        hot = hot.reshape(-1, n * n).T.astype(np.float64)
-        for c in range(0, len(x), _BLOCK):
-            rows = c + np.flatnonzero(keep[c : c + _BLOCK])
-            keep[rows] = (x[rows].astype(np.float64) @ hot == params.lam**2).all(axis=1)
-    return keep
-
-
 def _candidates(params: Params, members: np.ndarray):
     """The 0/1 indicators of one symbol of the squares orthogonal to every
     member, as a (c, n*n) uint8 array, or None when the system leaves more
@@ -522,8 +502,10 @@ def _candidates(params: Params, members: np.ndarray):
     cells (its residue must come out 0 or 1), and the pairs are filtered
     16 cells at a time, so no array outgrows 16 times the 2^D pairs, and
     every border cell is 0 or 1.  Every survivor is then checked exactly:
-    row and column sums lam (a border cell is only known mod p), and
-    lam^2 against every indicator of every member (:func:`_orthogonal`).
+    row and column sums lam (a border cell is only known mod p), and then
+    lam^2 against every indicator of every member, by the kernel that
+    verifies sets (:func:`verify._meets`); the row and column sums make its
+    reduced symbols enough.
 
     Completeness does not depend on the rank mod p: an integer 0/1
     solution also solves the system mod p, so its free cells are one of
@@ -596,7 +578,7 @@ def _candidates(params: Params, members: np.ndarray):
     x[:, cell[free[d // 2 :]]] = w[:, None] >> np.arange(len(high)) & 1
     grid = x.reshape(-1, n, n)
     x = x[((grid.sum(axis=1) == lam) & (grid.sum(axis=2) == lam)).all(axis=1)]
-    return x[_orthogonal(params, x, members)]
+    return x[_meets(x, members, params).all(axis=1)]
 
 
 def _covers(params: Params, candidates: np.ndarray) -> list:
@@ -650,13 +632,15 @@ def _grid_order(m: int):
 
 def _cover_keys(params: Params, covers: list, prefix: tuple):
     """The keys of the squares of ``covers``, in lexicographic order, whose
-    first row starts with ``prefix``."""
-    symbols = np.array(list(permutations(range(1, params.m + 1))), np.int64)
+    first row starts with ``prefix``.  Each cover walks its m! symbol
+    assignments lazily, so a stream builds only the keys it yields."""
+    prefix = list(prefix)
 
     def squares(labels):
-        for assign in symbols:
-            if assign[labels[0, : len(prefix)]].tolist() == list(prefix):
-                yield assign[labels].tobytes()
+        head = labels[0, : len(prefix)].tolist()
+        for assign in permutations(range(1, params.m + 1)):
+            if [assign[c] for c in head] == prefix:
+                yield np.array(assign, np.int64)[labels].tobytes()
 
     return heapq.merge(*map(squares, covers), key=_grid_order(params.m))
 
@@ -709,17 +693,20 @@ def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     yield from _leaves(mset.params, _keys(mset.params, mset.grids, config))
 
 
-def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
-    """Number of squares orthogonal to the (k, n, n) ``members``, counted
-    without building the squares: m! per cover on the linear-dual path,
-    else from the keys."""
+def _count(
+    params: Params, members: np.ndarray, config: SearchConfig, limit=None
+) -> int:
+    """Number of squares orthogonal to the (k, n, n) ``members``, up to
+    ``limit`` (``config.max_results`` when None), counted without building
+    the squares: m! per cover on the linear-dual path, else from the keys."""
     _guard(params, config)
+    limit = config.max_results if limit is None else limit
     covers = _dual_covers(params, members)
     if covers is None or config.prefix:
         keys = _stream(params, members, covers, config.prefix)
-        return sum(1 for _ in islice(keys, config.max_results))
+        return sum(1 for _ in islice(keys, limit))
     found = len(covers) * factorial(params.m)
-    return found if config.max_results is None else min(found, config.max_results)
+    return found if limit is None else min(found, limit)
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
@@ -746,9 +733,10 @@ def _require_whole_space(config: SearchConfig) -> None:
 def exhaustive_maximality(
     mset: MofsSet, config: SearchConfig = SearchConfig()
 ) -> bool:
-    """Ground truth: true iff no F-square extends the set."""
+    """Ground truth: true iff no F-square extends the set, decided by
+    counting up to one extension."""
     _require_whole_space(config)
-    return next(_keys(mset.params, mset.grids, config), None) is None
+    return not _count(mset.params, mset.grids, config, 1)
 
 
 def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
@@ -778,12 +766,8 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         )
     _guard(params, config)
     rng = random.Random(config.seed)
-    patterns, dtype = _pattern_tables(params.m, params.lam)[:2]
-    # Member k's m^2 pair fields start at bit k * member_bits, so a new
-    # member's increments are ORed in above the others' instead of
-    # rebuilding them all.  They are built when the engine first runs.
-    member_bits = params.m**2 * 8 * dtype.itemsize
-    pair_inc = candidates = None
+    patterns = _pattern_tables(params.m, params.lam)[0]
+    candidates = None
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
@@ -792,21 +776,13 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         if candidates is not None:
             key = _first_by_rank(params, _covers(params, candidates), first_order)
         else:
-            if pair_inc is None:
-                pair_inc = _pair_increments(params, grids)
+            pair_inc = _pair_increments(params, grids)
             key = next(_engine(params, pair_inc, len(grids), first_order, ()), None)
         if key is None:
             break
         grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)
         if candidates is not None:
-            candidates = candidates[_orthogonal(params, candidates, grid)]
-        elif pair_inc is not None:
-            new_inc = _pair_increments(params, grid)
-            shift = len(grids) * member_bits
-            pair_inc = [
-                [old | new << shift for old, new in zip(row, new_row)]
-                for row, new_row in zip(pair_inc, new_inc)
-            ]
+            candidates = candidates[_meets(candidates, grid, params)[:, 0]]
         grids = np.concatenate((grids, grid)) if len(grids) else grid
     return MofsSet(params, grids)
 

@@ -142,17 +142,49 @@ def orthogonal(s: FSquare, s2: FSquare) -> bool:
     return bool((superposition_counts(s, s2) == lam * lam).all())
 
 
-# Squares per tile of the Gram product, capped so that one tile's indicator
+# Squares per tile of the Gram kernel, capped so that one tile's indicator
 # rows hold at most _TILE_ENTRIES entries whatever the square's size.
 _TILE = 64
 _TILE_ENTRIES = 1 << 20
 
 
-def _indicator_rows(grids: np.ndarray, symbols: np.ndarray, dtype) -> np.ndarray:
-    """Flattened indicator squares of ``grids`` (one grid per row), one row
-    per (square, symbol) with the symbols varying fastest."""
-    hits = grids[:, None, :] == symbols[None, :, None]
-    return hits.reshape(-1, grids.shape[1]).astype(dtype)
+def _tile(params: Params, cells: int) -> int:
+    return max(1, min(_TILE, _TILE_ENTRIES // (max(params.m - 1, 1) * cells)))
+
+
+def _indicator_rows(grids: np.ndarray, params: Params) -> np.ndarray:
+    """The reduced indicator squares (symbols 2..m; symbol 1 when m = 1) of
+    the flattened ``grids``, one row per (square, symbol) with the symbols
+    varying fastest, in float32 (float64 once n^2 >= 2^24), in which every
+    product of two rows is exact."""
+    cells = grids.shape[1]
+    symbols = np.arange(min(2, params.m), params.m + 1, dtype=grids.dtype)
+    hits = grids[:, None, :] == symbols[:, None]
+    return hits.reshape(-1, cells).astype(np.float32 if cells < 1 << 24 else np.float64)
+
+
+def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.ndarray:
+    """The orthogonality kernel: a (len(x), t) bool array, true where
+    flattened 0/1 row i of ``x`` meets every reduced indicator of square l
+    of the t ``grids`` (see :func:`_indicator_rows`) in exactly lam^2 cells.
+
+    For a row with lam ones in each row and column of the square, such as
+    an indicator square, that is orthogonality to square l: its m products
+    with I_1(S_l), ..., I_m(S_l) sum to n lam = m lam^2, so the product
+    with I_1 is lam^2 too.  The products are GEMMs of ``x``, cast once to
+    the indicator rows' float type, against one tile of squares at a time.
+    ``first``, when given, is the first tile's indicator rows, which a
+    caller holding them passes to spare their rebuild."""
+    grids = grids.reshape(len(grids), -1)
+    r, tile = max(params.m - 1, 1), _tile(params, grids.shape[1])
+    out, rows = np.empty((len(x), len(grids)), bool), first
+    for l0 in range(0, len(grids), tile):
+        if l0 or rows is None:
+            rows = _indicator_rows(grids[l0 : l0 + tile], params)
+        x = x.astype(rows.dtype, copy=False)
+        gram = (x @ rows.T).reshape(len(x), len(rows) // r, r)
+        out[:, l0 : l0 + tile] = (gram == params.lam**2).all(axis=2)
+    return out
 
 
 def _first_failing_pair(grids: np.ndarray, params: Params):
@@ -160,38 +192,22 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
     the flattened ``grids`` (one square per row), or None when the set is
     pairwise orthogonal.
 
-    Multiplies reduced indicator matrices (symbols 2..m; symbol 1 when
-    m = 1) tile by tile, X_k X_l^T, and checks every off-diagonal
-    (m-1) x (m-1) block against lam^2.  For regular squares the reduced
-    counts decide orthogonality: the row and column sums of the
-    superposition counts then force the counts that involve symbol 1.
-    Floats are exact since every count is at most n^2.
+    Each strip of a tile of squares has its indicator rows built once and
+    checked by :func:`_meets` against itself and every later square.  For
+    regular squares the reduced counts decide orthogonality: the row and
+    column sums of the superposition counts force those of symbol 1.
     """
-    m, lam = params.m, params.lam
-    t, cells = grids.shape
-    symbols = np.arange(2 if m >= 2 else 1, m + 1, dtype=grids.dtype)
-    r = len(symbols)
-    dtype = np.float32 if cells < 1 << 24 else np.float64
-    tile = max(1, min(_TILE, _TILE_ENTRIES // (r * cells)))
-    target = lam * lam
+    t, r, tile = len(grids), max(params.m - 1, 1), _tile(params, grids.shape[1])
     for k0 in range(0, t, tile):
-        xk = _indicator_rows(grids[k0 : k0 + tile], symbols, dtype)
-        kt = len(xk) // r
-        # The whole row strip is scanned before reporting, so a failure at a
-        # lower k in a later column tile wins over a higher k in an earlier one.
-        bad = np.zeros((kt, t), dtype=bool)
-        for l0 in range(k0, t, tile):
-            if l0 == k0:
-                xl = xk
-            else:
-                xl = _indicator_rows(grids[l0 : l0 + tile], symbols, dtype)
-            lt = len(xl) // r
-            gram = (xk @ xl.T).reshape(kt, r, lt, r)
-            bad[:, l0 : l0 + lt] = (gram != target).any(axis=(1, 3))
-        bad &= np.arange(t)[None, :] > np.arange(k0, k0 + kt)[:, None]
+        strip = _indicator_rows(grids[k0 : k0 + tile], params)
+        # The whole strip is scanned before reporting, so a failure at a lower
+        # k in a later column tile wins over a higher k in an earlier one.
+        meets = _meets(strip, grids[k0:], params, strip)
+        bad = ~meets.reshape(-1, r, t - k0).all(axis=1)
+        bad &= np.arange(k0, t) > np.arange(k0, k0 + len(bad))[:, None]
         if bad.any():
             k, l = np.unravel_index(np.argmax(bad), bad.shape)
-            return k0 + int(k), int(l)
+            return k0 + int(k), k0 + int(l)
     return None
 
 

@@ -1,7 +1,12 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from functools import lru_cache
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,6 +655,37 @@ def search_outcomes(mset):
 
 def uses_dual(mset):
     return search._candidates(mset.params, mset.grids) is not None
+
+
+class TestWideSymbolSets:
+    """Extension streams of m = 11 sets walk the 11! symbol assignments of a
+    cover lazily, and the maximality check counts covers instead; both stay
+    well inside a 2 GB address space (11! x 11 int64 alone is 3.5 GB)."""
+
+    def test_complete_f11_set_under_a_memory_cap(self):
+        script = textwrap.dedent(
+            """
+            import resource, time
+            import mofs
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, hard))
+            full = mofs.construct_prime_power(11, 1)
+            config = mofs.SearchConfig(force=True)
+            for mset, maximal in ((full, True), (mofs.verify_mofs(full.squares[:-1]), False)):
+                start = time.perf_counter()
+                assert mofs.exhaustive_maximality(mset, config) is maximal
+                middle = time.perf_counter()
+                assert (next(mofs.extensions(mset, config), None) is None) is maximal
+                print(middle - start, time.perf_counter() - middle)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mofs.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        seconds = [float(word) for word in done.stdout.split()]
+        assert len(seconds) == 4 and max(seconds) < 1, seconds
 
 
 class TestLinearDual:

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import mofs
 from mofs.core import DimensionMismatch, SymbolOutOfRange
 from mofs.search import SearchConfig
-from mofs.verify import NotOrthogonal, ParamMismatch, UndefinedForMOne
+from mofs.verify import (
+    NotOrthogonal,
+    ParamMismatch,
+    UndefinedForMOne,
+    _indicator_rows,
+    _meets,
+    _tile,
+)
 
 from conftest import corrupted_stacks, hand_built_sets, naive_superposition
 
@@ -191,6 +198,54 @@ class TestKernelAgainstBruteForce:
     def test_whole_sets_verify(self, multi_tile_sets):
         for squares in multi_tile_sets.values():
             assert mofs.verify_mofs(squares).t == len(squares)
+
+
+class TestMeets:
+    """The one orthogonality kernel against cell-by-cell superposition
+    counts, on stacks that are not pairwise orthogonal: row (k, a) of the
+    kernel's input is I_a(S_k), and it meets S_l iff symbol a of S_k meets
+    every symbol of S_l in exactly lam^2 cells."""
+
+    @staticmethod
+    def check(params, grids, symbols):
+        t, target = len(grids), params.lam**2
+        x = np.stack([grids[k].ravel() == a for k in range(t) for a in symbols])
+        got = _meets(x.astype(np.uint8), grids, params)
+        lists = [g.tolist() for g in grids]
+        counts = [
+            [naive_superposition(lists[k], lists[l], params.m) for l in range(t)]
+            for k in range(t)
+        ]
+        want = [
+            [bool((counts[k][l][a - 1] == target).all()) for l in range(t)]
+            for k in range(t)
+            for a in symbols
+        ]
+        assert got.tolist() == want
+        return got
+
+    @pytest.mark.parametrize("mset", hand_built_sets())
+    def test_hand_built_sets(self, mset):
+        m = mset.params.m
+        # For m = 256 a few symbols are enough.
+        symbols = range(1, m + 1) if m <= 8 else (1, 2, m // 2, m)
+        self.check(mset.params, mset.grids, symbols)
+
+    @pytest.mark.parametrize("m,lam,t", [(2, 2, 150), (3, 1, 130), (1, 3, 140)])
+    def test_stacks_over_several_tiles(self, m, lam, t):
+        params, rng = mofs.Params(m, lam), random.Random(t)
+        grids = np.array([mofs.random_fsquare(params, rng).grid for _ in range(t)])
+        flat = grids.reshape(t, -1)
+        tile = _tile(params, flat.shape[1])
+        assert t > 2 * tile
+        got = self.check(params, grids, range(1, m + 1))
+        assert m == 1 or set(got.ravel()) == {False, True}
+        # A strip's own indicator rows, passed as the first tile, give the
+        # same verdicts as a rebuild.
+        strip = _indicator_rows(flat[tile : 2 * tile], params)
+        assert np.array_equal(
+            _meets(strip, flat[tile:], params, strip), _meets(strip, flat[tile:], params)
+        )
 
 
 class TestUpperBound:
