@@ -1,25 +1,25 @@
 """Enumeration, extension search, greedy growth, and the exhaustive
 maximality oracle.
 
-Two exact methods find squares, chosen by D, the number of free cells of
-the linear system that an extension's indicator of one symbol solves.
-Its unknowns are the (n-1)^2 interior cells, since the row and column
-sums lam fix the last row and column, and it has one equation, lam^2,
-per member and per symbol but the last; so for a set of t squares
-D = (n-1)^2 - t(m - 1), the paper's bound.  A search with at least one
-member and D <= ``_DUAL_MAX_D`` takes the linear-dual path: the system,
-row-reduced modulo the prime 2^21 - 9 a panel of columns at a time
-(float64 products whose sums stay below 2^53, so exact), leaves 2^D 0/1
-assignments of its free cells, met in the middle; each candidate
-indicator is then checked exactly by the orthogonality kernel that
-verifies sets (``verify._meets``), and m pairwise disjoint candidates
-that cover every cell make m! squares.  It is complete whatever the rank
-modulo the prime: every integer 0/1 solution solves the reduced system
-too, so it is among the assignments (see :func:`_candidates`).  Greedy
-growth solves the system once; each later step keeps the candidates
-orthogonal to the square it added.  Every other search, with no members
-or a larger D, runs the engine below; both give the same squares in the
-same order.
+Two exact methods find squares, chosen by D = (n-1)^2 - t(m - 1), the
+paper's bound: for a set of t squares, the dimension of W, the cells with
+zero row and column sums orthogonal to every member's centred indicator
+squares I_a(S_k) - J/m.  An extension's indicator v of one symbol has
+v - J/m in W.  A search with at least one member and D <= ``_DUAL_MAX_D``
+takes the linear-dual path: D seeded random vectors, projected into W by
+the closed form of its projector (two skinny float64 products with the
+members' indicator squares) and row-reduced modulo the prime 2^21 - 9,
+give W's basis, whose pivots are D free cells; a draw of lower rank is
+replaced by the next seed's.  The 2^D 0/1 assignments of the free cells
+are met in the middle; each candidate indicator is then checked exactly
+by the orthogonality kernel that verifies sets (``verify._meets``), and m
+pairwise disjoint candidates that cover every cell make m! squares.  It
+is complete: as the prime divides none of n, lam, m, the projector stays
+one of rank D modulo it, whose image holds v - J/m for every extension
+(see :func:`_candidates`).  Greedy growth solves once; each later step
+keeps the candidates orthogonal to the square it added.  Every other
+search, with no members or a larger D, runs the engine below; both give
+the same squares in the same order.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -46,13 +46,13 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import count, islice, permutations
 from math import comb, factorial
 
 import numpy as np
 
 from .core import FSquare, MofsError, Params, _as_int, _leaves
-from .verify import MofsSet, UndefinedForMOne, _meets
+from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets, _tile
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -170,16 +170,16 @@ _FIT_CAP = 1 << 14
 # 2 040 states in one search (F(6;3) 141).
 _TAIL_CAP = 1 << 12
 # The most free cells (D) for which the linear-dual search replaces the
-# engine.  On greedy growth of F(6;3) and F(5;1) a cap of 20 ties with 18
-# and takes more memory; 22 is 1.7 times slower.
+# engine.  On greedy growth and exhaustive confirmation of 20 F(6;3) and 20
+# F(5;1) sets a cap of 20 ties with 18 and takes more memory (43 against
+# 32 MB max RSS); 22 is 5 times slower at 151 MB.
 _DUAL_MAX_D = 18
-# The elimination's prime and the widest panel it eliminates at once.  It
-# keeps residues in float64, where a sum of k products of residues is below
-# k * p^2 < 2^53, so exact, while k <= 2^11: a panel has at most that many
-# columns.  Of 64, 128 and 256, 128 was the fastest on F(32;16) minus 6
-# squares and on federer(64) minus 3.
+# The prime the linear-dual search works modulo.  Its projector divides by
+# n and n lam and its constant cells are 1/m, so p must divide none of n,
+# lam, m: it cannot, as n = m lam is far below p for any type whose n^2
+# cells fit in memory.  Residues below 2^21 keep a product of two in int64,
+# and a float64 sum of n^2 products of a 0/1 entry and a residue exact.
 _PRIME = 2**21 - 9
-_PANEL = 128
 
 
 @lru_cache(maxsize=None)
@@ -400,84 +400,76 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
                     yield node + rest
 
 
-def _system(params: Params, members: np.ndarray) -> np.ndarray:
-    """The integer system [A | b] that the (n-1)^2 interior cells y of an
-    extension's indicator x of one symbol solve, in row-major order.
-
-    The row and column sums lam fix the border: x[i, n-1] is lam minus
-    row i of y, x[n-1, j] lam minus column j, and the corner the sum of y
-    minus (n - 2) lam.  With the border so written, there is a row for
-    each member k and symbol b < m: <x, I_b(S_k)> = lam^2.  Symbol m's
-    follows, as the I_b(S_k) sum to J and <x, J> = n lam = m lam^2."""
-    m, lam, n = params.m, params.lam, params.n
-    hot = members[:, None] == np.arange(1, m)[:, None, None]
-    hot = hot.reshape(-1, n, n).astype(np.int8)
-    a = hot[:, :-1, :-1] - hot[:, :-1, -1:] - hot[:, -1:, :-1] + hot[:, -1:, -1:]
-    # lam^2 minus the border's constant part, 2 lam (lam - c) - (n - 2) lam c
-    # with c the indicator's corner: its last row and column hold lam ones.
-    b = n * lam * hot[:, -1, -1].astype(np.int64) - lam * lam
-    return np.concatenate((a.reshape(len(hot), (n - 1) ** 2), b[:, None]), axis=1)
+def _draw(seed: int, d: int, n: int) -> np.ndarray:
+    """Draw ``seed`` of the linear-dual search: d seeded pseudorandom
+    (n, n) residues mod ``_PRIME``, as int64."""
+    raw = np.frombuffer(random.Random(seed).randbytes(4 * d * n * n), "<u4")
+    return (raw % _PRIME).astype(np.int64).reshape(d, n, n)
 
 
-def _row_reduce(system: np.ndarray, p: int):
-    """Gauss-Jordan elimination of ``system`` modulo the prime ``p``:
-    (pivot columns, reduced rows on them), or None when the system has no
-    solution mod p.
+def _project(params: Params, members: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P_W P_Z x mod ``_PRIME`` for the (d, n, n) residues ``x``, as a
+    (d, n*n) int64 array.
 
-    It eliminates a panel of at most ``_PANEL`` columns at a time.  The
-    column loop finds the panel's pivots on the panel alone, in int64
-    (residues are below 2^21, so products fit), and ``track`` records each
-    row as its value when the panel began plus a multiple of the pivot
-    rows as they stood then (a pivot row drops the first term).  One
-    float64 product then updates every column right of the panel; each of
-    its sums has at most ``_PANEL`` terms below p^2, so it stays below
-    2^53 and exact.  Rows are never swapped: ``owner`` lists each pivot's
-    row."""
-    a = system % p
-    rows, width = a.shape
-    pivots, owner, spare = [], [], np.ones(rows, bool)
-    for start in range(0, width - 1, _PANEL):
-        if len(owner) == rows:
+    P_Z subtracts each row's and each column's mean and adds back the
+    grand mean, so the result lies in Z, the cells whose rows and columns
+    sum to 0.  For y in Z, P_W y = y - (1/(n lam)) sum_{k,a} I_a(S_k)
+    <I_a(S_k), y> over the members k and symbols a: the centred indicators
+    I_a(S_k) - J/m lie in Z, those of different members are orthogonal,
+    and a member's sum to 0 with Gram matrix n lam I - lam^2, so
+    (1/(n lam)) sum_a c_a c_a^T projects onto their span.  In the reduced
+    symbols 2..m of :func:`verify._indicator_rows`, A, with s_k the sum of
+    member k's entries of A y, the sum is A^T(A y + s_k) - J sum_k s_k: two
+    float64 products against d columns per tile of squares, exact as
+    n^2 p < 2^53.  For m = 1 every centred indicator is 0 and P_W is the
+    identity."""
+    p, n, d = _PRIME, params.n, len(x)
+    inv_n = pow(n, -1, p)
+    means = x.sum(axis=2, keepdims=True) % p + x.sum(axis=1, keepdims=True) % p
+    grand = x.sum(axis=(1, 2), keepdims=True) % p * (inv_n * inv_n % p)
+    x = ((x - means * inv_n + grand) % p).reshape(d, n * n)
+    if params.m == 1 or not d:
+        return x
+    r, tile = params.m - 1, _tile(params, n * n)
+    grids = members.reshape(len(members), -1)
+    y = x.T.astype(np.float64)
+    found, sums = np.zeros_like(y), 0
+    for l0 in range(0, len(grids), tile):
+        rows = _indicator_rows(grids[l0 : l0 + tile], params).astype(np.float64)
+        ay = (rows @ y % p).reshape(-1, r, d)
+        s = ay.sum(axis=1, keepdims=True) % p
+        found = (found + rows.T @ ((ay + s) % p).reshape(-1, d)) % p
+        sums = sums + s.sum(axis=0)
+    found = (found.astype(np.int64) - sums.astype(np.int64)) % p
+    return (x - pow(n * params.lam, -1, p) * found.T) % p
+
+
+def _row_reduce(a: np.ndarray, p: int):
+    """Gauss-Jordan elimination, in place, of the (d, cells) residues ``a``
+    modulo the prime ``p``, one column at a time: its pivot columns, or
+    None when its rank is below d."""
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
             break
-        stop, first = min(start + _PANEL, width - 1), len(owner)
-        wide = stop - start
-        track = np.zeros((rows, min(rows - first, wide)), np.int64)
-        panel = np.concatenate((a[:, start:stop], track), axis=1)
-        for j in range(wide):
-            hit = panel[:, j].nonzero()[0]
-            fresh = hit[spare[hit]]
-            if not len(fresh):
-                continue
-            k = int(fresh[0])
-            spare[k] = False
-            # Row k is 0 left of column j (earlier pivots cleared it, and
-            # spare rows are 0 on the panel's other earlier columns) and
-            # right of its own track column.
-            end = wide + len(owner) - first + 1
-            panel[k, end - 1] = 1
-            panel[k, j:end] = panel[k, j:end] * pow(int(panel[k, j]), -1, p) % p
-            hit = hit[hit != k]
-            sub = panel[hit, j:end]
-            panel[hit, j:end] = (sub - sub[:, :1] * panel[k, j:end]) % p
-            pivots.append(start + j)
-            owner.append(k)
-            if len(owner) == rows:
-                break
-        mine = owner[first:]
-        track = panel[:, wide : wide + len(mine)].astype(np.float64)
-        below = a[mine, stop:].astype(np.float64)
-        a[mine, stop:] = 0
-        np.add(a[:, stop:], track @ below, out=a[:, stop:], casting="unsafe")
-        a[:, stop:] %= p
-        a[:, start:stop] = panel[:, :wide]
-    if a[spare, -1].any():
-        return None
-    return pivots, a[owner]
+        hit = np.flatnonzero(a[r:, j])
+        if not len(hit):
+            continue
+        k = r + int(hit[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        row = a[r] * pow(int(a[r, j]), -1, p) % p
+        a -= a[:, j, None] * row
+        a %= p
+        a[r] = row
+        pivots.append(j)
+    return pivots if len(pivots) == len(a) else None
 
 
 def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndarray:
-    """(rank, 2^len(free)) residues: column u is ``start`` minus the reduced
-    columns of the free cells whose bits are set in u, mod p."""
+    """(len(reduced), 2^len(free)) residues: column u is ``start`` minus
+    the columns ``free`` of ``reduced`` whose bits are set in u, mod p."""
     out = start[:, None] % p
     for j in free:
         out = np.concatenate((out, (out - reduced[:, j, None]) % p), axis=1)
@@ -486,69 +478,52 @@ def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndar
 
 def _candidates(params: Params, members: np.ndarray):
     """The 0/1 indicators of one symbol of the squares orthogonal to every
-    member, as a (c, n*n) uint8 array, or None when the system leaves more
-    than ``_DUAL_MAX_D`` free cells mod ``_PRIME``.
+    member, as a (c, n*n) uint8 array, or None when more than
+    ``_DUAL_MAX_D`` cells are free.
 
-    The unknowns are the (n-1)^2 interior cells (see :func:`_system`); for
-    a MOFS the system has rank t(m - 1) over the rationals, so D is
-    (n-1)^2 - t(m - 1), and 0 for a complete set.  Row-reduced mod p (see
-    :func:`_row_reduce`), it fixes each pivot cell as its constant minus
-    the free cells' columns.  Each border cell, lam minus its interior row
-    or column, takes the same form once the pivots are substituted, in one
-    float64 product that is exact since its coefficients are 0, 1 or -1.  So
-    the 2^D 0/1 assignments of the free cells give every candidate.  They
-    are met in the middle: each half of the free cells has a residue table
-    over the pivot and border cells, the halves are joined on one of those
-    cells (its residue must come out 0 or 1), and the pairs are filtered
-    16 cells at a time, so no array outgrows 16 times the 2^D pairs, and
-    every border cell is 0 or 1.  Every survivor is then checked exactly:
-    row and column sums lam (a border cell is only known mod p), and then
-    lam^2 against every indicator of every member, by the kernel that
-    verifies sets (:func:`verify._meets`); the row and column sums make its
-    reduced symbols enough.
+    Such an indicator v has v - J/m in W, the cells of zero row and column
+    sums orthogonal to every member's centred indicators, and W has
+    dimension D = (n-1)^2 - t(m - 1) for a MOFS (for m = 1, W is Z and D
+    is (n-1)^2).  D seeded draws projected into W (see :func:`_project`)
+    and row-reduced mod p give its basis B; a rank below D, of probability
+    about D/p, means the next draw.  B's pivots are the free cells F, and
+    every other cell is 1/m + sum_i (v_F_i - 1/m) B[i, cell] mod p.  So the
+    2^D 0/1 assignments of the free cells give every candidate.  They are
+    met in the middle: each half of the free cells has a residue table
+    over the other cells, the halves are joined on one cell (its residue
+    must come out 0 or 1), and the pairs are filtered 16 cells at a time,
+    so no array outgrows 16 times the 2^D pairs.  Every survivor is then
+    checked exactly: row and column sums lam, and then lam^2 against every
+    indicator of every member, by the kernel that verifies sets
+    (:func:`verify._meets`); the row and column sums make its reduced
+    symbols enough.
 
-    Completeness does not depend on the rank mod p: an integer 0/1
-    solution also solves the system mod p, so its free cells are one of
-    the 2^D assignments and its pivot and border cells pass every filter.
-    A rank that drops mod p only adds free cells, and so candidates; the
-    exact check removes each false one.  A system with no solution mod p
-    has no integer solution.  So the candidates are exactly the 0/1
-    solutions, and those of a set are the candidates of any subset that
-    are orthogonal to the other members, which :func:`grow_maximal` uses.
+    The projector's entries are fractions over n and n lam, and so is the
+    constant 1/m over m, so they reduce mod p while p divides none of n,
+    lam, m: P_W P_Z mod p is then a projector of rank exactly D whose image
+    holds v - J/m for every 0/1 solution v.  So no solution is missed, and
+    the candidates are exactly the 0/1 solutions; those of a set are the
+    candidates of any subset that are orthogonal to the other members,
+    which :func:`grow_maximal` uses.
     """
-    m, lam, n, t = params.m, params.lam, params.n, len(members)
-    side = n - 1
-    # An exact lower bound on D: the rank mod p is at most t(m - 1).
-    if side * side - t * (m - 1) > _DUAL_MAX_D:
+    m, lam, n, t, p = params.m, params.lam, params.n, len(members), _PRIME
+    d = (n - 1) ** 2 - t * (m - 1)
+    if d > _DUAL_MAX_D:
         return None
-    reduced = _row_reduce(_system(params, members), _PRIME)
-    if reduced is None:
-        return np.zeros((0, n * n), np.uint8)
-    pivots, reduced = reduced
-    free = sorted(set(range(side * side)) - set(pivots))
-    if len(free) > _DUAL_MAX_D:
-        return None
-    # Each pivot cell, then each border cell (last column, last row,
-    # corner), as a constant (the last column) minus the free cells'
-    # columns.  A border row starts as the interior cells it subtracts.
-    p, d, inner = _PRIME, len(free), np.arange(side * side)
-    border = np.concatenate(
-        (
-            inner // side == np.arange(side)[:, None],
-            inner % side == np.arange(side)[:, None],
-            np.full((1, side * side), -1),
-        )
-    ).astype(np.float64)
-    const = [lam] * (2 * side) + [(2 - n) * lam]
-    reduced = reduced[:, free + [-1]]
-    substituted = border[:, pivots] @ reduced.astype(np.float64)
-    border = np.column_stack((border[:, free], const)) - substituted
-    reduced = np.concatenate((reduced, border % p)).astype(np.int64)
-    cell = inner // side * n + inner % side
-    fixed = np.concatenate((cell[pivots], n * np.arange(1, n) - 1, n * side + np.arange(n)))
+    for seed in count():
+        basis = _project(params, members, _draw(seed, d, n))
+        free = _row_reduce(basis, p)
+        if free is not None:
+            break
+    # Each other cell as a constant (the last column) minus the free
+    # cells' coefficients.
+    fixed = np.delete(np.arange(n * n), free)
+    on_fixed = basis[:, fixed]
+    const = pow(m, -1, p) * (1 - on_fixed.sum(axis=0))
+    reduced = (np.column_stack((-on_fixed.T, const)) % p).astype(np.int32)
     low, high = range(d // 2), range(d // 2, d)
     left = _half(reduced, low, p, reduced[:, -1])
-    right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int64))) % p
+    right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int32))) % p
     # x on fixed cell i is left[i, u] - right[i, w] mod p, which must be 0
     # or 1, so each residue of one half pairs with at most two of the
     # other's.  The join is on the cell whose residues are the most
@@ -565,35 +540,42 @@ def _candidates(params: Params, members: np.ndarray):
     for diff in (0, 1):
         want = (left[join] - diff) % p
         lo = np.searchsorted(ends, want)
-        count = np.searchsorted(ends, want, "right") - lo
-        u.append(np.repeat(np.arange(len(want)), count))
-        w.append(by[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)])
+        many = np.searchsorted(ends, want, "right") - lo
+        u.append(np.repeat(np.arange(len(want)), many))
+        w.append(by[np.arange(many.sum()) + np.repeat(lo - np.cumsum(many) + many, many)])
     u, w = np.concatenate(u), np.concatenate(w)
+
+    def residues(rows):
+        # left - right lies in (-p, p), where adding p is a cheap mod p.
+        diff = left[rows, u] - right[rows, w]
+        return diff + p * (diff < 0)
+
     for i in range(0, len(reduced), 16):
-        keep = ((left[i : i + 16, u] - right[i : i + 16, w]) % p <= 1).all(axis=0)
+        keep = (residues(slice(i, i + 16)) <= 1).all(axis=0)
         u, w = u[keep], w[keep]
-    x = np.zeros((len(u), n * n), np.uint8)
-    x[:, fixed] = ((left[:, u] - right[:, w]) % p).T
-    x[:, cell[free[: d // 2]]] = u[:, None] >> np.arange(len(low)) & 1
-    x[:, cell[free[d // 2 :]]] = w[:, None] >> np.arange(len(high)) & 1
+    # Built a cell per row, then turned: a row write is the fast one.
+    x = np.empty((n * n, len(u)), np.uint8)
+    x[fixed] = residues(slice(None))
+    x[free[: d // 2]] = u >> np.arange(len(low))[:, None] & 1
+    x[free[d // 2 :]] = w >> np.arange(len(high))[:, None] & 1
+    x = np.ascontiguousarray(x.T)
     grid = x.reshape(-1, n, n)
     x = x[((grid.sum(axis=1) == lam) & (grid.sum(axis=2) == lam)).all(axis=1)]
     return x[_meets(x, members, params).all(axis=1)]
 
 
-def _covers(params: Params, candidates: np.ndarray) -> list:
+def _covers(params: Params, candidates: np.ndarray) -> np.ndarray:
     """Every set of m pairwise disjoint candidates that covers every cell,
-    as the (n, n) array of each cell's candidate index within the set.
+    as a (covers, n, n) array of each cell's candidate index within the set.
     Candidates are numbered in the order their first cells appear, so the
     set's squares in lexicographic order are symbol assignments in
     ``itertools.permutations`` order."""
     n = params.n
     packed = np.packbits(candidates, axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    # holding[cell]: the candidates that hold the cell, ascending.
-    cells, held = np.nonzero(candidates.T)
-    bounds, held = np.searchsorted(cells, np.arange(n * n + 1)).tolist(), held.tolist()
-    holding = [held[bounds[cell] : bounds[cell + 1]] for cell in range(n * n)]
+    # holding[cell]: the candidates that hold the cell, ascending, listed
+    # for the cells the search meets.
+    holding = {}
     last = {mask: k for k, mask in enumerate(masks)}
     found = []
 
@@ -601,15 +583,18 @@ def _covers(params: Params, candidates: np.ndarray) -> list:
         if len(chosen) == params.m - 1:
             # The last candidate is the cells still left, if it is one.
             if left in last:
-                chosen = chosen + [last[left]]
-                found.append(candidates[chosen].argmax(axis=0).reshape(n, n))
+                found.append(chosen + [last[left]])
             return
-        for k in holding[(left & -left).bit_length() - 1]:
+        cell = (left & -left).bit_length() - 1
+        if cell not in holding:
+            holding[cell] = np.flatnonzero(candidates[:, cell]).tolist()
+        for k in holding[cell]:
             if masks[k] | left == left:
                 cover(left & ~masks[k], chosen + [k])
 
     cover((1 << (n * n)) - 1, [])
-    return found
+    chosen = np.array(found, np.intp).reshape(-1, params.m)
+    return candidates[chosen].argmax(axis=1).reshape(-1, n, n)
 
 
 def _dual_covers(params: Params, members: np.ndarray):
@@ -630,22 +615,33 @@ def _grid_order(m: int):
     return lambda key: np.frombuffer(key, np.int64).tolist()
 
 
-def _cover_keys(params: Params, covers: list, prefix: tuple):
+def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
     """The keys of the squares of ``covers``, in lexicographic order, whose
-    first row starts with ``prefix``.  Each cover walks its m! symbol
-    assignments lazily, so a stream builds only the keys it yields."""
-    prefix = list(prefix)
+    first row starts with ``prefix``.  The prefix fixes the symbols of the
+    labels it covers, and each cover walks the assignments of the other
+    symbols to the other labels lazily, in order, so a stream builds only
+    the keys it yields."""
+    prefix, symbols = list(prefix), range(1, params.m + 1)
 
     def squares(labels):
         head = labels[0, : len(prefix)].tolist()
-        for assign in permutations(range(1, params.m + 1)):
-            if [assign[c] for c in head] == prefix:
-                yield np.array(assign, np.int64)[labels].tobytes()
+        fixed = dict(zip(head, prefix))
+        rest = [a for a in symbols if a not in fixed.values()]
+        # No square of the cover fits a prefix that gives one label two
+        # symbols, two labels one symbol, or a symbol outside 1..m.
+        if [fixed[c] for c in head] != prefix or len(rest) != params.m - len(fixed):
+            return
+        assign = np.zeros(params.m, np.int64)
+        assign[list(fixed)] = list(fixed.values())
+        free = [c for c in range(params.m) if c not in fixed]
+        for symbols_left in permutations(rest):
+            assign[free] = symbols_left
+            yield assign[labels].tobytes()
 
     return heapq.merge(*map(squares, covers), key=_grid_order(params.m))
 
 
-def _first_by_rank(params: Params, covers: list, first_order: list):
+def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     """The key the engine finds first when its first row takes
     ``first_order``: the square whose first row comes first in that order,
     then the lowest in grid order."""

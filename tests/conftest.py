@@ -267,8 +267,10 @@ def brute_force_full_relation(bits):
 
 
 def loop_row_reduce(system, p):
-    """Oracle for ``search._row_reduce``: the column-at-a-time Gauss-Jordan
-    loop it replaced, verbatim.  It needs at least one row.
+    """Oracle for ``search._row_reduce``: a column-at-a-time Gauss-Jordan
+    loop on a system [A | b] that swaps up the largest residue of each
+    column, where ``_row_reduce`` takes the first.  It needs at least one
+    row.
 
     Gauss-Jordan elimination of ``system`` modulo the prime ``p``:
     (pivot columns, reduced rows on them), or None when the system has no

@@ -687,6 +687,38 @@ class TestWideSymbolSets:
         seconds = [float(word) for word in done.stdout.split()]
         assert len(seconds) == 4 and max(seconds) < 1, seconds
 
+    def test_late_prefix_comes_at_once(self):
+        # A prefix fixes the symbols of the labels it meets, so each cover
+        # walks only the other symbols' assignments: a prefix late in the
+        # order of all 11! no longer waits for the ones before it.
+        script = textwrap.dedent(
+            """
+            import time
+            import mofs
+            full = mofs.construct_prime_power(11, 1)
+            mset = mofs.verify_mofs(full.squares[:-1])
+            for prefix in ((11, 10), (2,)):
+                config = mofs.SearchConfig(prefix=prefix, force=True)
+                start = time.perf_counter()
+                square = next(mofs.extensions(mset, config))
+                print(time.perf_counter() - start, *square.grid.ravel().tolist())
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mofs.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        lines = [line.split() for line in done.stdout.splitlines()]
+        firsts = ([11, 10, *range(1, 10)], [2, 1, *range(3, 12)])
+        assert len(lines) == 2
+        for (seconds, *cells), first in zip(lines, firsts):
+            # Both squares are circulant: each row is the one above turned
+            # one cell right.
+            want = [np.roll(first, i).tolist() for i in range(11)]
+            assert np.array(cells, int).reshape(11, 11).tolist() == want
+            assert float(seconds) < 1, seconds
+
 
 class TestLinearDual:
     """The linear-dual search against the engine, which runs wherever the
@@ -701,30 +733,53 @@ class TestLinearDual:
         assert not any(map(uses_dual, sets))
         assert [search_outcomes(mset) for mset in sets] == dual
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_small_prime_keeps_every_result(self, p, monkeypatch):
-        # The interior-cell system of a MOFS has exact rank t(m - 1), which
-        # the working prime reaches on every one of these sets.  Mod 3 the
-        # rank drops on the whole (2, 3, 1) set, mod 5 on every F(5;1) set
-        # (the maximal ones have no solution mod 5): the dual path then
-        # meets more free cells and false candidates, which the exact
-        # check must remove.
-        sets = dual_inputs(2, 3, 1) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
-        expected = [search_outcomes(mset) for mset in sets]
-        found = [search._candidates(mset.params, mset.grids) for mset in sets]
-        exact_ranks = [mset.t * (mset.params.m - 1) for mset in sets]
-        systems = [search._system(mset.params, mset.grids) for mset in sets]
-        assert [len(search._row_reduce(s, search._PRIME)[0]) for s in systems] == exact_ranks
-        monkeypatch.setattr(search, "_PRIME", p)
-        dropped = 0
-        for mset, want, exact_rank, system in zip(sets, found, exact_ranks, systems):
-            reduced = search._row_reduce(system, p)
+    def test_rank_drop_is_retried(self, monkeypatch):
+        # A first draw with two equal vectors has rank below D, so the
+        # search must draw again and find the same candidates.
+        sets = [
+            mset
+            for mset in dual_inputs(2, 3, 1) + dual_inputs(5, 1, 0)
+            if 2 <= (mset.params.n - 1) ** 2 - mset.t * (mset.params.m - 1) <= search._DUAL_MAX_D
+        ]
+        assert len(sets) >= 3
+        want = [search._candidates(mset.params, mset.grids) for mset in sets]
+        draw, seeds = search._draw, []
+
+        def dependent(seed, d, n):
+            seeds.append(seed)
+            x = draw(seed, d, n)
+            if seed == 0:
+                x[-1] = x[0]
+            return x
+
+        monkeypatch.setattr(search, "_draw", dependent)
+        for mset, expected in zip(sets, want):
+            seeds.clear()
             got = search._candidates(mset.params, mset.grids)
-            if got is not None and (reduced is None or len(reduced[0]) < exact_rank):
-                dropped += 1
-                assert sorted(map(bytes, got)) == sorted(map(bytes, want))
-        assert dropped
-        assert [search_outcomes(mset) for mset in sets] == expected
+            assert seeds == [0, 1]
+            assert sorted(map(bytes, got)) == sorted(map(bytes, expected))
+
+    @pytest.mark.parametrize("prefix", [(0,), (6,), (2, 0), (1, 2, 3, 4, 5, 1)])
+    def test_prefixes_outside_the_first_row_find_nothing(self, prefix):
+        mset = dual_inputs(5, 1, 0)[1]
+        assert uses_dual(mset)
+        assert list(mofs.extensions(mset, SearchConfig(prefix=prefix, force=True))) == []
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+    def test_one_symbol_sets_keep_their_one_candidate(self, lam):
+        # For m = 1, W is all of Z and J is the one square: D is (n - 1)^2,
+        # and 0 for F(1;1).
+        p = mofs.Params(1, lam)
+        mset = mofs.verify_mofs([mofs.make_fsquare(p, np.ones((lam, lam), int))])
+        assert search._candidates(p, mset.grids).tolist() == [[1] * lam * lam]
+        assert search._count(p, mset.grids, SearchConfig(force=True)) == 1
+        assert not mofs.exhaustive_maximality(mset, SearchConfig(force=True))
+        assert grids(mofs.extensions(mset)) == grids(mset.squares)
+
+    @pytest.mark.parametrize("removed,count", [(1, 2), (6, 36), (12, 1296)])
+    def test_near_complete_f32_counts(self, removed, count):
+        full = mofs.construct_prime_power(2, 5)
+        assert search._count(full.params, full.grids[:-removed], SearchConfig(force=True)) == count
 
     @pytest.mark.parametrize("m,h", [(2, 3), (3, 2)])
     @pytest.mark.parametrize("removed", [1, 2, 3])
@@ -747,12 +802,14 @@ class TestLinearDual:
         # candidates by the square it added.
         calls = []
 
-        def counted(system, p):
-            calls.append(system.shape)
-            return row_reduce(system, p)
+        def counted(params, members):
+            found = candidates(params, members)
+            if found is not None:
+                calls.append(len(members))
+            return found
 
-        row_reduce = search._row_reduce
-        monkeypatch.setattr(search, "_row_reduce", counted)
+        candidates = search._candidates
+        monkeypatch.setattr(search, "_candidates", counted)
         p = mofs.Params(m, lam)
         for seed in range(3):
             start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
@@ -801,49 +858,62 @@ def random_systems(count, seed):
         yield system
 
 
-def same_reduction(got, want):
-    if got is None or want is None:
-        return got is want
-    return got[0] == want[0] and np.array_equal(got[1], want[1])
+def in_w(mset, basis):
+    """Whether every row of ``basis`` lies in W mod p: zero row and column
+    sums, and orthogonal to every indicator of every member."""
+    p, n, m = search._PRIME, mset.params.n, mset.params.m
+    cells = basis.reshape(-1, n, n)
+    hot = mset.grids.reshape(mset.t, 1, -1) == np.arange(1, m + 1)[:, None]
+    products = hot.reshape(-1, n * n).astype(np.int64) @ basis.T % p
+    sums = np.concatenate((cells.sum(axis=1), cells.sum(axis=2))) % p
+    return not sums.any() and not products.any()
 
 
 class TestElimination:
-    """The panel elimination against the column loop it replaced."""
+    """The column loop that row-reduces the projected draws, and the
+    projector onto W that they are drawn through."""
 
-    @pytest.mark.parametrize("panel", [1, 3, 7, 128])
-    def test_random_systems_match_the_loop(self, panel, monkeypatch):
-        monkeypatch.setattr(search, "_PANEL", panel)
+    @pytest.mark.parametrize("seed", [1, 3, 7, 128])
+    def test_random_systems_match_the_loop(self, seed):
+        # Reduced echelon form is unique, so the loop oracle, which swaps in
+        # the largest residue, reaches the same rows when the rank is full.
         outcomes = set()
-        for system in random_systems(300, panel):
-            want = loop_row_reduce(system.copy(), search._PRIME)
-            assert same_reduction(search._row_reduce(system, search._PRIME), want)
-            outcomes.add(want is None)
+        for system in random_systems(300, seed):
+            want = loop_row_reduce(np.column_stack((system, 0 * system[:, 0])), search._PRIME)
+            got = system % search._PRIME
+            pivots = search._row_reduce(got, search._PRIME)
+            full = len(want[0]) == len(system)
+            assert pivots == (want[0] if full else None)
+            if full:
+                assert np.array_equal(got, want[1][:, :-1])
+            outcomes.add(full)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize(
-        "m,h,removed,panel", [(2, 4, 1, 16), (2, 4, 3, 128), (3, 3, 2, 64)]
-    )
-    def test_near_complete_systems_match_the_loop(self, m, h, removed, panel, monkeypatch):
-        # F(16;8) and F(27;9), as wide as two or more panels.
-        monkeypatch.setattr(search, "_PANEL", panel)
+    @pytest.mark.parametrize("m,h,removed", [(2, 4, 1), (2, 4, 3), (3, 3, 2)])
+    def test_near_complete_projections_span_w(self, m, h, removed):
+        # F(16;8) and F(27;9): the projected draws lie in W, have rank D,
+        # and span the centred indicators of the removed squares.
         complete = mofs.construct_prime_power(m, h)
-        system = search._system(complete.params, complete.grids[:-removed])
-        assert system.shape[1] > panel + 1
-        want = loop_row_reduce(system.copy(), search._PRIME)
-        assert same_reduction(search._row_reduce(system, search._PRIME), want)
+        p, n = search._PRIME, complete.params.n
+        members = mofs.verify_mofs(complete.squares[:-removed])
+        d = removed * (m - 1)
+        basis = search._project(complete.params, members.grids, search._draw(0, d, n))
+        assert in_w(members, basis)
+        free = search._row_reduce(basis, p)
+        assert len(free) == d and in_w(members, basis)
+        hot = complete.grids[-removed:].reshape(removed, 1, -1) == np.arange(1, m + 1)[:, None]
+        centred = (hot.reshape(-1, n * n) - pow(m, -1, p)) % p
+        assert np.array_equal(centred[:, free] @ basis % p, centred)
 
     def test_complete_sets_leave_no_free_cell(self):
-        # For a complete set the interior system is square and of full rank,
-        # so D = 0, and its one solution J/m is no indicator.
+        # For a complete set W is 0: the projector sends every draw to 0,
+        # D = 0, and the one point J/m is no indicator.
         sets = complete_sets(16)
         assert len(sets) == 19
         for mset in sets:
-            side = mset.params.n - 1
-            system = search._system(mset.params, mset.grids)
-            assert system.shape == (side * side, side * side + 1)
-            pivots, _ = search._row_reduce(system, search._PRIME)
-            assert pivots == list(range(side * side))
-            assert search._candidates(mset.params, mset.grids).shape == (0, mset.params.n**2)
+            n = mset.params.n
+            assert not search._project(mset.params, mset.grids, search._draw(0, 3, n)).any()
+            assert search._candidates(mset.params, mset.grids).shape == (0, n * n)
 
 
 @pytest.mark.parametrize(
