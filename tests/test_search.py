@@ -759,6 +759,39 @@ class TestLinearDual:
             assert seeds == [0, 1]
             assert sorted(map(bytes, got)) == sorted(map(bytes, expected))
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_prime_keeps_every_result(self, p, monkeypatch):
+        # The projector needs a prime dividing none of n, lam, m, which
+        # leaves mod 3 the F(5;1) sets and mod 5 the (2, 3, 3) ones.  So
+        # small a prime drops the rank of some first draw, and lets many
+        # false 0/1 residues through, which the redraw and the exact check
+        # must absorb.
+        sets = [
+            mset
+            for mset in dual_inputs(2, 3, 3) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
+            if uses_dual(mset)
+            and all(k % p for k in (mset.params.n, mset.params.lam, mset.params.m))
+        ]
+        assert len(sets) >= 2
+        expected = [search_outcomes(mset) for mset in sets]
+        want = [search._candidates(mset.params, mset.grids) for mset in sets]
+        monkeypatch.setattr(search, "_PRIME", p)
+        draw, seeds = search._draw, []
+
+        def counted(seed, d, n):
+            seeds.append(seed)
+            return draw(seed, d, n)
+
+        monkeypatch.setattr(search, "_draw", counted)
+        redrawn = 0
+        for mset, wanted in zip(sets, want):
+            seeds.clear()
+            got = search._candidates(mset.params, mset.grids)
+            redrawn += len(seeds) > 1
+            assert sorted(map(bytes, got)) == sorted(map(bytes, wanted))
+        assert redrawn
+        assert [search_outcomes(mset) for mset in sets] == expected
+
     @pytest.mark.parametrize("prefix", [(0,), (6,), (2, 0), (1, 2, 3, 4, 5, 1)])
     def test_prefixes_outside_the_first_row_find_nothing(self, prefix):
         mset = dual_inputs(5, 1, 0)[1]
