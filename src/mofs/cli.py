@@ -2,11 +2,19 @@
 
 Exit codes: 0 on success (or a computed verdict), 1 on validation or
 feasibility failure, 2 on usage errors.
+
+``main(argv)`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it after that.  Reuse is
+stateless: each parse gets a fresh namespace, no argument has a mutable
+default, and usage errors and ``--help`` print to the ``sys.stderr`` and
+``sys.stdout`` of the moment, at the width ``COLUMNS`` gives then.
+``build_parser()`` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import construct, fileformat, maximality, search
@@ -25,8 +33,15 @@ def _write_set(mset, path):
 
 
 def _read_set(path):
-    with open(path, encoding="utf-8") as fh:
-        return fileformat.decode(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise fileformat.ParseError(line_no, "not UTF-8 text") from None
+    # Universal newlines, as a file opened in text mode reads them.
+    return fileformat.decode(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _cmd_construct(args):
@@ -178,8 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "greedy", False) and args.seed is None:
         parser.error("--greedy requires an explicit --seed")

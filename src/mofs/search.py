@@ -223,6 +223,17 @@ def _pattern_tables(m: int, lam: int):
     return patterns, dtype, pattern_hot, col_inc, row_bytes, {}
 
 
+@lru_cache(maxsize=None)
+def _pattern_shapes(m: int, lam: int) -> tuple:
+    """Each pattern's label shape, built once per type: its symbols renamed
+    0, 1, ... in order of first appearance."""
+    shapes = []
+    for row in _pattern_tables(m, lam)[0]:
+        relabel = {}
+        shapes.append(tuple(relabel.setdefault(a, len(relabel)) for a in row))
+    return tuple(shapes)
+
+
 def _guard(params: Params, config: SearchConfig) -> None:
     if config.force:
         return
@@ -646,17 +657,16 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     ``first_order``: the square whose first row comes first in that order,
     then the lowest in grid order."""
     patterns = _pattern_tables(params.m, params.lam)[0]
+    shapes = _pattern_shapes(params.m, params.lam)
     by_row = {}
     for labels in covers:
         by_row.setdefault(tuple(labels[0].tolist()), []).append(labels)
     for q in first_order:
         # A first row fits a cover iff it has one symbol per candidate.
-        row = patterns[q]
-        relabel = {}
-        shape = tuple(relabel.setdefault(a, len(relabel)) for a in row)
+        shape = shapes[q]
         if shape in by_row:
             assign = np.zeros(params.m, np.int64)
-            assign[list(shape)] = row
+            assign[list(shape)] = patterns[q]
             keys = [assign[labels].tobytes() for labels in by_row[shape]]
             return min(keys, key=_grid_order(params.m))
     return None

@@ -1,13 +1,16 @@
+import argparse
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mofs
-from mofs import maximality
+from mofs import cli, maximality
 from mofs.cli import main
 from mofs.fileformat import ParseError, decode, encode
 from mofs.verify import NotOrthogonal
@@ -128,6 +131,26 @@ class TestCli:
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["verify", "/nonexistent.mofs"]) == 1
+
+    @pytest.mark.parametrize("command", [["verify"], ["analyze"], ["extend", "--exhaustive"]])
+    @pytest.mark.parametrize(
+        "data,line_no",
+        [(b"\xff\xfe\x00bad", 1), (b"MOFS m=2 lambda=1 count=1\n1 2\n2 \xff1\n", 3)],
+        ids=["line-1", "line-3"],
+    )
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys, command, data, line_no):
+        path = tmp_path / "bad.mofs"
+        path.write_bytes(data)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line {line_no}: not UTF-8 text\n"
+
+    def test_crlf_file_reads_as_text(self, tmp_path, capsys, example_file):
+        path = tmp_path / "crlf.mofs"
+        path.write_bytes(example_file.replace("\n", "\r\n").encode("ascii"))
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("OK: 1 mutually orthogonal squares")
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,6 +281,98 @@ def _run_python(*args, timeout=60):
         timeout=timeout,
         env=env,
     )
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process, with no state carried from
+    one call to the next."""
+
+    @pytest.fixture
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_calls_match_separate_processes(self, tmp_path, capsys, monkeypatch, fresh_cache):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "set.mofs"
+        assert main(["construct", "--hadamard", "4", "-o", str(path)]) == 0
+        capsys.readouterr()
+        usage = ["extend", str(path), "--exhaustive", "-o", str(tmp_path / "x.mofs")]
+        calls = [usage, ["extend", str(path), "--exhaustive"], ["construct", "--help"], usage]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            alone = _run_cli(*argv)
+            assert (out, err, code) == (alone.stdout, alone.stderr, alone.returncode), argv
+        assert not (tmp_path / "x.mofs").exists()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys, fresh_cache):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            assert main(["bound", "2", "3"]) == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out == "25 (exact)\n" * 3
+
+    def test_each_call_gets_a_fresh_namespace(self, monkeypatch, capsys, fresh_cache):
+        parser = cli._parser()
+        parse, seen = parser.parse_args, []
+
+        def recorded(*args, **kwargs):
+            seen.append(parse(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recorded)
+        assert main(["construct", "--prime-power", "2", "1"]) == 0
+        assert main(["bound", "2", "3"]) == 0
+        assert seen[0] is not seen[1]
+        assert vars(seen[1]) == {"command": "bound", "m": 2, "lam": 3, "func": cli._cmd_bound}
+
+    def test_no_argument_has_a_mutable_default(self):
+        parsers = [cli._parser()]
+        for action in parsers[0]._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+        for parser in parsers:
+            for action in parser._actions:
+                assert action.default is None or isinstance(action.default, (bool, int, str))
+            assert all(callable(v) for v in parser._defaults.values())
+
+    def test_errors_and_help_print_to_the_streams_of_the_call(self, capsys):
+        main(["bound", "2", "3"])  # the parser is built before the redirects
+        capsys.readouterr()
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit):
+            main(["construct"])
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            main(["construct", "--help"])
+        assert err.getvalue().startswith("usage: mofs construct")
+        assert out.getvalue().startswith("usage: mofs construct")
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_width_is_read_when_help_is_formatted(self, monkeypatch, capsys, fresh_cache):
+        helps = {}
+        for columns in ("200", "40"):  # the parser is built at the first width
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["extend", "--help"])
+            helps[columns] = capsys.readouterr().out
+            assert helps[columns] == _run_cli("extend", "--help").stdout
+        assert helps["40"] != helps["200"]
 
 
 class TestRefusedQuickly:
