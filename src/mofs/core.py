@@ -183,36 +183,38 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
     """Check a (t, n, n) integer stack chunk by chunk and raise, for its
     first invalid square, the error of that square's first fault: an entry
     outside 1..m (first in row-major order), else the lowest symbol with a
-    wrong count, its rows before its columns, lowest index first."""
+    wrong count, its rows before its columns, lowest index first.
+
+    The counts are read from the indicator squares, as the paper reads
+    regularity: S is regular iff every I_a(S) has row and column sums lam.
+    Those of each symbol 2..m are two products of its 0/1 hits with a ones
+    vector, exact in float32, one symbol at a time so that no temporary
+    outgrows the chunk; once every entry is in 1..m, symbol 1's are n
+    minus the rest."""
     m, lam, n = params.m, params.lam, params.n
     step = _chunk_squares(params)
+    ones = np.ones(n, np.float32)
     for k0 in range(0, len(stack), step):
         chunk = stack[k0 : k0 + step]
         t = len(chunk)
         out = ((chunk < 1) | (chunk > m)).any(axis=(1, 2))
         # Only squares before the first one with an out-of-range entry are
-        # counted; their symbols index the counts safely.
+        # counted; their entries narrow to the type of m without wrapping.
         ok = int(np.argmax(out)) if out.any() else t
-        # counts[k, i, a - 1]: occurrences of symbol a in row (column) i of k.
-        sym = chunk[:ok].astype(np.intp) - 1
-        index = np.arange(ok * n).reshape(ok, n) * m
-        size = ok * n * m
-        row_counts = np.bincount((index[:, :, None] + sym).ravel(), minlength=size)
-        col_counts = np.bincount((index[:, None, :] + sym).ravel(), minlength=size)
-        row_counts = row_counts.reshape(ok, n, m)
-        col_counts = col_counts.reshape(ok, n, m)
-        bad = ((row_counts != lam) | (col_counts != lam)).any(axis=(1, 2))
+        grids = chunk[:ok].astype(np.min_scalar_type(m), copy=False)
+        # counts[k, a - 1, 0 or 1, i]: symbol a in row or column i of square k.
+        counts = np.empty((ok, m, 2, n), np.float32)
+        for a in range(2, m + 1):
+            hits = (grids == a).astype(np.float32)
+            counts[:, a - 1, 0] = (hits.reshape(-1, n) @ ones).reshape(ok, n)
+            counts[:, a - 1, 1] = ones @ hits
+        counts[:, 0] = n - counts[:, 1:].sum(axis=1)
+        bad = counts != lam
         if bad.any():
-            k = int(np.argmax(bad))
-            rows, cols = row_counts[k], col_counts[k]
-            bad_rows, bad_cols = rows != lam, cols != lam
-            # The lowest symbol first, its rows before its columns, lowest index.
-            a = int(np.argmax(bad_rows.any(axis=0) | bad_cols.any(axis=0)))
-            if bad_rows[:, a].any():
-                i = int(np.argmax(bad_rows[:, a]))
-                raise RowRegularityViolation(i, a + 1, int(rows[i, a]), lam)
-            j = int(np.argmax(bad_cols[:, a]))
-            raise ColumnRegularityViolation(j, a + 1, int(cols[j, a]), lam)
+            # In index order: the first square, its lowest symbol, rows first.
+            k, a, column, i = np.argwhere(bad)[0]
+            error = ColumnRegularityViolation if column else RowRegularityViolation
+            raise error(int(i), int(a) + 1, int(counts[k, a, column, i]), lam)
         if ok < t:
             arr = chunk[ok]
             i, j = np.argwhere((arr < 1) | (arr > m))[0]

@@ -8,6 +8,7 @@ every set that exists is a MOFS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,14 +143,18 @@ def orthogonal(s: FSquare, s2: FSquare) -> bool:
     return bool((superposition_counts(s, s2) == lam * lam).all())
 
 
-# Squares per tile of the Gram kernel, capped so that one tile's indicator
-# rows hold at most _TILE_ENTRIES entries whatever the square's size.
-_TILE = 64
-_TILE_ENTRIES = 1 << 20
+# One budget, in entries, sizes every block of the Gram kernel: a tile's
+# indicator rows (tile * r * n^2, r = m - 1 or 1 when m = 1) and a Gram block
+# of two tiles ((tile * r)^2) each stay within it, whatever t and n.  At 2^20
+# a few hundred squares of side up to 27 are one tile, and federer(64) goes
+# in tiles of 256, where BLAS runs near its peak; 2^21 was no faster there
+# and held 13 MB more.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _tile(params: Params, cells: int) -> int:
-    return max(1, min(_TILE, _TILE_ENTRIES // (max(params.m - 1, 1) * cells)))
+    r = max(params.m - 1, 1)
+    return max(1, min(_BLOCK_ENTRIES // (r * cells), math.isqrt(_BLOCK_ENTRIES) // r))
 
 
 def _indicator_rows(grids: np.ndarray, params: Params) -> np.ndarray:
@@ -172,9 +177,14 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
     an indicator square, that is orthogonality to square l: its m products
     with I_1(S_l), ..., I_m(S_l) sum to n lam = m lam^2, so the product
     with I_1 is lam^2 too.  The products are GEMMs of ``x``, cast once to
-    the indicator rows' float type, against one tile of squares at a time.
+    the indicator rows' float type, against one tile of squares at a time
+    (:func:`_tile`).  A tile's r symbols are joined by r - 1 in-place ANDs
+    of strided views, which cost a fraction of a reduction over a length-r
+    axis.
     ``first``, when given, is the first tile's indicator rows, which a
-    caller holding them passes to spare their rebuild."""
+    caller holding them passes to spare their rebuild; when it is ``x``
+    itself, that Gram block is ``x @ x.T``, which BLAS computes as a
+    symmetric product."""
     grids = grids.reshape(len(grids), -1)
     r, tile = max(params.m - 1, 1), _tile(params, grids.shape[1])
     out, rows = np.empty((len(x), len(grids)), bool), first
@@ -182,8 +192,11 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
         if l0 or rows is None:
             rows = _indicator_rows(grids[l0 : l0 + tile], params)
         x = x.astype(rows.dtype, copy=False)
-        gram = (x @ rows.T).reshape(len(x), len(rows) // r, r)
-        out[:, l0 : l0 + tile] = (gram == params.lam**2).all(axis=2)
+        hit = (x @ rows.T == params.lam**2).reshape(len(x), len(rows) // r, r)
+        block = out[:, l0 : l0 + tile]
+        np.copyto(block, hit[..., 0])
+        for a in range(1, r):
+            block &= hit[..., a]
     return out
 
 
@@ -192,22 +205,32 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
     the flattened ``grids`` (one square per row), or None when the set is
     pairwise orthogonal.
 
-    Each strip of a tile of squares has its indicator rows built once and
-    checked by :func:`_meets` against itself and every later square.  For
-    regular squares the reduced counts decide orthogonality: the row and
-    column sums of the superposition counts force those of symbol 1.
+    Each strip of a tile of squares (:func:`_tile`) has its indicator rows
+    built once and checked by :func:`_meets` against itself, in one
+    symmetric Gram product, and then against each later tile; a set within
+    the budget is one strip and one product, and no array grows with the
+    number of squares.  For regular squares the reduced counts decide
+    orthogonality: the row and column sums of the superposition counts
+    force those of symbol 1.
     """
     t, r, tile = len(grids), max(params.m - 1, 1), _tile(params, grids.shape[1])
     for k0 in range(0, t, tile):
         strip = _indicator_rows(grids[k0 : k0 + tile], params)
-        # The whole strip is scanned before reporting, so a failure at a lower
-        # k in a later column tile wins over a higher k in an earlier one.
-        meets = _meets(strip, grids[k0:], params, strip)
-        bad = ~meets.reshape(-1, r, t - k0).all(axis=1)
-        bad &= np.arange(k0, t) > np.arange(k0, k0 + len(bad))[:, None]
-        if bad.any():
-            k, l = np.unravel_index(np.argmax(bad), bad.shape)
-            return k0 + int(k), k0 + int(l)
+        # Each k's first failing l, t while none is found.  The strip is
+        # scanned to its end before reporting, so a failure at a lower k in a
+        # later column tile wins over a higher k in an earlier one; only a
+        # failure of its first square, which no pair precedes, ends it early.
+        first_l = np.full(len(strip) // r, t)
+        for l0 in range(k0, t, tile):
+            meets = _meets(strip, grids[l0 : l0 + tile], params, strip if l0 == k0 else None)
+            bad = ~meets.reshape(len(first_l), r, -1).all(axis=1)
+            bad &= np.arange(l0, l0 + bad.shape[1]) > np.arange(k0, k0 + len(first_l))[:, None]
+            first_l = np.where((first_l == t) & bad.any(axis=1), l0 + bad.argmax(axis=1), first_l)
+            if first_l[0] < t:
+                break
+        if (first_l < t).any():
+            k = int(np.argmax(first_l < t))
+            return k0 + k, int(first_l[k])
     return None
 
 

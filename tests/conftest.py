@@ -185,6 +185,35 @@ def per_square_regularity_check(params, arr):
         raise ColumnRegularityViolation(j, a + 1, int(col_counts[j, a]), lam)
 
 
+def line_regularity_oracle(params, stack):
+    """The error the stack validator must raise for ``stack``, or None, by
+    plain Python over its lines: in the first faulty square, its first entry
+    outside 1..m in row-major order, else the lowest symbol that some row,
+    then some column, holds other than lam times, the lowest such line."""
+    from mofs.core import (
+        ColumnRegularityViolation,
+        RowRegularityViolation,
+        SymbolOutOfRange,
+    )
+
+    m, lam = params.m, params.lam
+    for grid in np.asarray(stack).tolist():
+        for i, row in enumerate(grid):
+            for j, value in enumerate(row):
+                if not 1 <= value <= m:
+                    return SymbolOutOfRange(f"entry ({i},{j}) = {value} not in 1..{m}")
+        columns = [list(column) for column in zip(*grid)]
+        for a in range(1, m + 1):
+            for lines, error in (
+                (grid, RowRegularityViolation),
+                (columns, ColumnRegularityViolation),
+            ):
+                for i, line in enumerate(lines):
+                    if line.count(a) != lam:
+                        return error(i, a, line.count(a), lam)
+    return None
+
+
 def first_per_square_error(params, stack):
     """(index, error) of the first square of ``stack`` that the per-square
     check rejects, or None."""

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from conftest import (
     EXAMPLE_I3,
     corrupted_stacks,
     first_per_square_error,
+    line_regularity_oracle,
 )
 
 
@@ -202,6 +205,37 @@ class TestStackValidator:
             assert str(exc.value) == str(error)
             # The squares before the first bad one pass on their own.
             _validate_regularity(params, stack[:k])
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_line_oracle(self, m, lam, t, faults, huge, seed):
+        # A corrupted cell gets another symbol, 0, m + 1, or a value no symbol
+        # type holds: a negative int64, or a uint64 of 2^63 or more.  Or it
+        # trades symbols with a cell of its row, which can break only columns.
+        params, rng = mofs.Params(m, lam), random.Random(seed)
+        stack = np.array([mofs.random_fsquare(params, rng).grid for _ in range(t)])
+        stack = stack.astype(np.uint64 if huge else np.int64)
+        wild = rng.randrange(2**63, 2**64) if huge else -rng.randrange(1, 2**63)
+        for _ in range(faults):
+            k, i, j, j2 = rng.randrange(t), *(rng.randrange(params.n) for _ in range(3))
+            if rng.random() < 0.5:
+                stack[k, i, [j, j2]] = stack[k, i, [j2, j]]
+            else:
+                stack[k, i, j] = rng.choice([*range(1, m + 1), 0, m + 1, wild])
+        expected = line_regularity_oracle(params, stack)
+        if expected is None:
+            _validate_regularity(params, stack)
+            return
+        with pytest.raises(type(expected)) as exc:
+            _validate_regularity(params, stack)
+        assert str(exc.value) == str(expected)
 
     def test_later_chunk_is_checked(self):
         mset = mofs.construct_prime_power(2, 4)

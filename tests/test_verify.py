@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
+from mofs import verify
 from mofs.core import DimensionMismatch, SymbolOutOfRange
 from mofs.search import SearchConfig
 from mofs.verify import (
@@ -125,6 +131,35 @@ class TestVerifyMofs:
             mofs.verify_mofs([])
 
 
+class TestHostileStack:
+    def test_copies_of_one_square_refused_quickly_under_a_memory_cap(self):
+        # The first strip meets every later square, so its Gram blocks must
+        # stay within the budget however many squares follow.
+        script = textwrap.dedent(
+            """
+            import resource, time
+            import numpy as np
+            import mofs
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, hard))
+            grids = np.broadcast_to(np.array([[1, 2], [2, 1]]), (100_000, 2, 2))
+            start = time.perf_counter()
+            try:
+                mofs.MofsSet(mofs.Params(2, 1), grids)
+            except mofs.NotOrthogonal as exc:
+                print(time.perf_counter() - start, exc.k, exc.l)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mofs.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        seconds, k, l = done.stdout.split()
+        assert (k, l) == ("1", "2")
+        assert float(seconds) < 1, seconds
+
+
 def brute_force_first_failure(squares):
     """(k, l, a, b, count), 1-based, of the first failing pair by a direct
     scan over every pair's superposition counts."""
@@ -139,9 +174,19 @@ def brute_force_first_failure(squares):
     return None
 
 
+def tiles_of(monkeypatch, params, tile):
+    """Shrink the kernel's block budget until squares of this type go ``tile``
+    to a tile, so that sets of a few hundred squares span several tiles."""
+    r = max(params.m - 1, 1)
+    budget = max(tile * r * params.n**2, (tile * r) ** 2)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", budget)
+    assert _tile(params, params.n**2) == tile
+
+
 @pytest.fixture(scope="module")
 def multi_tile_sets():
-    """Complete sets larger than one tile of the orthogonality kernel."""
+    """Complete sets larger than two 64-square tiles of the orthogonality
+    kernel (see :func:`tiles_of`)."""
     return {
         "federer12": mofs.construct_federer(mofs.hadamard(12)).squares,  # 121, m = 2
         "pp33": mofs.construct_prime_power(3, 3).squares,  # 338, m = 3
@@ -150,8 +195,9 @@ def multi_tile_sets():
 
 class TestKernelAgainstBruteForce:
     @pytest.mark.parametrize("name", ["federer12", "pp33"])
-    def test_first_failure_over_the_whole_row_strip(self, multi_tile_sets, name):
+    def test_first_failure_over_the_whole_row_strip(self, multi_tile_sets, name, monkeypatch):
         squares = list(multi_tile_sets[name])
+        tiles_of(monkeypatch, squares[0].params, 64)
         # (6, 101) fails in the second column tile; (11, 21) has a larger k
         # but sits in the first column tile.
         squares[100] = squares[5]
@@ -232,8 +278,9 @@ class TestMeets:
         self.check(mset.params, mset.grids, symbols)
 
     @pytest.mark.parametrize("m,lam,t", [(2, 2, 150), (3, 1, 130), (1, 3, 140)])
-    def test_stacks_over_several_tiles(self, m, lam, t):
+    def test_stacks_over_several_tiles(self, m, lam, t, monkeypatch):
         params, rng = mofs.Params(m, lam), random.Random(t)
+        tiles_of(monkeypatch, params, 64)
         grids = np.array([mofs.random_fsquare(params, rng).grid for _ in range(t)])
         flat = grids.reshape(t, -1)
         tile = _tile(params, flat.shape[1])
