@@ -41,7 +41,9 @@ def _read_set(path):
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise fileformat.ParseError(line_no, "not UTF-8 text") from None
     # Universal newlines, as a file opened in text mode reads them.
-    return fileformat.decode(text.replace("\r\n", "\n").replace("\r", "\n"))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return fileformat.decode(text)
 
 
 def _cmd_construct(args):

@@ -144,7 +144,7 @@ class FSquare:
     :func:`_leaves` instead.
     """
 
-    __slots__ = ("params", "grid", "_key")
+    __slots__ = ("params", "grid")
 
     def __init__(self, params: Params, grid):
         arr = _as_grid(params, grid)
@@ -154,16 +154,21 @@ class FSquare:
         # The grid borrows its key, as a leaf's does: read-only for good.
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "grid", np.ndarray(arr.shape, np.int64, key))
-        object.__setattr__(self, "_key", (params, key))
 
     def __setattr__(self, name, value):
         raise AttributeError("FSquare is immutable")
 
+    # A square is equal to and hashed as its params and its key, the bytes
+    # that its grid borrows.
     def __eq__(self, other):
-        return isinstance(other, FSquare) and self._key == other._key
+        return (
+            isinstance(other, FSquare)
+            and self.params == other.params
+            and self.grid.base == other.grid.base
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.params, self.grid.base))
 
     def __repr__(self):
         return f"FSquare({self.params}, {self.grid.tolist()})"
@@ -230,12 +235,10 @@ def _leaves(params: Params, keys):
     new, array = object.__new__, np.ndarray
     set_params = FSquare.params.__set__
     set_grid = FSquare.grid.__set__
-    set_key = FSquare._key.__set__
     for key in keys:
         square = new(FSquare)
         set_params(square, params)
         set_grid(square, array(shape, int64, key))
-        set_key(square, (params, key))
         yield square
 
 

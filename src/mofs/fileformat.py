@@ -6,15 +6,27 @@ separated by exactly one blank line.  Lines starting with ``#`` are
 comments and are ignored on decode.  Files end with a newline.
 
 Both directions work on the (t, n, n) stack in chunks of squares (at most
-``core._CHUNK_CELLS`` cells each).  ``encode`` formats a chunk into one
-byte buffer through a per-symbol digit table.  ``decode`` first takes the
-bulk path: a file laid out exactly as ``encode`` writes it (header on the
-first line, ``count`` blocks of n lines, single spaces, one blank line
-between blocks, ASCII digits only) is parsed a chunk at a time as bytes
-with numpy into one stack, which is validated once.  Any other file, and
-any file with a square that is not regular, goes to the per-line parser,
-which is the only path that reports a malformed file; so every
-``ParseError`` and its ``line_no`` come from the same line-by-line rules.
+``core._CHUNK_CELLS`` cells each), in one of two bulk layouts:
+
+- When every symbol 1..m is one digit (m <= 9), a square and the blank
+  line after it are exactly 2 n^2 + 1 bytes: digits in the even slots,
+  a space or a row's newline in the odd ones, and the blank line's newline
+  last.  ``encode`` fills a chunk as one (t, 2 n^2 + 1) byte buffer and
+  ``decode`` reads one as a strided view of the file at an offset computed
+  from its first square, comparing the separator slots with one pattern
+  and range-checking the digits.  The last square has no blank line, so
+  only a body of exactly count * (2 n^2 + 1) - 1 bytes has this layout.
+- With wider symbols, ``encode`` writes a chunk through a per-symbol digit
+  table, and ``decode`` finds each square's blank line and each cell's
+  separator by scanning and reads the 1..width digits before it.
+
+``decode`` takes the bulk path for a file laid out exactly as ``encode``
+writes it (header on the first line, ``count`` blocks of n lines, single
+spaces, one blank line between blocks, ASCII digits only), which fills one
+stack that is validated once.  Any other file, and any file with a square
+that is not regular, goes to the per-line parser, which is the only path
+that reports a malformed file; so every ``ParseError`` and its ``line_no``
+come from the same line-by-line rules.
 """
 
 from __future__ import annotations
@@ -49,7 +61,32 @@ _NEWLINE, _SPACE, _ZERO = ord("\n"), ord(" "), ord("0")
 
 def encode(mset: MofsSet) -> str:
     params = mset.params
-    m, n = params.m, params.n
+    header = f"MOFS m={params.m} lambda={params.lam} count={mset.t}\n"
+    write = _encode_fixed if params.m <= 9 else _encode_tabled
+    return "".join([header, *write(mset)])
+
+
+def _encode_fixed(mset: MofsSet):
+    """The body of a set of one-digit symbols, a chunk of squares at a time.
+    A square and its blank line are the 2 n^2 + 1 bytes of one row of a
+    buffer: digits in the even slots, separators in the odd ones, and the
+    blank line last, which the last square does not have."""
+    n, step = mset.params.n, _chunk_squares(mset.params)
+    seps = _separators(n)
+    for k0 in range(0, mset.t, step):
+        chunk = mset.grids[k0 : k0 + step]
+        cells = np.empty((len(chunk), 2 * n * n + 1), np.uint8)
+        np.add(chunk.reshape(len(chunk), -1), _ZERO, out=cells[:, :-1:2])
+        cells[:, 1::2] = seps
+        cells[:, -1] = _NEWLINE
+        last = None if k0 + step < mset.t else -1
+        yield cells.reshape(-1)[:last].tobytes().decode("ascii")
+
+
+def _encode_tabled(mset: MofsSet):
+    """The body of a set of any symbols, a chunk of squares at a time,
+    through a per-symbol digit table."""
+    m = mset.params.m
     # A cell is written as up to three parts: slot 0 the blank line before
     # every square but the first, slot 1 the separator before the cell (a
     # newline at a row start, else a space), then the decimal digits of its
@@ -63,18 +100,25 @@ def encode(mset: MofsSet) -> str:
     for a, d in enumerate(digits):
         table[a, 2 : 2 + len(d)] = np.frombuffer(d, np.uint8)
         keep[a, 1 : 2 + len(d)] = True
-    parts = [f"MOFS m={m} lambda={params.lam} count={mset.t}"]
-    step = _chunk_squares(params)
+    step = _chunk_squares(mset.params)
     for k0 in range(0, mset.t, step):
         chunk = mset.grids[k0 : k0 + step]
         cells, written = table.take(chunk, axis=0), keep.take(chunk, axis=0)
         cells[:, :, 0, 1] = _NEWLINE
         written[:, 0, 0, 0] = True
         if k0 == 0:
-            written[0, 0, 0, 0] = False
-        parts.append(cells[written].tobytes().decode("ascii"))
-    parts.append("\n")
-    return "".join(parts)
+            # The header's newline starts the first row.
+            written[0, 0, 0, :2] = False
+        yield cells[written].tobytes().decode("ascii")
+    yield "\n"
+
+
+def _separators(n: int) -> np.ndarray:
+    """The n * n bytes that end the cells of one square, row by row: a
+    space after each cell but a row's last, which ends in a newline."""
+    seps = np.full((n, n), _SPACE, np.uint8)
+    seps[:, -1] = _NEWLINE
+    return seps.reshape(-1)
 
 
 def decode(text: str) -> MofsSet:
@@ -100,19 +144,63 @@ def _decode_bulk(text: str):
     # Each square is n rows of n one-digit-or-wider cells, each cell ending
     # in a space or a newline, then a blank line, apart from the last's blank
     # line.  The length check bounds every allocation below by the size of
-    # the file, before anything of size n * n is built.
-    if len(text) - end < count * (2 * n * n + 1):
+    # the file, before anything of size n * n is built.  With one-digit
+    # symbols only the shortest such body is laid out as encode writes it.
+    body = len(text) - end - 1
+    shortest = count * (2 * n * n + 1) - 1
+    if body < shortest or (m <= 9 and body != shortest):
         return None
-    if text.count("\n", end + 1) != count * (n + 1) - 1:
+    read = _read_fixed if m <= 9 else _read_scanned
+    stack = read(text, end + 1, params, count)
+    if stack is None:
+        return None
+    try:
+        return MofsSet(params, stack)
+    except (SymbolOutOfRange, RowRegularityViolation, ColumnRegularityViolation):
+        return None
+
+
+def _read_fixed(text: str, pos: int, params: Params, count: int):
+    """The (count, n, n) stack of the body from ``pos`` on, in which every
+    square and its blank line are 2 n^2 + 1 bytes, or None where a byte is
+    not the one the layout puts there: a digit 1..m in each even slot, the
+    separators in the odd ones, a newline last."""
+    m, n = params.m, params.n
+    size = 2 * n * n + 1
+    seps = _separators(n)
+    stack = np.empty((count, n, n), np.uint8)
+    step = _chunk_squares(params)
+    for k0 in range(0, count, step):
+        t = min(step, count - k0)
+        block = text[pos + k0 * size : pos + (k0 + t) * size]
+        if k0 + t == count:
+            block += "\n"  # the last square's blank line
+        try:
+            raw = np.frombuffer(block.encode("ascii"), np.uint8).reshape(t, size)
+        except UnicodeEncodeError:
+            return None
+        if (raw[:, 1::2] != seps).any() or (raw[:, -1] != _NEWLINE).any():
+            return None
+        # A byte below "0" wraps above 9, so only the digits 1..m pass.
+        values = stack[k0 : k0 + t].reshape(t, -1)
+        np.subtract(raw[:, :-1:2], _ZERO, out=values)
+        if values.min() < 1 or values.max() > m:
+            return None
+    return stack
+
+
+def _read_scanned(text: str, pos: int, params: Params, count: int):
+    """The (count, n, n) stack of the body from ``pos`` on, whose cells may
+    be several digits wide, found by scanning for the separators, or None
+    where the body is not laid out as ``encode`` writes it."""
+    m, n = params.m, params.n
+    if text.count("\n", pos) != count * (n + 1) - 1:
         return None
     width = len(str(m))
     # The non-digit bytes of one square and its blank line, in order.
-    row = np.full(n, _SPACE, np.uint8)
-    row[-1] = _NEWLINE
-    square_seps = np.append(np.tile(row, n), np.uint8(_NEWLINE))
+    square_seps = np.append(_separators(n), np.uint8(_NEWLINE))
 
     stack = np.empty((count, n, n), np.min_scalar_type(m))
-    pos = end + 1
     step = _chunk_squares(params)
     for k0 in range(0, count, step):
         t = min(step, count - k0)
@@ -150,10 +238,7 @@ def _decode_bulk(text: str):
         if values.min() < 1 or values.max() > m:
             return None
         stack[k0 : k0 + t] = values.reshape(t, n, n)
-    try:
-        return MofsSet(params, stack)
-    except (SymbolOutOfRange, RowRegularityViolation, ColumnRegularityViolation):
-        return None
+    return stack
 
 
 def _parse_rows(block, n: int) -> list:

@@ -446,7 +446,7 @@ def _project(params: Params, members: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = x.T.astype(np.float64)
     found, sums = np.zeros_like(y), 0
     for l0 in range(0, len(grids), tile):
-        rows = _indicator_rows(grids[l0 : l0 + tile], params).astype(np.float64)
+        rows = _indicator_rows(grids[l0 : l0 + tile], params, np.float64)
         ay = (rows @ y % p).reshape(-1, r, d)
         s = ay.sum(axis=1, keepdims=True) % p
         found = (found + rows.T @ ((ay + s) % p).reshape(-1, d)) % p

@@ -157,15 +157,17 @@ def _tile(params: Params, cells: int) -> int:
     return max(1, min(_BLOCK_ENTRIES // (r * cells), math.isqrt(_BLOCK_ENTRIES) // r))
 
 
-def _indicator_rows(grids: np.ndarray, params: Params) -> np.ndarray:
+def _indicator_rows(grids: np.ndarray, params: Params, dtype=None) -> np.ndarray:
     """The reduced indicator squares (symbols 2..m; symbol 1 when m = 1) of
     the flattened ``grids``, one row per (square, symbol) with the symbols
-    varying fastest, in float32 (float64 once n^2 >= 2^24), in which every
-    product of two rows is exact."""
+    varying fastest, in ``dtype``; by default float32 (float64 once
+    n^2 >= 2^24), in which every product of two rows is exact."""
     cells = grids.shape[1]
+    if dtype is None:
+        dtype = np.float32 if cells < 1 << 24 else np.float64
     symbols = np.arange(min(2, params.m), params.m + 1, dtype=grids.dtype)
     hits = grids[:, None, :] == symbols[:, None]
-    return hits.reshape(-1, cells).astype(np.float32 if cells < 1 << 24 else np.float64)
+    return hits.reshape(-1, cells).astype(dtype)
 
 
 def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.ndarray:

@@ -29,6 +29,8 @@ def _comments_and_no_gaps(text):
 
 
 FEDERER16 = mofs.construct_federer(mofs.hadamard(16))  # 225 x F(16;8)
+PP5_2 = mofs.construct_prime_power(5, 2)  # 144 x F(25;5)
+ONES = mofs.FSquare(Params(1, 3), np.ones((3, 3), np.int64))
 
 VALID_FILES = [
     encode(mofs.construct_federer(mofs.hadamard(4))),  # 9 x F(4;2)
@@ -163,6 +165,15 @@ def reference_decode(text: str):
     return verify_mofs(squares)
 
 
+# Edits of an F(16;8) file (m = 2) that keep its length.
+SAME_LENGTH_EDITS = [
+    pytest.param(lambda s: s.replace("\n\n", "1\n", 1), id="digit-in-gap"),
+    pytest.param(lambda s: s.replace("\n\n", "\n1", 1), id="digit-in-blank-line"),
+    pytest.param(lambda s: s.replace("\n1 ", "\n0 ", 1), id="symbol-0"),
+    pytest.param(lambda s: s.replace("\n1 ", "\n3 ", 1), id="symbol-above-m"),
+]
+
+
 def _move_line_break(text):
     """Break the first row after its first symbol and join the rest of it to
     the second row: the same bytes but one, in other places."""
@@ -241,8 +252,18 @@ class TestBulkPath:
         assert t * p.n * p.n > _CHUNK_CELLS
         assert t % _chunk_squares(p) != 0
         assert "count=10" in VALID_FILES[3] and " 10 " in VALID_FILES[3]
+        p, t = PP5_2.params, PP5_2.t
+        assert t > _chunk_squares(p) and t % _chunk_squares(p) != 0
 
-    @pytest.mark.parametrize("mset", [*hand_built_sets(), FEDERER16])
+    @pytest.mark.parametrize(
+        "mset",
+        [
+            *hand_built_sets(),
+            FEDERER16,
+            pytest.param(PP5_2, id="pp5-2"),
+            pytest.param(mofs.verify_mofs([ONES, ONES]), id="m1"),
+        ],
+    )
     def test_encode_matches_the_reference(self, mset):
         # The hand-built sets are not orthogonal; their symbols take up to
         # three digits.
@@ -278,6 +299,7 @@ class TestBulkPath:
     @pytest.mark.parametrize(
         "edit",
         [
+            *SAME_LENGTH_EDITS,
             pytest.param(lambda s: s.replace("\n", "\r\n"), id="crlf"),
             pytest.param(lambda s: s.replace(" ", "  ", 1), id="double-space"),
             pytest.param(lambda s: s.replace("\n1 ", "\n01 ", 1), id="leading-zero"),
@@ -298,6 +320,14 @@ class TestBulkPath:
     def test_non_canonical_layouts_agree_with_the_reference(self, edit):
         text = edit(encode(FEDERER16))
         assert outcome(decode, text) == outcome(reference_decode, text)
+
+    @pytest.mark.parametrize("edit", SAME_LENGTH_EDITS)
+    def test_fixed_layout_refuses_a_wrong_byte(self, edit):
+        # The length is that of the encoded file, so the bytes themselves
+        # must be checked.
+        text = encode(FEDERER16)
+        assert len(edit(text)) == len(text)
+        assert mofs.fileformat._decode_bulk(edit(text)) is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_bad_square_reported_at_its_first_line(self, seed):
