@@ -5,28 +5,25 @@ square as n lines of n space-separated symbols, consecutive squares
 separated by exactly one blank line.  Lines starting with ``#`` are
 comments and are ignored on decode.  Files end with a newline.
 
-Both directions work on the (t, n, n) stack in chunks of squares (at most
-``core._CHUNK_CELLS`` cells each), in one of two bulk layouts:
+A row of a regular square holds each symbol 1..m exactly lam times, so as
+``encode`` writes it, it is lam * (the digits of 1..m) + n bytes for any m,
+and a square and the blank line after it are a record of fixed size: each
+cell's digits then its separator (a space, or a newline ending a row), and
+the blank line's newline.  The last square has no blank line, so the body
+is count * size - 1 bytes.  Both directions view a chunk of squares (at
+most ``core._CHUNK_CELLS`` cells) as a (t, size) byte array, cut at the
+offset of its first record.  With one-digit symbols (m <= 9) digits and
+separators take alternate slots, filled and compared by strided views;
+wider symbols are written from a per-symbol digit table and read by
+scanning a chunk for its separators and the 1..width digits before each.
 
-- When every symbol 1..m is one digit (m <= 9), a square and the blank
-  line after it are exactly 2 n^2 + 1 bytes: digits in the even slots,
-  a space or a row's newline in the odd ones, and the blank line's newline
-  last.  ``encode`` fills a chunk as one (t, 2 n^2 + 1) byte buffer and
-  ``decode`` reads one as a strided view of the file at an offset computed
-  from its first square, comparing the separator slots with one pattern
-  and range-checking the digits.  The last square has no blank line, so
-  only a body of exactly count * (2 n^2 + 1) - 1 bytes has this layout.
-- With wider symbols, ``encode`` writes a chunk through a per-symbol digit
-  table, and ``decode`` finds each square's blank line and each cell's
-  separator by scanning and reads the 1..width digits before it.
-
-``decode`` takes the bulk path for a file laid out exactly as ``encode``
-writes it (header on the first line, ``count`` blocks of n lines, single
-spaces, one blank line between blocks, ASCII digits only), which fills one
-stack that is validated once.  Any other file, and any file with a square
-that is not regular, goes to the per-line parser, which is the only path
-that reports a malformed file; so every ``ParseError`` and its ``line_no``
-come from the same line-by-line rules.
+``decode`` takes this bulk path only for a file laid out exactly as
+``encode`` writes it (header on the first line, ``count`` records, single
+spaces, ASCII digits), which fills one stack that is validated once.  Any
+other file, and any file with a square that is not regular, goes to the
+per-line parser, which is the only path that reports a malformed file; so
+every ``ParseError`` and its ``line_no`` come from the same line-by-line
+rules.
 """
 
 from __future__ import annotations
@@ -62,55 +59,33 @@ _NEWLINE, _SPACE, _ZERO = ord("\n"), ord(" "), ord("0")
 def encode(mset: MofsSet) -> str:
     params = mset.params
     header = f"MOFS m={params.m} lambda={params.lam} count={mset.t}\n"
-    write = _encode_fixed if params.m <= 9 else _encode_tabled
-    return "".join([header, *write(mset)])
+    return "".join([header, *_encode_records(mset)])
 
 
-def _encode_fixed(mset: MofsSet):
-    """The body of a set of one-digit symbols, a chunk of squares at a time.
-    A square and its blank line are the 2 n^2 + 1 bytes of one row of a
-    buffer: digits in the even slots, separators in the odd ones, and the
-    blank line last, which the last square does not have."""
-    n, step = mset.params.n, _chunk_squares(mset.params)
-    seps = _separators(n)
+def _encode_records(mset: MofsSet):
+    """The body, a chunk of squares at a time.  Each square is a record of
+    n * n cells of width + 1 bytes, its digits and then its separator, and
+    a final newline; digit slots that a symbol leaves empty hold zero
+    bytes, which are dropped, and so is the last record's newline."""
+    m, n = mset.params.m, mset.params.n
+    width = len(str(m))
+    table = "".join(str(a).ljust(width, "\0") for a in range(m + 1))
+    table = np.frombuffer(table.encode("ascii"), np.uint8).reshape(m + 1, width)
+    seps, step = _separators(n), _chunk_squares(mset.params)
     for k0 in range(0, mset.t, step):
-        chunk = mset.grids[k0 : k0 + step]
-        cells = np.empty((len(chunk), 2 * n * n + 1), np.uint8)
-        np.add(chunk.reshape(len(chunk), -1), _ZERO, out=cells[:, :-1:2])
-        cells[:, 1::2] = seps
-        cells[:, -1] = _NEWLINE
-        last = None if k0 + step < mset.t else -1
-        yield cells.reshape(-1)[:last].tobytes().decode("ascii")
-
-
-def _encode_tabled(mset: MofsSet):
-    """The body of a set of any symbols, a chunk of squares at a time,
-    through a per-symbol digit table."""
-    m = mset.params.m
-    # A cell is written as up to three parts: slot 0 the blank line before
-    # every square but the first, slot 1 the separator before the cell (a
-    # newline at a row start, else a space), then the decimal digits of its
-    # symbol.  table[a] holds those bytes for symbol a, keep[a] which of them
-    # are written.
-    digits = [str(a).encode("ascii") for a in range(m + 1)]
-    width = len(digits[-1])
-    table = np.zeros((m + 1, width + 2), np.uint8)
-    keep = np.zeros((m + 1, width + 2), bool)
-    table[:, :2] = (_NEWLINE, _SPACE)
-    for a, d in enumerate(digits):
-        table[a, 2 : 2 + len(d)] = np.frombuffer(d, np.uint8)
-        keep[a, 1 : 2 + len(d)] = True
-    step = _chunk_squares(mset.params)
-    for k0 in range(0, mset.t, step):
-        chunk = mset.grids[k0 : k0 + step]
-        cells, written = table.take(chunk, axis=0), keep.take(chunk, axis=0)
-        cells[:, :, 0, 1] = _NEWLINE
-        written[:, 0, 0, 0] = True
-        if k0 == 0:
-            # The header's newline starts the first row.
-            written[0, 0, 0, :2] = False
-        yield cells[written].tobytes().decode("ascii")
-    yield "\n"
+        chunk = mset.grids[k0 : k0 + step].reshape(-1, n * n)
+        records = np.empty((len(chunk), n * n * (width + 1) + 1), np.uint8)
+        if width == 1:
+            np.add(chunk, _ZERO, out=records[:, :-1:2])
+        else:
+            for j in range(width):
+                records[:, j : -1 : width + 1] = table[chunk, j]
+        records[:, width : -1 : width + 1] = seps
+        records[:, -1] = _NEWLINE
+        body = records.reshape(-1)[: None if k0 + step < mset.t else -1]
+        if width > 1:
+            body = body[body != 0]
+        yield body.tobytes().decode("ascii")
 
 
 def _separators(n: int) -> np.ndarray:
@@ -119,6 +94,16 @@ def _separators(n: int) -> np.ndarray:
     seps = np.full((n, n), _SPACE, np.uint8)
     seps[:, -1] = _NEWLINE
     return seps.reshape(-1)
+
+
+def _record_size(params: Params) -> int:
+    """Bytes of a square and its blank line as ``encode`` writes them,
+    with the digits of 1..m summed per decimal width, so that a huge m in
+    a header costs a few steps."""
+    m, digits = params.m, 0
+    for w in range(1, len(str(m)) + 1):
+        digits += w * (min(m, 10**w - 1) - 10 ** (w - 1) + 1)
+    return params.n * (params.lam * digits + params.n) + 1
 
 
 def decode(text: str) -> MofsSet:
@@ -140,18 +125,13 @@ def _decode_bulk(text: str):
     if m < 1 or lam < 1 or count < 1:
         return None
     params = Params(m, lam)
-    n = params.n
-    # Each square is n rows of n one-digit-or-wider cells, each cell ending
-    # in a space or a newline, then a blank line, apart from the last's blank
-    # line.  The length check bounds every allocation below by the size of
-    # the file, before anything of size n * n is built.  With one-digit
-    # symbols only the shortest such body is laid out as encode writes it.
-    body = len(text) - end - 1
-    shortest = count * (2 * n * n + 1) - 1
-    if body < shortest or (m <= 9 and body != shortest):
+    # Only a body of count records, less the last newline, is laid out as
+    # encode writes it.  Checked first, this bounds every allocation below
+    # by the size of the file, before anything of size n * n is built.
+    size = _record_size(params)
+    if len(text) - end - 1 != count * size - 1:
         return None
-    read = _read_fixed if m <= 9 else _read_scanned
-    stack = read(text, end + 1, params, count)
+    stack = _read_records(text, end + 1, params, count, size)
     if stack is None:
         return None
     try:
@@ -160,15 +140,16 @@ def _decode_bulk(text: str):
         return None
 
 
-def _read_fixed(text: str, pos: int, params: Params, count: int):
-    """The (count, n, n) stack of the body from ``pos`` on, in which every
-    square and its blank line are 2 n^2 + 1 bytes, or None where a byte is
-    not the one the layout puts there: a digit 1..m in each even slot, the
-    separators in the odd ones, a newline last."""
+def _read_records(text: str, pos: int, params: Params, count: int, size: int):
+    """The (count, n, n) stack of the ``count`` records of ``size`` bytes
+    from ``pos`` on, or None where a record is not laid out as ``encode``
+    writes it: a newline last, the separators in order before it, and a
+    symbol 1..m of 1..width digits before each separator."""
     m, n = params.m, params.n
-    size = 2 * n * n + 1
+    width = len(str(m))
     seps = _separators(n)
-    stack = np.empty((count, n, n), np.uint8)
+    record_seps = np.append(seps, np.uint8(_NEWLINE))
+    stack = np.empty((count, n, n), np.min_scalar_type(m))
     step = _chunk_squares(params)
     for k0 in range(0, count, step):
         t = min(step, count - k0)
@@ -179,65 +160,37 @@ def _read_fixed(text: str, pos: int, params: Params, count: int):
             raw = np.frombuffer(block.encode("ascii"), np.uint8).reshape(t, size)
         except UnicodeEncodeError:
             return None
-        if (raw[:, 1::2] != seps).any() or (raw[:, -1] != _NEWLINE).any():
+        if (raw[:, -1] != _NEWLINE).any():
             return None
-        # A byte below "0" wraps above 9, so only the digits 1..m pass.
         values = stack[k0 : k0 + t].reshape(t, -1)
-        np.subtract(raw[:, :-1:2], _ZERO, out=values)
-        if values.min() < 1 or values.max() > m:
+        if width == 1:
+            # Digits in the even slots, separators in the odd ones; a byte
+            # below "0" wraps above 9, so only the digits 1..m pass.
+            if (raw[:, 1::2] != seps).any():
+                return None
+            np.subtract(raw[:, :-1:2], _ZERO, out=values)
+            if values.min() < 1 or values.max() > m:
+                return None
+            continue
+        flat, expected = raw.reshape(-1), np.tile(record_seps, t)
+        found = np.flatnonzero((flat - _ZERO) > 9).astype(np.int32)
+        if len(found) != len(expected) or (flat[found] != expected).any():
             return None
-    return stack
-
-
-def _read_scanned(text: str, pos: int, params: Params, count: int):
-    """The (count, n, n) stack of the body from ``pos`` on, whose cells may
-    be several digits wide, found by scanning for the separators, or None
-    where the body is not laid out as ``encode`` writes it."""
-    m, n = params.m, params.n
-    if text.count("\n", pos) != count * (n + 1) - 1:
-        return None
-    width = len(str(m))
-    # The non-digit bytes of one square and its blank line, in order.
-    square_seps = np.append(_separators(n), np.uint8(_NEWLINE))
-
-    stack = np.empty((count, n, n), np.min_scalar_type(m))
-    step = _chunk_squares(params)
-    for k0 in range(0, count, step):
-        t = min(step, count - k0)
-        start = pos
-        for k in range(k0, k0 + t):
-            if k == count - 1:
-                pos = len(text)
-            else:
-                pos = text.find("\n\n", pos) + 2
-                if pos == 1:
-                    return None
-        # The last square gets its blank line here, so every chunk is t
-        # repetitions of n rows and a blank line.
-        block = text[start:pos] if pos < len(text) else text[start:] + "\n"
-        try:
-            raw = np.frombuffer(block.encode("ascii"), np.uint8)
-        except UnicodeEncodeError:
-            return None
-        seps = np.flatnonzero((raw - _ZERO) > 9).astype(np.int32)
-        expected = np.tile(square_seps, t)
-        if len(seps) != len(expected) or (raw[seps] != expected).any():
-            return None
-        # lengths[k, c]: digits before separator c of square k.  A cell has
-        # 1..width digits before its separator, a blank line none.
-        lengths = np.diff(seps, prepend=np.int32(-1)).reshape(t, -1) - 1
+        # lengths[k, c]: digits before separator c of record k.  A cell has
+        # 1..width digits before its separator, the blank line none.
+        lengths = np.diff(found, prepend=np.int32(-1)).reshape(t, -1) - 1
         blank, lengths = lengths[:, -1], lengths[:, :-1]
         if blank.any() or lengths.min() < 1 or lengths.max() > width:
             return None
-        ends = seps.reshape(t, -1)[:, :-1]
-        values = (raw[ends - 1] - _ZERO).astype(np.int64)
+        ends = found.reshape(t, -1)[:, :-1]
+        parsed = (flat[ends - 1] - _ZERO).astype(np.int64)
         for k in range(2, width + 1):
-            more = (raw[ends - k] - _ZERO).astype(np.int64) * 10 ** (k - 1)
-            values += np.where(lengths >= k, more, 0)
+            more = (flat[ends - k] - _ZERO).astype(np.int64) * 10 ** (k - 1)
+            parsed += np.where(lengths >= k, more, 0)
         # Range-checked before the narrowing cast, so no entry wraps.
-        if values.min() < 1 or values.max() > m:
+        if parsed.min() < 1 or parsed.max() > m:
             return None
-        stack[k0 : k0 + t] = values.reshape(t, n, n)
+        values[...] = parsed
     return stack
 
 

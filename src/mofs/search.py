@@ -58,9 +58,9 @@ DEFAULT_MAX_ENUM = 10_000_000
 
 
 class InfeasibleSizeGuard(MofsError):
-    def __init__(self, estimate, ceiling, kind="estimated"):
+    def __init__(self, estimate, ceiling, kind="estimated", unit="squares"):
         super().__init__(
-            f"{kind} {estimate} squares exceeds the ceiling {ceiling};"
+            f"{kind} {estimate} {unit} exceeds the ceiling {ceiling};"
             f" raise MOFS_MAX_ENUM or force (--force) to override"
         )
         self.estimate = estimate
@@ -256,6 +256,12 @@ def _guard(params: Params, config: SearchConfig) -> None:
                 least = least * (left - j + 1) // j
                 if least > ceiling:
                     raise InfeasibleSizeGuard(least, ceiling, "at least")
+        # The table holds n cells per pattern, so P under the ceiling can
+        # still take gigabytes to table (C(24, 12) patterns of 24 cells).
+        if least * params.n > ceiling:
+            raise InfeasibleSizeGuard(
+                least * params.n, ceiling, "a row-pattern table of", "cells"
+            )
         return
     # For m >= 2 the n distinct rows of the cyclic square permute into n!
     # distinct squares.  That lower bound passes the ceiling after a few
@@ -705,10 +711,11 @@ def _count(
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``limit`` (``config.max_results`` when None), counted without building
     the squares: m! per cover on the linear-dual path, else from the keys."""
-    _guard(params, config)
     limit = config.max_results if limit is None else limit
     covers = _dual_covers(params, members)
     if covers is None or config.prefix:
+        # Only a walk over keys is guarded: the covers are counted at once.
+        _guard(params, config)
         keys = _stream(params, members, covers, config.prefix)
         return sum(1 for _ in islice(keys, limit))
     found = len(covers) * factorial(params.m)

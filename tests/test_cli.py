@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -385,14 +386,20 @@ class TestRefusedQuickly:
         files = {"h24": root / "h24.mofs", "f16": root / "f16.mofs"}
         assert main(["construct", "--hadamard", "24", "-o", str(files["h24"])]) == 0
         assert main(["construct", "--prime-power", "2", "4", "-o", str(files["f16"])]) == 0
+        # One square of each type leaves too many free cells for the linear
+        # dual, so its exhaustive search walks the engine's keys.
+        for name in ("h24", "f16"):
+            first = decode(files[name].read_text()).squares[:1]
+            files[f"{name}-1"] = root / f"{name}-1.mofs"
+            files[f"{name}-1"].write_text(encode(mofs.verify_mofs(first)))
         return files
 
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["extend", "h24", "--exhaustive"], id="extend-h24-exhaustive"),
+            pytest.param(["extend", "h24-1", "--exhaustive"], id="extend-h24-exhaustive"),
             pytest.param(["extend", "h24", "--greedy", "--seed", "0"], id="extend-h24-greedy"),
-            pytest.param(["extend", "f16", "--exhaustive"], id="extend-f16-exhaustive"),
+            pytest.param(["extend", "f16-1", "--exhaustive"], id="extend-f16-exhaustive"),
             pytest.param(["count", "2", "50"], id="count-2-50"),
             pytest.param(["count", "3000", "1"], id="count-3000-1"),
             # n = 10^21 cannot shape an (n, n) array: the guard runs first.
@@ -405,6 +412,17 @@ class TestRefusedQuickly:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("refused: at least ")
         assert "exceeds the ceiling 10000000" in done.stderr
+
+    @pytest.mark.parametrize("name", ["h24", "f16"])
+    def test_complete_set_is_counted_by_the_linear_dual(self, set_files, name, capsys):
+        # The guard judges the walk over keys; a complete set's few free
+        # cells are solved for at once, however large the type.
+        start = time.perf_counter()
+        assert main(["extend", str(set_files[name]), "--exhaustive"]) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.out == "extensions: 0\nmaximal: yes (exhaustive search)\n"
+        assert out.err == ""
 
     @pytest.mark.parametrize(
         "call,kind",
@@ -420,6 +438,14 @@ class TestRefusedQuickly:
                 " mofs.SearchConfig(max_results=10**12))",
                 "estimated",
                 id="cap-above-the-ceiling",
+            ),
+            # P = C(24, 12) = 2 704 156 patterns pass, but not their table
+            # of P * 24 cells, which would take gigabytes.
+            pytest.param(
+                "next(mofs.enumerate_fsquares(mofs.Params(2, 12),"
+                " mofs.SearchConfig(max_results=1)))",
+                "a row-pattern table of 64899744 cells",
+                id="capped-stream-of-a-large-table",
             ),
         ],
     )

@@ -1,6 +1,7 @@
 """Decode fuzzing: a mutated file gives a set or a MofsError, nothing else,
 and the same outcome as the line-by-line reference decoder."""
 
+import random
 import re
 import time
 
@@ -181,6 +182,32 @@ def _move_line_break(text):
     return header + "\n" + row.replace(" ", "\n", 1) + " " + rest
 
 
+def _zero_for_a_digit(text, far=False):
+    """Drop the leading digit of the first 10 and pad a 5 with a zero: the
+    first 5 after it, or the file's last 5, so the records in between move
+    by one byte."""
+    i = text.index(" 10 ")
+    text = text[:i] + " 1 " + text[i + 4 :]
+    j = text.rindex(" 5 ") if far else text.index(" 5 ", i)
+    return text[:j] + " 05 " + text[j + 3 :]
+
+
+# Edits of an F(11;1) file (one- and two-digit symbols) that keep its length.
+WIDE_SAME_LENGTH_EDITS = [
+    *SAME_LENGTH_EDITS,
+    pytest.param(lambda s: s.replace("\n1 2 ", "\n12  ", 1), id="space-digit-swap"),
+    pytest.param(lambda s: s.replace(" 10 11\n", " 1011 \n", 1), id="space-to-row-end"),
+    pytest.param(lambda s: s.replace(" 11\n2 ", " 1\n12 ", 1), id="digit-across-row-break"),
+    pytest.param(lambda s: s.replace(" 9 10 ", " 10 9 ", 1), id="cells-of-two-widths-swapped"),
+    pytest.param(lambda s: s.replace(" 10 ", " 01 ", 1), id="digits-swapped"),
+    pytest.param(_zero_for_a_digit, id="leading-zero-for-a-dropped-digit"),
+    pytest.param(lambda s: _zero_for_a_digit(s, far=True), id="zero-and-digit-squares-apart"),
+    pytest.param(lambda s: s.replace("\n2 ", "\n\uff12 ", 1), id="non-ascii-digit"),
+    pytest.param(lambda s: s.replace(" ", "\t", 1), id="tab-for-space"),
+    pytest.param(_move_line_break, id="moved-line-break"),
+]
+
+
 def reference_encode(params, grids) -> str:
     """The row-by-row encoder that the chunked one replaced, on a (possibly
     invalid) stack of grids."""
@@ -328,6 +355,28 @@ class TestBulkPath:
         text = encode(FEDERER16)
         assert len(edit(text)) == len(text)
         assert mofs.fileformat._decode_bulk(edit(text)) is None
+
+    @pytest.mark.parametrize("edit", WIDE_SAME_LENGTH_EDITS)
+    def test_wide_symbol_edits_agree_with_the_reference(self, edit):
+        text = VALID_FILES[3]
+        edited = edit(text)
+        assert len(edited) == len(text) and edited != text
+        assert outcome(decode, edited) == outcome(reference_decode, edited)
+
+    @pytest.mark.parametrize("m,lam,count", [(12, 1, 600), (10, 2, 200), (101, 1, 8)])
+    def test_wide_stack_over_several_chunks(self, m, lam, count, monkeypatch):
+        # A regular stack, not a MOFS set: the stack the bulk reader passes
+        # on to MofsSet is captured instead.
+        params = Params(m, lam)
+        step = _chunk_squares(params)
+        assert count > 2 * step and count % step != 0
+        rng = random.Random(m)
+        stack = np.array([mofs.random_fsquare(params, rng).grid for _ in range(count)])
+        read = []
+        monkeypatch.setattr(mofs.fileformat, "MofsSet", lambda p, grids: read.append(grids))
+        assert mofs.fileformat._decode_bulk(reference_encode(params, stack)) is None
+        (got,) = read
+        assert got.shape == stack.shape and np.array_equal(got, stack)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_bad_square_reported_at_its_first_line(self, seed):
