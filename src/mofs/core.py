@@ -13,7 +13,9 @@ squares are plain int64 arrays computed from a grid.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass, fields
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -141,7 +143,11 @@ class FSquare:
     1..m.  The constructor always validates, so an FSquare value cannot
     exist in an invalid state; squares that are valid by construction
     (search leaves, validated stacks) are wrapped by the private
-    :func:`_leaves` instead.
+    :func:`_leaves` instead.  Either way ``grid`` is a C-contiguous int64
+    (n, n) array whose memory is an immutable ``bytes`` object, so it is
+    read-only and cannot be made writeable.  The constructor's grid views
+    bytes of its own; a wrapped square's views the bytes of its stream
+    batch or set chunk, which it keeps alive.
     """
 
     __slots__ = ("params", "grid")
@@ -151,24 +157,23 @@ class FSquare:
         # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
         _validate_regularity(params, arr[None])
         key = arr.astype(np.int64, copy=False).tobytes()
-        # The grid borrows its key, as a leaf's does: read-only for good.
+        # The grid views immutable bytes, as a leaf's does: read-only for good.
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "grid", np.ndarray(arr.shape, np.int64, key))
 
     def __setattr__(self, name, value):
         raise AttributeError("FSquare is immutable")
 
-    # A square is equal to and hashed as its params and its key, the bytes
-    # that its grid borrows.
+    # A square is equal to and hashed as its params and its grid's bytes.
     def __eq__(self, other):
         return (
             isinstance(other, FSquare)
             and self.params == other.params
-            and self.grid.base == other.grid.base
+            and self.grid.tobytes() == other.grid.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.params, self.grid.base))
+        return hash((self.params, self.grid.tobytes()))
 
     def __repr__(self):
         return f"FSquare({self.params}, {self.grid.tolist()})"
@@ -226,20 +231,43 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
             raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
 
 
+# Keys that _leaves reads at once at most.  Batches double from one key,
+# so a stream's first square costs one key.  A batch's bytes live while any
+# of its squares does.  On the F(6;3) stream a cap of 128 was about 10 %
+# slower, and 512 was not reliably faster.
+_LEAF_BATCH = 256
+# Runs an iterator of calls for their effects, at C speed.
+_drain = deque(maxlen=0).extend
+
+
 def _leaves(params: Params, keys):
     """FSquares for ``keys``, without validation: each key holds the native
-    int64 cells, row by row, of a square of the type that is valid by
-    construction.  Each grid borrows its own key, so it is read-only and
-    cannot be made writeable; equality and hashing match the constructor's."""
-    shape, int64 = (params.n, params.n), np.dtype(np.int64)
-    new, array = object.__new__, np.ndarray
-    set_params = FSquare.params.__set__
-    set_grid = FSquare.grid.__set__
-    for key in keys:
-        square = new(FSquare)
-        set_params(square, params)
-        set_grid(square, array(shape, int64, key))
-        yield square
+    int64 cells, row by row, of one or more whole squares of the type that
+    are valid by construction.  Keys are read a batch at a time (see
+    ``_LEAF_BATCH``): joined, read as one (k, n, n) array over the joined
+    bytes, and wrapped by C-level maps, so no Python code runs per square.
+    Each grid is a view of its batch's bytes, read-only and never
+    writeable; equality and hashing match the constructor's."""
+    return chain.from_iterable(_batches(params, iter(keys)))
+
+
+def _batches(params: Params, keys):
+    # The lists of squares that _leaves chains, one per batch.  No local
+    # name holds a batch's squares, so a batch the consumer has dropped is
+    # freed before the next is read.
+    size = 1
+    while chunk := b"".join(islice(keys, size)):
+        yield _wrap(params, chunk)
+        size = min(2 * size, _LEAF_BATCH)
+
+
+def _wrap(params: Params, chunk: bytes) -> list:
+    # The squares of one batch: views of ``chunk``, built by C-level maps.
+    grids = np.frombuffer(chunk, np.int64).reshape(-1, params.n, params.n)
+    squares = list(map(object.__new__, repeat(FSquare, len(grids))))
+    _drain(map(FSquare.params.__set__, squares, repeat(params)))
+    _drain(map(FSquare.grid.__set__, squares, grids))
+    return squares
 
 
 def make_fsquare(params: Params, grid) -> FSquare:

@@ -34,9 +34,12 @@ orthogonal to every member iff each pair count ends at exactly lam^2, so a
 per-search tail table maps the pair counts that the two rows can add,
 under the column counts they complete, to those rows, and one lookup of
 what the counts still lack finds them.  Each square comes out as the
-joined int64 bytes of its rows; ``count_fsquares`` only counts them, and
-the streams wrap each as an ``FSquare`` whose grid borrows those bytes,
-without calling the validating constructor (``core._leaves``).
+joined int64 bytes of its rows, its key; ``count_fsquares`` only counts
+them.  The streams wrap keys as ``FSquare``s without calling the
+validating constructor (``core._leaves``): a batch of up to 256 keys is
+joined and read as one int64 array, and each square's grid is a view of
+it, so a square that is kept keeps its batch's bytes alive (72 KB for
+F(6;3)).
 """
 
 from __future__ import annotations
@@ -678,11 +681,20 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     return None
 
 
+def _guarded_covers(params: Params, members: np.ndarray, config: SearchConfig):
+    """:func:`_dual_covers`, after the size guard wherever keys are walked:
+    on the engine, or through the covers to a prefix.  Covers with no
+    prefix need no guard: they give m! squares each, found at once."""
+    covers = _dual_covers(params, members)
+    if covers is None or config.prefix:
+        _guard(params, config)
+    return covers
+
+
 def _keys(params: Params, members: np.ndarray, config: SearchConfig):
     """The keys of the squares orthogonal to the (k, n, n) ``members``,
     in lexicographic order, after the size guard and the config's limits."""
-    _guard(params, config)
-    covers = _dual_covers(params, members)
+    covers = _guarded_covers(params, members, config)
     return islice(_stream(params, members, covers, config.prefix), config.max_results)
 
 
@@ -712,10 +724,8 @@ def _count(
     ``limit`` (``config.max_results`` when None), counted without building
     the squares: m! per cover on the linear-dual path, else from the keys."""
     limit = config.max_results if limit is None else limit
-    covers = _dual_covers(params, members)
+    covers = _guarded_covers(params, members, config)
     if covers is None or config.prefix:
-        # Only a walk over keys is guarded: the covers are counted at once.
-        _guard(params, config)
         keys = _stream(params, members, covers, config.prefix)
         return sum(1 for _ in islice(keys, limit))
     found = len(covers) * factorial(params.m)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mofs
-from mofs import search
+from mofs import core, search
 from mofs.cli import main
 from mofs.construct import prime_power_decomposition
 from mofs.core import DimensionMismatch, RowRegularityViolation
@@ -116,8 +116,10 @@ class TestEnumerate:
         assert len(capped) == 7
 
     def test_infeasible_guard(self):
+        # The call only makes the generator; its first next() is refused.
+        stream = mofs.enumerate_fsquares(mofs.Params(2, 4))
         with pytest.raises(InfeasibleSizeGuard) as exc:
-            next(mofs.enumerate_fsquares(mofs.Params(2, 4)))
+            next(stream)
         assert exc.value.estimate == 116963796250
 
     def test_guard_override_by_config(self):
@@ -198,6 +200,14 @@ class TestEstimateCount:
 class TestExtensions:
     def test_complete_set_has_none(self, federer4):
         assert list(mofs.extensions(federer4)) == []
+
+    def test_complete_f24_set_has_none_without_the_guard(self):
+        # The linear-dual path finds no cover at once, so nothing is walked
+        # and the size guard, which refuses a walk of F(24;12), stays out.
+        full = mofs.construct_federer(mofs.hadamard(24))
+        assert list(mofs.extensions(full)) == []
+        with pytest.raises(InfeasibleSizeGuard):
+            next(mofs.extensions(mofs.verify_mofs(full.squares[:1])))
 
     def test_f21_singleton_has_none(self):
         s = mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2, 1]])
@@ -411,33 +421,51 @@ def column_counts(p, cols):
     return (raw.astype(np.int64) - bias).reshape(p.m, p.n)
 
 
+def root_buffer(grid):
+    """The object at the end of a grid's chain of bases: the memory it holds."""
+    while isinstance(grid, np.ndarray):
+        grid = grid.base
+    return grid
+
+
 class TestEngineTables:
     @pytest.mark.parametrize("m,lam", [(2, 2), (3, 1), (3, 2)])
     def test_leaves_are_plain_squares(self, m, lam):
         p = mofs.Params(m, lam)
         start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(m))])
-        config = SearchConfig(max_results=40)
-        leaves = [
-            *mofs.enumerate_fsquares(p, config),
-            *mofs.extensions(start, config),
-            *mofs.grow_maximal(start, SearchConfig(seed=1, force=True)).squares,
-            *mofs.decode(mofs.encode(start)).squares,
-            *mofs.construct_prime_power(3, 1).squares,
+        config = SearchConfig(max_results=600)
+        streamed = [*mofs.enumerate_fsquares(p, config), *mofs.extensions(start, config)]
+        sets = [
+            mofs.grow_maximal(start, SearchConfig(seed=1, force=True)),
+            mofs.decode(mofs.encode(start)),
+            mofs.construct_prime_power(3, 1),
         ]
-        for sq in leaves:
+        for sq in streamed + [sq for mset in sets for sq in mset.squares]:
             n = sq.params.n
             again = mofs.make_fsquare(sq.params, sq.grid.tolist())
             assert sq == again and hash(sq) == hash(again)
             assert sq.grid.dtype == np.int64 and sq.grid.shape == (n, n)
+            assert sq.grid.flags.c_contiguous
             assert not sq.grid.flags.writeable
             with pytest.raises(ValueError):
                 sq.grid.flags.writeable = True
-            # The grid borrows the square's own key: no copy, no shared chunk.
-            assert type(sq.grid.base) is bytes and len(sq.grid.base) == n * n * 8
+            # The grid is a view of immutable bytes, which nothing can
+            # make writeable either.
+            assert type(root_buffer(sq.grid)) is bytes
+        # A streamed square keeps alive at most one batch of squares, and a
+        # set's squares share one int64 copy of each chunk of its stack.
+        for sq in streamed:
+            cells = sq.params.n**2
+            assert len(root_buffer(sq.grid)) <= core._LEAF_BATCH * cells * 8
+        for mset in sets:
+            step = core._chunk_squares(mset.params)
+            roots = [root_buffer(sq.grid) for sq in mset.squares]
+            assert all(roots[k] is roots[k - k % step] for k in range(mset.t))
+            assert sum(map(len, roots[::step])) == mset.grids.size * 8
 
     def test_constructor_always_validates(self):
         p = mofs.Params(2, 2)
-        key = next(mofs.enumerate_fsquares(p)).grid.base
+        key = next(mofs.enumerate_fsquares(p)).grid.tobytes()
         with pytest.raises(DimensionMismatch):
             mofs.FSquare(p, key)
         with pytest.raises(RowRegularityViolation):
@@ -514,6 +542,61 @@ GROW_PINS = {
     (5, 1, 2): (4, "2e27fadd1de36b9833654fe29955d2e39804bd1350487b18a18fafee990dc50b"),
     (5, 1, 3): (4, "865b1878f331091fb9ee5ea2bca1613260fb4616a605ae192fc4f41698db238c"),
 }
+
+
+LEAF_BATCH = core._LEAF_BATCH
+F63 = mofs.Params(2, 3)
+
+
+@lru_cache(maxsize=None)
+def f51_singleton():
+    """A one-square F(5;1) set with 360 extensions, found by the
+    linear-dual path."""
+    return mofs.verify_mofs([mofs.random_fsquare(mofs.Params(5, 1), random.Random(0))])
+
+
+class TestLeafBatches:
+    """Streams wrap keys in batches that double from one key up to
+    ``core._LEAF_BATCH``; a capped stream ends at any point of a batch."""
+
+    @pytest.mark.parametrize(
+        "limit", [0, 1, 2, 3, 4, 7, 8, LEAF_BATCH - 1, LEAF_BATCH, LEAF_BATCH + 1]
+    )
+    def test_capped_streams_are_prefixes(self, limit):
+        config = SearchConfig(max_results=limit)
+        capped = list(mofs.enumerate_fsquares(F63, config))
+        assert len(capped) == limit
+        assert capped == list(islice(mofs.enumerate_fsquares(F63), limit))
+        capped = list(mofs.extensions(f51_singleton(), config))
+        assert len(capped) == limit
+        assert capped == list(islice(mofs.extensions(f51_singleton()), limit))
+
+    @pytest.mark.parametrize(
+        "stream",
+        [lambda: mofs.enumerate_fsquares(F63), lambda: mofs.extensions(f51_singleton())],
+    )
+    def test_first_square_costs_one_key(self, stream, monkeypatch):
+        pulled = []
+        keys = search._stream
+
+        def counted(*args):
+            for key in keys(*args):
+                pulled.append(key)
+                yield key
+
+        monkeypatch.setattr(search, "_stream", counted)
+        squares = stream()
+        assert not pulled
+        first = next(squares)
+        assert pulled == [first.grid.tobytes()]
+        # Then batches of 2 and 4 keys.
+        seen = []
+        for _ in range(3):
+            next(squares)
+            seen.append(len(pulled))
+        assert seen == [3, 3, 7]
+        rest = [sq.grid.tobytes() for sq in squares]
+        assert len(pulled) == 4 + len(rest) and pulled[4:] == rest
 
 
 def pinned_growth(m, lam, seed):
