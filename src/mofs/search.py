@@ -19,7 +19,10 @@ one of rank D modulo it, whose image holds v - J/m for every extension
 (see :func:`_candidates`).  Greedy growth solves once; each later step
 keeps the candidates orthogonal to the square it added.  Every other
 search, with no members or a larger D, runs the engine below; both give
-the same squares in the same order.
+the same squares in the same order.  :func:`_candidates` makes that
+choice, and :func:`_search` is the one place a stream or count is decided
+and guarded: the size guard runs wherever keys are walked, on the engine
+or through the covers to a prefix, and not where covers are counted.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -307,11 +310,11 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
     ]
 
 
-def _engine(params, pair_inc, n_members, first_order, prefix):
+def _engine(params, members, first_order, prefix):
     """Depth-first enumerator over row patterns, with packed counters, for
-    squares orthogonal to ``n_members`` members whose pair increments are
-    ``pair_inc`` (see :func:`_pair_increments`).  Yields each square's key:
-    its rows' native int64 bytes, joined.
+    squares orthogonal to the (k, n, n) ``members``, whose pair increments
+    (see :func:`_pair_increments`) it builds on its first ``next()``.
+    Yields each square's key: its rows' native int64 bytes, joined.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -348,7 +351,8 @@ def _engine(params, pair_inc, n_members, first_order, prefix):
     """
     m, lam, n = params.m, params.lam, params.n
     patterns, dtype, _, col_inc, row_bytes, fit = _pattern_tables(m, lam)
-    n_pairs = n_members * m * m
+    pair_inc = _pair_increments(params, members)
+    n_pairs = len(members) * m * m
     top = 1 << (8 * dtype.itemsize - 1)
 
     def fields(value, count):
@@ -498,8 +502,8 @@ def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndar
 
 def _candidates(params: Params, members: np.ndarray):
     """The 0/1 indicators of one symbol of the squares orthogonal to every
-    member, as a (c, n*n) uint8 array, or None when more than
-    ``_DUAL_MAX_D`` cells are free.
+    member, as a (c, n*n) uint8 array, or None where the engine searches
+    instead: no members, or more than ``_DUAL_MAX_D`` free cells.
 
     Such an indicator v has v - J/m in W, the cells of zero row and column
     sums orthogonal to every member's centred indicators, and W has
@@ -528,7 +532,7 @@ def _candidates(params: Params, members: np.ndarray):
     """
     m, lam, n, t, p = params.m, params.lam, params.n, len(members), _PRIME
     d = (n - 1) ** 2 - t * (m - 1)
-    if d > _DUAL_MAX_D:
+    if not t or d > _DUAL_MAX_D:
         return None
     for seed in count():
         basis = _project(params, members, _draw(seed, d, n))
@@ -617,24 +621,6 @@ def _covers(params: Params, candidates: np.ndarray) -> np.ndarray:
     return candidates[chosen].argmax(axis=1).reshape(-1, n, n)
 
 
-def _dual_covers(params: Params, members: np.ndarray):
-    """The covers (see :func:`_covers`) of the extensions of ``members``,
-    or None where the engine searches instead: no members, or more than
-    ``_DUAL_MAX_D`` free cells."""
-    if not len(members):
-        return None
-    candidates = _candidates(params, members)
-    return None if candidates is None else _covers(params, candidates)
-
-
-def _grid_order(m: int):
-    """Sort key of squares' keys in lexicographic grid order: the native
-    int64 bytes themselves while every symbol fits their first byte."""
-    if m < 256:
-        return None
-    return lambda key: np.frombuffer(key, np.int64).tolist()
-
-
 def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
     """The keys of the squares of ``covers``, in lexicographic order, whose
     first row starts with ``prefix``.  The prefix fixes the symbols of the
@@ -658,7 +644,7 @@ def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
             assign[free] = symbols_left
             yield assign[labels].tobytes()
 
-    return heapq.merge(*map(squares, covers), key=_grid_order(params.m))
+    yield from heapq.merge(*map(squares, covers))
 
 
 def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
@@ -676,45 +662,40 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
         if shape in by_row:
             assign = np.zeros(params.m, np.int64)
             assign[list(shape)] = patterns[q]
-            keys = [assign[labels].tobytes() for labels in by_row[shape]]
-            return min(keys, key=_grid_order(params.m))
+            return min(assign[labels].tobytes() for labels in by_row[shape])
     return None
 
 
-def _guarded_covers(params: Params, members: np.ndarray, config: SearchConfig):
-    """:func:`_dual_covers`, after the size guard wherever keys are walked:
-    on the engine, or through the covers to a prefix.  Covers with no
-    prefix need no guard: they give m! squares each, found at once."""
-    covers = _dual_covers(params, members)
-    if covers is None or config.prefix:
-        _guard(params, config)
-    return covers
-
-
-def _keys(params: Params, members: np.ndarray, config: SearchConfig):
-    """The keys of the squares orthogonal to the (k, n, n) ``members``,
-    in lexicographic order, after the size guard and the config's limits."""
-    covers = _guarded_covers(params, members, config)
-    return islice(_stream(params, members, covers, config.prefix), config.max_results)
-
-
-def _stream(params: Params, members: np.ndarray, covers, prefix: tuple):
-    """The keys of :func:`_keys` before the cap: from the linear-dual
-    ``covers``, or from the engine where they are None."""
-    if covers is None:
-        return _engine(params, _pair_increments(params, members), len(members), None, prefix)
-    return _cover_keys(params, covers, prefix)
+def _search(params: Params, members: np.ndarray, config: SearchConfig):
+    """The one place a stream or count is decided and guarded: ``(covers, keys)``
+    for the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
+    their keys in lexicographic order, lazy and uncapped, from the
+    linear-dual covers or the engine.  ``covers`` are those covers when
+    they alone give the answer, m! squares each; otherwise they are None,
+    the keys must be walked, and the size guard runs first."""
+    candidates = _candidates(params, members)
+    if candidates is None:
+        keys = _engine(params, members, None, config.prefix)
+    else:
+        covers = _covers(params, candidates)
+        keys = _cover_keys(params, covers, config.prefix)
+        if not config.prefix:
+            return covers, keys
+    _guard(params, config)
+    return None, keys
 
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    yield from _leaves(params, _keys(params, _NO_MEMBERS, config))
+    keys = _search(params, _NO_MEMBERS, config)[1]
+    yield from _leaves(params, islice(keys, config.max_results))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     """Every F-square orthogonal to all members of the set, in
     lexicographic grid order."""
-    yield from _leaves(mset.params, _keys(mset.params, mset.grids, config))
+    keys = _search(mset.params, mset.grids, config)[1]
+    yield from _leaves(mset.params, islice(keys, config.max_results))
 
 
 def _count(
@@ -722,11 +703,13 @@ def _count(
 ) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``limit`` (``config.max_results`` when None), counted without building
-    the squares: m! per cover on the linear-dual path, else from the keys."""
+    the squares: m! per cover on the linear-dual path, else from the keys.
+    ``limit`` caps the count but not the size guard, which sees the
+    config's own cap: a maximality check counts to 1, but on a maximal set
+    that walks the whole space, so it is guarded like an uncapped count."""
     limit = config.max_results if limit is None else limit
-    covers = _guarded_covers(params, members, config)
-    if covers is None or config.prefix:
-        keys = _stream(params, members, covers, config.prefix)
+    covers, keys = _search(params, members, config)
+    if covers is None:
         return sum(1 for _ in islice(keys, limit))
     found = len(covers) * factorial(params.m)
     return found if limit is None else min(found, limit)
@@ -794,13 +777,12 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        if candidates is None and len(grids):
+        if candidates is None:
             candidates = _candidates(params, grids)
         if candidates is not None:
             key = _first_by_rank(params, _covers(params, candidates), first_order)
         else:
-            pair_inc = _pair_increments(params, grids)
-            key = next(_engine(params, pair_inc, len(grids), first_order, ()), None)
+            key = next(_engine(params, grids, first_order, ()), None)
         if key is None:
             break
         grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)

@@ -86,6 +86,13 @@ class TestEnumerate:
         p = mofs.Params(m, lam)
         assert mofs.count_fsquares(p) == expected
 
+    @pytest.mark.parametrize("n,expected", [(4, 576), (5, 161280)])
+    def test_latin_square_counts(self, n, expected):
+        # L(4) and L(5), the published numbers of Latin squares (OEIS
+        # A002860).  F(5;1) is over the size guard's estimate.
+        config = SearchConfig(force=True)
+        assert mofs.count_fsquares(mofs.Params(n, 1), config) == expected
+
     @pytest.mark.parametrize("m,lam", [(2, 1), (3, 1), (2, 2)])
     def test_matches_naive_filter_oracle(self, m, lam):
         p = mofs.Params(m, lam)
@@ -577,14 +584,19 @@ class TestLeafBatches:
     )
     def test_first_square_costs_one_key(self, stream, monkeypatch):
         pulled = []
-        keys = search._stream
+        found = search._search
 
         def counted(*args):
-            for key in keys(*args):
-                pulled.append(key)
-                yield key
+            covers, keys = found(*args)
 
-        monkeypatch.setattr(search, "_stream", counted)
+            def walked():
+                for key in keys:
+                    pulled.append(key)
+                    yield key
+
+            return covers, walked()
+
+        monkeypatch.setattr(search, "_search", counted)
         squares = stream()
         assert not pulled
         first = next(squares)
@@ -696,6 +708,61 @@ class TestExhaustiveMaximality:
         s = mofs.random_fsquare(p, random.Random(1))
         with pytest.raises(InfeasibleSizeGuard):
             mofs.exhaustive_maximality(mofs.verify_mofs([s]))
+
+
+class TestGuardRule:
+    """The size guard runs exactly where keys are walked: on the engine, or
+    through the linear-dual covers to a prefix.  Counting covers, or a
+    capped stream over them, needs none."""
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        calls, guard = [], search._guard
+
+        def recorded(params, config):
+            calls.append(params)
+            return guard(params, config)
+
+        monkeypatch.setattr(search, "_guard", recorded)
+        return calls
+
+    def test_enumeration_is_guarded(self, guarded):
+        p = mofs.Params(2, 2)
+        next(mofs.enumerate_fsquares(p))
+        mofs.count_fsquares(p)
+        assert guarded == [p, p]
+
+    @pytest.mark.parametrize(
+        "config,walked",
+        [
+            (SearchConfig(force=True), False),
+            (SearchConfig(force=True, prefix=(1,)), True),
+            (SearchConfig(force=True, max_results=3), False),
+        ],
+    )
+    def test_dual_path_is_guarded_through_a_prefix(self, config, walked, guarded):
+        mset = f51_singleton()
+        assert uses_dual(mset)
+        assert list(mofs.extensions(mset, config))
+        assert guarded == [mset.params] * walked
+        guarded.clear()
+        assert search._count(mset.params, mset.grids, config)
+        assert guarded == [mset.params] * walked
+
+    def test_maximality_is_guarded_on_the_engine(self, guarded):
+        assert not mofs.exhaustive_maximality(f51_singleton())
+        assert not guarded
+        p = mofs.Params(2, 3)
+        mset = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(0))])
+        assert not uses_dual(mset)
+        assert not mofs.exhaustive_maximality(mset)
+        assert guarded == [p]
+
+    def test_growth_is_guarded(self, guarded):
+        mset, p = f51_singleton(), mofs.Params(2, 2)
+        mofs.grow_maximal(mset, SearchConfig(seed=0, force=True))
+        mofs.grow_maximal(p, SearchConfig(seed=0))
+        assert guarded == [mset.params, p]
 
 
 class TestRandomFSquare:
@@ -933,12 +1000,6 @@ class TestLinearDual:
             grown = mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
             assert len(calls) == 1 and grown.t > 2
             assert mofs.exhaustive_maximality(grown, SearchConfig(force=True))
-
-    def test_cover_keys_sort_by_grid_for_wide_symbols(self):
-        # Native key bytes sort like grids only while symbols fit a byte.
-        keys = [np.array(g, np.int64).tobytes() for g in ([[2, 256]], [[256, 2]], [[3, 1]])]
-        assert sorted(keys, key=search._grid_order(300)) == [keys[0], keys[2], keys[1]]
-        assert search._grid_order(255) is None
 
 
 def complete_sets(most):
