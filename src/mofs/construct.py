@@ -48,18 +48,6 @@ class ConstructionSelfCheckFailed(MofsError):
 MAX_FIELD_SIZE = 32
 MAX_HADAMARD_ORDER = 64
 
-# Irreducible polynomials over GF(p), low coefficient first (degree k monic,
-# leading 1 implicit in the list of length k+1).
-_IRREDUCIBLE = {
-    (2, 2): (1, 1, 1),  # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
-    (3, 2): (1, 0, 1),  # x^2 + 1
-    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
-    (5, 2): (1, 1, 1),  # x^2 + x + 1
-}
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -105,7 +93,9 @@ class FieldTable(_ArrayValued):
 
 
 def field_build(p: int, k: int, *, max_q: int | None = None) -> FieldTable:
-    """Arithmetic tables for GF(p^k) with a fixed irreducible polynomial.
+    """Arithmetic tables for GF(p^k) modulo the first monic degree-k
+    polynomial with constant term 1, in coefficient-value order, whose
+    products have no zero divisors.
 
     The field axioms are self-checked exhaustively on construction.
     """
@@ -117,23 +107,27 @@ def field_build(p: int, k: int, *, max_q: int | None = None) -> FieldTable:
     limit = MAX_FIELD_SIZE if max_q is None else max_q
     if q > limit:
         raise UnsupportedSize(f"GF({q}) exceeds the configured maximum {limit}")
-    if k > 1 and (p, k) not in _IRREDUCIBLE:
-        raise UnsupportedSize(f"no built-in irreducible polynomial for GF({q})")
 
     # digits[i, j]: the coefficient of x^j in element i.
     place = p ** np.arange(k)
     digits = np.arange(q)[:, None] // place % p
     add = ((digits[:, None] + digits[None, :]) % p) @ place
-    # power[d]: the digits of x^d modulo the irreducible polynomial, d < 2k - 1.
-    power = np.eye(2 * k - 1, k, dtype=np.int64)
-    for d in range(k, 2 * k - 1):
-        # x^d = x * x^(d-1), with x^k = -(poly[0] + ... + poly[k-1] x^(k-1)).
-        power[d, 1:] = power[d - 1, :-1]
-        power[d] -= power[d - 1, -1] * np.array(_IRREDUCIBLE[(p, k)][:k])
-        power[d] %= p
-    # The digit convolution sum_{i,j} a_i b_j x^(i+j), reduced term by term.
-    reduced = power[np.add.outer(np.arange(k), np.arange(k))]
-    mul = (np.einsum("ai,bj,ijd->abd", digits, digits, reduced) % p) @ place
+    # The modulus x^k + low(x) takes its low coefficients from the digits of
+    # the elements 1, 1 + p, 1 + 2p, ... in turn.  Products with no zero
+    # divisors make a finite ring a field, so the modulus is irreducible;
+    # if none passes, the self-check refuses the last.
+    for low in digits[1::p]:
+        # power[d]: the digits of x^d modulo x^k + low(x), d < 2k - 1.
+        power = np.eye(2 * k - 1, k, dtype=np.int64)
+        for d in range(k, 2 * k - 1):
+            # x^d = x * x^(d-1), with x^k = -low(x).
+            power[d, 1:] = power[d - 1, :-1]
+            power[d] = (power[d] - power[d - 1, -1] * low) % p
+        # The digit convolution sum a_i b_j x^(i+j), reduced term by term.
+        reduced = power[np.add.outer(np.arange(k), np.arange(k))]
+        mul = (np.einsum("ai,bj,ijd->abd", digits, digits, reduced) % p) @ place
+        if mul[1:, 1:].all():
+            break
     for table in (add, mul):
         table.flags.writeable = False
     field = FieldTable(p, k, q, add, mul)

@@ -16,13 +16,12 @@ by the orthogonality kernel that verifies sets (``verify._meets``), and m
 pairwise disjoint candidates that cover every cell make m! squares.  It
 is complete: as the prime divides none of n, lam, m, the projector stays
 one of rank D modulo it, whose image holds v - J/m for every extension
-(see :func:`_candidates`).  Greedy growth solves once; each later step
-keeps the candidates orthogonal to the square it added.  Every other
-search, with no members or a larger D, runs the engine below; both give
-the same squares in the same order.  :func:`_candidates` makes that
-choice, and :func:`_search` is the one place a stream or count is decided
-and guarded: the size guard runs wherever keys are walked, on the engine
-or through the covers to a prefix, and not where covers are counted.
+(see :func:`_candidates`).  Every other search, with no members or a
+larger D, runs the engine below; both give the same squares in the same
+order.  :func:`_search` alone calls :func:`_candidates`, the covers and
+the engine: every stream, count, maximality check and greedy step is
+decided there, and guarded wherever keys are walked (on the engine, or
+through the covers to a prefix), not where covers are counted or picked.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -50,7 +49,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import count, islice, permutations
 from math import comb, factorial
@@ -229,17 +228,6 @@ def _pattern_tables(m: int, lam: int):
     return patterns, dtype, pattern_hot, col_inc, row_bytes, {}
 
 
-@lru_cache(maxsize=None)
-def _pattern_shapes(m: int, lam: int) -> tuple:
-    """Each pattern's label shape, built once per type: its symbols renamed
-    0, 1, ... in order of first appearance."""
-    shapes = []
-    for row in _pattern_tables(m, lam)[0]:
-        relabel = {}
-        shapes.append(tuple(relabel.setdefault(a, len(relabel)) for a in row))
-    return tuple(shapes)
-
-
 def _guard(params: Params, config: SearchConfig) -> None:
     if config.force:
         return
@@ -247,7 +235,9 @@ def _guard(params: Params, config: SearchConfig) -> None:
     try:
         ceiling = int(raw)
     except ValueError:
-        raise MofsError(f"MOFS_MAX_ENUM must be an integer, got {raw!r}") from None
+        ceiling = -1
+    if ceiling < 0:
+        raise MofsError(f"MOFS_MAX_ENUM must be a non-negative integer, got {raw!r}")
     if config.max_results is not None and config.max_results <= ceiling:
         # A capped stream stops early, but the engine still tables all
         # P = n!/(lam!)^m row patterns, and P is a lower bound on the count:
@@ -527,8 +517,9 @@ def _candidates(params: Params, members: np.ndarray):
     lam, m: P_W P_Z mod p is then a projector of rank exactly D whose image
     holds v - J/m for every 0/1 solution v.  So no solution is missed, and
     the candidates are exactly the 0/1 solutions; those of a set are the
-    candidates of any subset that are orthogonal to the other members,
-    which :func:`grow_maximal` uses.
+    candidates of any subset that are orthogonal to the other members, so
+    its covers are the subset's covers whose candidates all are, which
+    :func:`grow_maximal` uses.
     """
     m, lam, n, t, p = params.m, params.lam, params.n, len(members), _PRIME
     d = (n - 1) ** 2 - t * (m - 1)
@@ -652,13 +643,14 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     ``first_order``: the square whose first row comes first in that order,
     then the lowest in grid order."""
     patterns = _pattern_tables(params.m, params.lam)[0]
-    shapes = _pattern_shapes(params.m, params.lam)
     by_row = {}
     for labels in covers:
         by_row.setdefault(tuple(labels[0].tolist()), []).append(labels)
-    for q in first_order:
-        # A first row fits a cover iff it has one symbol per candidate.
-        shape = shapes[q]
+    for q in first_order if by_row else ():
+        # A first row fits a cover iff it has one symbol per candidate: its
+        # symbols renamed 0, 1, ... by first appearance are its labels.
+        relabel = {}
+        shape = tuple(relabel.setdefault(a, len(relabel)) for a in patterns[q])
         if shape in by_row:
             assign = np.zeros(params.m, np.int64)
             assign[list(shape)] = patterns[q]
@@ -666,16 +658,17 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     return None
 
 
-def _search(params: Params, members: np.ndarray, config: SearchConfig):
-    """The one place a stream or count is decided and guarded: ``(covers, keys)``
-    for the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
-    their keys in lexicographic order, lazy and uncapped, from the
-    linear-dual covers or the engine.  ``covers`` are those covers when
-    they alone give the answer, m! squares each; otherwise they are None,
-    the keys must be walked, and the size guard runs first."""
+def _search(params: Params, members: np.ndarray, config: SearchConfig, first_order=None):
+    """The one place a search is decided and guarded: ``(covers, keys)`` for
+    the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
+    their keys, lazy and uncapped, from the linear-dual covers or the
+    engine, whose first row takes ``first_order`` (see :func:`_engine`);
+    in lexicographic order when that is None.  ``covers`` are those covers
+    when they alone give the answer, m! squares each; otherwise they are
+    None, the keys must be walked, and the size guard runs first."""
     candidates = _candidates(params, members)
     if candidates is None:
-        keys = _engine(params, members, None, config.prefix)
+        keys = _engine(params, members, first_order, config.prefix)
     else:
         covers = _covers(params, candidates)
         keys = _cover_keys(params, covers, config.prefix)
@@ -698,21 +691,15 @@ def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     yield from _leaves(mset.params, islice(keys, config.max_results))
 
 
-def _count(
-    params: Params, members: np.ndarray, config: SearchConfig, limit=None
-) -> int:
+def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
-    ``limit`` (``config.max_results`` when None), counted without building
-    the squares: m! per cover on the linear-dual path, else from the keys.
-    ``limit`` caps the count but not the size guard, which sees the
-    config's own cap: a maximality check counts to 1, but on a maximal set
-    that walks the whole space, so it is guarded like an uncapped count."""
-    limit = config.max_results if limit is None else limit
+    ``config.max_results``, counted without building the squares: m! per
+    cover on the linear-dual path, else from the keys."""
     covers, keys = _search(params, members, config)
     if covers is None:
-        return sum(1 for _ in islice(keys, limit))
+        return sum(1 for _ in islice(keys, config.max_results))
     found = len(covers) * factorial(params.m)
-    return found if limit is None else min(found, limit)
+    return found if config.max_results is None else min(found, config.max_results)
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
@@ -739,10 +726,12 @@ def _require_whole_space(config: SearchConfig) -> None:
 def exhaustive_maximality(
     mset: MofsSet, config: SearchConfig = SearchConfig()
 ) -> bool:
-    """Ground truth: true iff no F-square extends the set, decided by
-    counting up to one extension."""
+    """Ground truth: true iff no F-square extends the set: it has no
+    linear-dual cover, or the engine finds no key.  On a maximal set the
+    engine walks the whole space, so it is guarded like an uncapped count."""
     _require_whole_space(config)
-    return not _count(mset.params, mset.grids, config, 1)
+    covers, keys = _search(mset.params, mset.grids, config)
+    return next(keys, None) is None if covers is None else not len(covers)
 
 
 def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
@@ -752,13 +741,15 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     step permutes the first-row pattern order by the seed and adds the
     extension whose first row comes first in it, the lowest in grid order
     on a tie: the engine's first find, or the same square picked from the
-    linear-dual covers.  Once the linear-dual path applies, its candidates
-    are solved for once: each later step keeps those orthogonal to the
-    square just added, which are exactly the new set's candidates.  The
-    loop ends when no extension exists, so the result is maximal by
-    construction (and re-verified).  For m = 1 the only square is
-    orthogonal to itself, so growth would never end; it raises
-    ``UndefinedForMOne`` instead.
+    linear-dual covers.  Steps are searched (:func:`_search`) until the
+    linear dual applies; its covers are then kept, less at each step those
+    whose label classes fail :func:`verify._meets` against the square
+    added (a cover's m! squares are all orthogonal to it or none are).  Up
+    front only the row-pattern table that the seeded order shuffles is
+    guarded, as for a capped stream.  The loop ends when no extension
+    exists, so the result is maximal by construction (and re-verified).
+    For m = 1 the only square is orthogonal to itself, so growth would
+    never end; it raises ``UndefinedForMOne`` instead.
     """
     _require_whole_space(config)
     if isinstance(seed_set, Params):
@@ -770,24 +761,27 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
             "greedy growth is undefined for m = 1: the only square is"
             " orthogonal to itself"
         )
-    _guard(params, config)
+    _guard(params, replace(config, max_results=0))
     rng = random.Random(config.seed)
-    patterns = _pattern_tables(params.m, params.lam)[0]
-    candidates = None
+    m, n = params.m, params.n
+    patterns = _pattern_tables(m, params.lam)[0]
+    covers = None
     while True:
         first_order = list(range(len(patterns)))
         rng.shuffle(first_order)
-        if candidates is None:
-            candidates = _candidates(params, grids)
-        if candidates is not None:
-            key = _first_by_rank(params, _covers(params, candidates), first_order)
+        if covers is None:
+            covers, keys = _search(params, grids, config, first_order)
+        if covers is None:
+            key = next(keys, None)
         else:
-            key = next(_engine(params, grids, first_order, ()), None)
+            key = _first_by_rank(params, covers, first_order)
         if key is None:
             break
-        grid = np.frombuffer(key, np.int64).reshape(1, params.n, params.n)
-        if candidates is not None:
-            candidates = candidates[_meets(candidates, grid, params)[:, 0]]
+        grid = np.frombuffer(key, np.int64).reshape(1, n, n)
+        if covers is not None:
+            classes = covers.reshape(-1, 1, n * n) == np.arange(m)[:, None]
+            meets = _meets(classes.reshape(-1, n * n), grid, params)
+            covers = covers[meets.reshape(-1, m).all(axis=1)]
         grids = np.concatenate((grids, grid)) if len(grids) else grid
     return MofsSet(params, grids)
 

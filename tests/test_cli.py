@@ -395,22 +395,39 @@ class TestRefusedQuickly:
         return files
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,kind",
         [
-            pytest.param(["extend", "h24-1", "--exhaustive"], id="extend-h24-exhaustive"),
-            pytest.param(["extend", "h24", "--greedy", "--seed", "0"], id="extend-h24-greedy"),
-            pytest.param(["extend", "f16-1", "--exhaustive"], id="extend-f16-exhaustive"),
-            pytest.param(["count", "2", "50"], id="count-2-50"),
-            pytest.param(["count", "3000", "1"], id="count-3000-1"),
+            pytest.param(["extend", "h24-1", "--exhaustive"], "at least", id="extend-h24-exhaustive"),
+            # Greedy growth guards its row-pattern table first: C(24, 12)
+            # patterns of 24 cells, even where the linear dual would answer.
+            pytest.param(
+                ["extend", "h24", "--greedy", "--seed", "0"],
+                "a row-pattern table of 64899744 cells",
+                id="extend-h24-greedy",
+            ),
+            pytest.param(
+                ["extend", "h24-1", "--greedy", "--seed", "0"],
+                "a row-pattern table of 64899744 cells",
+                id="extend-h24-1-greedy",
+            ),
+            # F(16;8)'s table fits; its first engine step is refused.
+            pytest.param(
+                ["extend", "f16-1", "--greedy", "--seed", "0"], "at least", id="extend-f16-1-greedy"
+            ),
+            pytest.param(["extend", "f16-1", "--exhaustive"], "at least", id="extend-f16-exhaustive"),
+            pytest.param(["count", "2", "50"], "at least", id="count-2-50"),
+            pytest.param(["count", "3000", "1"], "at least", id="count-3000-1"),
             # n = 10^21 cannot shape an (n, n) array: the guard runs first.
-            pytest.param(["count", "1000000000", "1000000000000"], id="count-huge-n"),
+            pytest.param(
+                ["count", "1000000000", "1000000000000"], "at least", id="count-huge-n"
+            ),
         ],
     )
-    def test_size_guard(self, set_files, argv):
+    def test_size_guard(self, set_files, argv, kind):
         argv = [str(set_files.get(a, a)) for a in argv]
         done = _run_cli(*argv)
         assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr.startswith("refused: at least ")
+        assert done.stderr.startswith(f"refused: {kind} ")
         assert "exceeds the ceiling 10000000" in done.stderr
 
     @pytest.mark.parametrize("name", ["h24", "f16"])

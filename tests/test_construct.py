@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import time
 
@@ -8,7 +9,6 @@ import pytest
 
 import mofs
 from mofs.construct import (
-    _IRREDUCIBLE,
     ConstructionSelfCheckFailed,
     NotNormalized,
     NotPrime,
@@ -164,6 +164,34 @@ FIELD_PINS = {
     ),
 }
 
+# The moduli once tabled for the seven extension fields up to GF(32), low
+# coefficient first with the leading 1: an oracle for field_build's rule.
+TABLED_MODULI = {
+    (2, 2): (1, 1, 1),  # x^2 + x + 1
+    (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
+    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
+    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
+    (5, 2): (1, 1, 1),  # x^2 + x + 1
+}
+
+
+def reducible(poly, p: int) -> bool:
+    """Whether the monic ``poly`` over GF(p), low coefficient first, has a
+    monic factor of degree 1 .. deg/2, by trial division."""
+    k = len(poly) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rest = list(poly)
+            for shift in range(k - d, -1, -1):
+                lead = rest[shift + d]
+                for j, c in enumerate((*low, 1)):
+                    rest[shift + j] = (rest[shift + j] - lead * c) % p
+            if not any(rest[:d]):
+                return True
+    return False
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -246,7 +274,20 @@ class TestFieldBuild:
 
     def test_pins_cover_every_supported_field(self):
         primes = {(p, 1) for p in range(2, 60) if is_prime(p)}
-        assert set(FIELD_PINS) == set(_IRREDUCIBLE) | primes
+        assert set(FIELD_PINS) == set(TABLED_MODULI) | primes
+
+    @pytest.mark.parametrize("p,k", sorted(TABLED_MODULI))
+    def test_modulus_is_the_first_irreducible_with_constant_term_1(self, p, k):
+        # Coefficient-value order: the low coefficients are the base-p
+        # digits of 1, 1 + p, 1 + 2p, ..., the lowest digit first.
+        lows = (tuple(i // p**j % p for j in range(k)) for i in range(1, p**k, p))
+        first = next(low for low in lows if not reducible((*low, 1), p))
+        assert (*first, 1) == TABLED_MODULI[p, k]
+        # In the field, x is element p, and x^k is -low(x).
+        f, power = field_build(p, k), 1
+        for _ in range(k):
+            power = f.mul_table[power, p]
+        assert [power // p**j % p for j in range(k)] == [-c % p for c in first]
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (2, 3)])
     def test_self_check_catches_every_single_entry_change(self, p, k):

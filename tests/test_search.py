@@ -142,15 +142,17 @@ class TestEnumerate:
         assert len(list(mofs.enumerate_fsquares(mofs.Params(2, 2)))) == 90
 
     def test_bad_env_ceiling(self, monkeypatch):
-        monkeypatch.setenv("MOFS_MAX_ENUM", "abc")
-        with pytest.raises(mofs.MofsError, match="MOFS_MAX_ENUM"):
-            next(mofs.enumerate_fsquares(mofs.Params(2, 2)))
+        for raw in ("abc", "-5"):
+            monkeypatch.setenv("MOFS_MAX_ENUM", raw)
+            with pytest.raises(mofs.MofsError, match="MOFS_MAX_ENUM must be a non-neg"):
+                next(mofs.enumerate_fsquares(mofs.Params(2, 2)))
 
     def test_bad_env_ceiling_cli(self, monkeypatch, capsys):
-        monkeypatch.setenv("MOFS_MAX_ENUM", "abc")
-        assert main(["count", "2", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "MOFS_MAX_ENUM" in err
+        for raw in ("abc", "-5"):
+            monkeypatch.setenv("MOFS_MAX_ENUM", raw)
+            assert main(["count", "2", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: MOFS_MAX_ENUM must be a non-negative integer, got {raw!r}\n"
 
 
 class TestSearchConfig:
@@ -758,11 +760,24 @@ class TestGuardRule:
         assert not mofs.exhaustive_maximality(mset)
         assert guarded == [p]
 
-    def test_growth_is_guarded(self, guarded):
+    def test_growth_is_guarded(self, guarded, monkeypatch):
+        # Up front only the row-pattern table that the seeded order
+        # shuffles; then each engine step, like any walk.  A one-square
+        # F(5;1) set starts on the linear dual, so its table is all.
+        steps, engine = [], search._engine
+
+        def counted(*args):
+            steps.append(args[0])
+            return engine(*args)
+
+        monkeypatch.setattr(search, "_engine", counted)
         mset, p = f51_singleton(), mofs.Params(2, 2)
-        mofs.grow_maximal(mset, SearchConfig(seed=0, force=True))
+        assert uses_dual(mset)
+        mofs.grow_maximal(mset, SearchConfig(seed=0))
+        assert guarded == [mset.params] and not steps
+        guarded.clear()
         mofs.grow_maximal(p, SearchConfig(seed=0))
-        assert guarded == [mset.params, p]
+        assert steps and guarded == [p] * (1 + len(steps))
 
 
 class TestRandomFSquare:
@@ -982,8 +997,8 @@ class TestLinearDual:
     @pytest.mark.parametrize("m,lam", [(5, 1), (2, 3)])
     def test_greedy_solves_once(self, m, lam, monkeypatch):
         # After the first full solve each step filters the last step's
-        # candidates by the square it added.
-        calls = []
+        # covers by the square it added.
+        calls, covered = [], []
 
         def counted(params, members):
             found = candidates(params, members)
@@ -991,15 +1006,32 @@ class TestLinearDual:
                 calls.append(len(members))
             return found
 
-        candidates = search._candidates
+        def counted_covers(params, found):
+            covered.append(len(found))
+            return covers(params, found)
+
+        candidates, covers = search._candidates, search._covers
         monkeypatch.setattr(search, "_candidates", counted)
+        monkeypatch.setattr(search, "_covers", counted_covers)
         p = mofs.Params(m, lam)
         for seed in range(3):
             start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
             calls.clear()
+            covered.clear()
             grown = mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
-            assert len(calls) == 1 and grown.t > 2
+            assert len(calls) == len(covered) == 1 and grown.t > 2
             assert mofs.exhaustive_maximality(grown, SearchConfig(force=True))
+
+    @pytest.mark.parametrize("m,h,removed", [(2, 3, 2), (2, 4, 3)])
+    def test_greedy_regrows_near_complete_sets_unforced(self, m, h, removed):
+        # The linear dual answers at once, so growth is guarded only for the
+        # row-pattern table, which fits for F(8;4) and F(16;8).
+        complete = mofs.construct_prime_power(m, h)
+        members = mofs.verify_mofs(complete.squares[:-removed])
+        grown = mofs.grow_maximal(members, SearchConfig(seed=0))
+        assert grown.t == complete.t
+        assert grown == mofs.grow_maximal(members, SearchConfig(seed=0, force=True))
+        assert mofs.exhaustive_maximality(grown)
 
 
 def complete_sets(most):
