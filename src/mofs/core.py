@@ -12,6 +12,7 @@ squares are plain int64 arrays computed from a grid.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, fields
@@ -147,7 +148,7 @@ class FSquare:
     (n, n) array whose memory is an immutable ``bytes`` object, so it is
     read-only and cannot be made writeable.  The constructor's grid views
     bytes of its own; a wrapped square's views the bytes of its stream
-    batch or set chunk, which it keeps alive.
+    batch or set block, which it keeps alive.
     """
 
     __slots__ = ("params", "grid")
@@ -179,39 +180,46 @@ class FSquare:
         return f"FSquare({self.params}, {self.grid.tolist()})"
 
 
-# Squares per chunk of a stack are capped so that one chunk holds at most
-# _CHUNK_CELLS cells, which bounds the temporaries of bulk validation and I/O.
-_CHUNK_CELLS = 1 << 15
+# One budget, in entries, sizes every block of squares handled at once
+# (regularity checks, file I/O, stream batches and the Gram kernel): a
+# block's reduced indicator rows (block * r * n^2, r = m - 1 or 1 when
+# m = 1) and a Gram product of two blocks ((block * r)^2) each stay within
+# it.  At 2^20 a few hundred squares of side up to 27 are one block, and
+# federer(64) goes in blocks of 256, where BLAS runs near its peak; 2^21
+# was no faster there and held 13 MB more.
+_BLOCK_ENTRIES = 1 << 20
 
 
-def _chunk_squares(params: Params) -> int:
-    """Squares per chunk of a (t, n, n) stack of this type."""
-    return max(1, _CHUNK_CELLS // (params.n * params.n))
+def _tile(params: Params) -> int:
+    """Squares per block of this type (see ``_BLOCK_ENTRIES``)."""
+    r = max(params.m - 1, 1)
+    return max(1, min(_BLOCK_ENTRIES // (r * params.n**2), math.isqrt(_BLOCK_ENTRIES) // r))
 
 
 def _validate_regularity(params: Params, stack: np.ndarray) -> None:
-    """Check a (t, n, n) integer stack chunk by chunk and raise, for its
-    first invalid square, the error of that square's first fault: an entry
-    outside 1..m (first in row-major order), else the lowest symbol with a
-    wrong count, its rows before its columns, lowest index first.
+    """Check a (t, n, n) integer stack block by block (see :func:`_tile`)
+    and raise, for its first invalid square, the error of that square's
+    first fault: an entry outside 1..m (first in row-major order), else the
+    lowest symbol with a wrong count, its rows before its columns, lowest
+    index first.
 
     The counts are read from the indicator squares, as the paper reads
     regularity: S is regular iff every I_a(S) has row and column sums lam.
     Those of each symbol 2..m are two products of its 0/1 hits with a ones
     vector, exact in float32, one symbol at a time so that no temporary
-    outgrows the chunk; once every entry is in 1..m, symbol 1's are n
+    outgrows the block; once every entry is in 1..m, symbol 1's are n
     minus the rest."""
     m, lam, n = params.m, params.lam, params.n
-    step = _chunk_squares(params)
+    step = _tile(params)
     ones = np.ones(n, np.float32)
     for k0 in range(0, len(stack), step):
-        chunk = stack[k0 : k0 + step]
-        t = len(chunk)
-        out = ((chunk < 1) | (chunk > m)).any(axis=(1, 2))
+        block = stack[k0 : k0 + step]
+        t = len(block)
+        out = ((block < 1) | (block > m)).any(axis=(1, 2))
         # Only squares before the first one with an out-of-range entry are
         # counted; their entries narrow to the type of m without wrapping.
         ok = int(np.argmax(out)) if out.any() else t
-        grids = chunk[:ok].astype(np.min_scalar_type(m), copy=False)
+        grids = block[:ok].astype(np.min_scalar_type(m), copy=False)
         # counts[k, a - 1, 0 or 1, i]: symbol a in row or column i of square k.
         counts = np.empty((ok, m, 2, n), np.float32)
         for a in range(2, m + 1):
@@ -226,16 +234,11 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
             error = ColumnRegularityViolation if column else RowRegularityViolation
             raise error(int(i), int(a) + 1, int(counts[k, a, column, i]), lam)
         if ok < t:
-            arr = chunk[ok]
+            arr = block[ok]
             i, j = np.argwhere((arr < 1) | (arr > m))[0]
             raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
 
 
-# Keys that _leaves reads at once at most.  Batches double from one key,
-# so a stream's first square costs one key.  A batch's bytes live while any
-# of its squares does.  On the F(6;3) stream a cap of 128 was about 10 %
-# slower, and 512 was not reliably faster.
-_LEAF_BATCH = 256
 # Runs an iterator of calls for their effects, at C speed.
 _drain = deque(maxlen=0).extend
 
@@ -243,11 +246,13 @@ _drain = deque(maxlen=0).extend
 def _leaves(params: Params, keys):
     """FSquares for ``keys``, without validation: each key holds the native
     int64 cells, row by row, of one or more whole squares of the type that
-    are valid by construction.  Keys are read a batch at a time (see
-    ``_LEAF_BATCH``): joined, read as one (k, n, n) array over the joined
-    bytes, and wrapped by C-level maps, so no Python code runs per square.
-    Each grid is a view of its batch's bytes, read-only and never
-    writeable; equality and hashing match the constructor's."""
+    are valid by construction.  Keys are read a batch at a time: joined,
+    read as one (k, n, n) array over the joined bytes, and wrapped by
+    C-level maps, so no Python code runs per square.  Batches double from
+    one key, so a stream's first square costs one key, up to one block of
+    squares (:func:`_tile`).  Each grid is a view of its batch's bytes,
+    read-only and never writeable, which live while any of its squares
+    does; equality and hashing match the constructor's."""
     return chain.from_iterable(_batches(params, iter(keys)))
 
 
@@ -255,10 +260,10 @@ def _batches(params: Params, keys):
     # The lists of squares that _leaves chains, one per batch.  No local
     # name holds a batch's squares, so a batch the consumer has dropped is
     # freed before the next is read.
-    size = 1
+    size, cap = 1, _tile(params)
     while chunk := b"".join(islice(keys, size)):
         yield _wrap(params, chunk)
-        size = min(2 * size, _LEAF_BATCH)
+        size = min(2 * size, cap)
 
 
 def _wrap(params: Params, chunk: bytes) -> list:

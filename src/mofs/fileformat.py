@@ -10,12 +10,12 @@ A row of a regular square holds each symbol 1..m exactly lam times, so as
 and a square and the blank line after it are a record of fixed size: each
 cell's digits then its separator (a space, or a newline ending a row), and
 the blank line's newline.  The last square has no blank line, so the body
-is count * size - 1 bytes.  Both directions view a chunk of squares (at
-most ``core._CHUNK_CELLS`` cells) as a (t, size) byte array, cut at the
+is count * size - 1 bytes.  Both directions view a block of squares (as
+many as ``core._tile`` gives) as a (t, size) byte array, cut at the
 offset of its first record.  With one-digit symbols (m <= 9) digits and
 separators take alternate slots, filled and compared by strided views;
 wider symbols are written from a per-symbol digit table and read by
-scanning a chunk for its separators and the 1..width digits before each.
+scanning a block for its separators and the 1..width digits before each.
 
 ``decode`` takes this bulk path only for a file laid out exactly as
 ``encode`` writes it (header on the first line, ``count`` records, single
@@ -39,7 +39,7 @@ from .core import (
     RowRegularityViolation,
     SymbolOutOfRange,
     _as_grid,
-    _chunk_squares,
+    _tile,
     _validate_regularity,
 )
 from .verify import MofsSet
@@ -63,7 +63,7 @@ def encode(mset: MofsSet) -> str:
 
 
 def _encode_records(mset: MofsSet):
-    """The body, a chunk of squares at a time.  Each square is a record of
+    """The body, a block of squares at a time.  Each square is a record of
     n * n cells of width + 1 bytes, its digits and then its separator, and
     a final newline; digit slots that a symbol leaves empty hold zero
     bytes, which are dropped, and so is the last record's newline."""
@@ -71,15 +71,15 @@ def _encode_records(mset: MofsSet):
     width = len(str(m))
     table = "".join(str(a).ljust(width, "\0") for a in range(m + 1))
     table = np.frombuffer(table.encode("ascii"), np.uint8).reshape(m + 1, width)
-    seps, step = _separators(n), _chunk_squares(mset.params)
+    seps, step = _separators(n), _tile(mset.params)
     for k0 in range(0, mset.t, step):
-        chunk = mset.grids[k0 : k0 + step].reshape(-1, n * n)
-        records = np.empty((len(chunk), n * n * (width + 1) + 1), np.uint8)
+        block = mset.grids[k0 : k0 + step].reshape(-1, n * n)
+        records = np.empty((len(block), n * n * (width + 1) + 1), np.uint8)
         if width == 1:
-            np.add(chunk, _ZERO, out=records[:, :-1:2])
+            np.add(block, _ZERO, out=records[:, :-1:2])
         else:
             for j in range(width):
-                records[:, j : -1 : width + 1] = table[chunk, j]
+                records[:, j : -1 : width + 1] = table[block, j]
         records[:, width : -1 : width + 1] = seps
         records[:, -1] = _NEWLINE
         body = records.reshape(-1)[: None if k0 + step < mset.t else -1]
@@ -150,7 +150,7 @@ def _read_records(text: str, pos: int, params: Params, count: int, size: int):
     seps = _separators(n)
     record_seps = np.append(seps, np.uint8(_NEWLINE))
     stack = np.empty((count, n, n), np.min_scalar_type(m))
-    step = _chunk_squares(params)
+    step = _tile(params)
     for k0 in range(0, count, step):
         t = min(step, count - k0)
         block = text[pos + k0 * size : pos + (k0 + t) * size]

@@ -38,10 +38,10 @@ under the column counts they complete, to those rows, and one lookup of
 what the counts still lack finds them.  Each square comes out as the
 joined int64 bytes of its rows, its key; ``count_fsquares`` only counts
 them.  The streams wrap keys as ``FSquare``s without calling the
-validating constructor (``core._leaves``): a batch of up to 256 keys is
-joined and read as one int64 array, and each square's grid is a view of
-it, so a square that is kept keeps its batch's bytes alive (72 KB for
-F(6;3)).
+validating constructor (``core._leaves``): a batch of up to one block of
+keys (``core._tile``, 1 024 for F(6;3)) is joined and read as one int64
+array, and each square's grid is a view of it, so a square that is kept
+keeps its batch's bytes alive (295 KB for F(6;3)).
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params, _as_int, _leaves
-from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets, _tile
+from .core import FSquare, MofsError, Params, _as_int, _leaves, _tile
+from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -444,7 +444,7 @@ def _project(params: Params, members: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = ((x - means * inv_n + grand) % p).reshape(d, n * n)
     if params.m == 1 or not d:
         return x
-    r, tile = params.m - 1, _tile(params, n * n)
+    r, tile = params.m - 1, _tile(params)
     grids = members.reshape(len(members), -1)
     y = x.T.astype(np.float64)
     found, sums = np.zeros_like(y), 0

@@ -8,7 +8,6 @@ every set that exists is a MOFS.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -21,8 +20,8 @@ from .core import (
     Params,
     _ArrayValued,
     _as_grid,
-    _chunk_squares,
     _leaves,
+    _tile,
     _validate_regularity,
 )
 
@@ -105,16 +104,17 @@ class MofsSet(_ArrayValued):
     @cached_property
     def squares(self) -> tuple:
         """The members as FSquares, wrapped from ``grids`` on first use:
-        their grids are views of int64 copies of the stack's chunks."""
-        # One batch per chunk, so no batch joins (copies) its keys: one
+        their grids are views of int64 copies of the stack's blocks
+        (:func:`core._tile`)."""
+        # One batch per block, so no batch joins (copies) its keys: one
         # copy of the whole stack took 1.3 times as long as these and
         # twice the memory (295 against 171 MB max RSS on federer(64)).
-        step = _chunk_squares(self.params)
-        chunks = (
+        step = _tile(self.params)
+        blocks = (
             self.grids[k : k + step].astype(np.int64).tobytes()
             for k in range(0, self.t, step)
         )
-        return tuple(chain.from_iterable(_leaves(self.params, [c]) for c in chunks))
+        return tuple(chain.from_iterable(_leaves(self.params, [b]) for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,6 @@ def orthogonal(s: FSquare, s2: FSquare) -> bool:
     return bool((superposition_counts(s, s2) == lam * lam).all())
 
 
-# One budget, in entries, sizes every block of the Gram kernel: a tile's
-# indicator rows (tile * r * n^2, r = m - 1 or 1 when m = 1) and a Gram block
-# of two tiles ((tile * r)^2) each stay within it, whatever t and n.  At 2^20
-# a few hundred squares of side up to 27 are one tile, and federer(64) goes
-# in tiles of 256, where BLAS runs near its peak; 2^21 was no faster there
-# and held 13 MB more.
-_BLOCK_ENTRIES = 1 << 20
-
-
-def _tile(params: Params, cells: int) -> int:
-    r = max(params.m - 1, 1)
-    return max(1, min(_BLOCK_ENTRIES // (r * cells), math.isqrt(_BLOCK_ENTRIES) // r))
-
-
 def _indicator_rows(grids: np.ndarray, params: Params, dtype=None) -> np.ndarray:
     """The reduced indicator squares (symbols 2..m; symbol 1 when m = 1) of
     the flattened ``grids``, one row per (square, symbol) with the symbols
@@ -198,7 +184,7 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
     itself, that Gram block is ``x @ x.T``, which BLAS computes as a
     symmetric product."""
     grids = grids.reshape(len(grids), -1)
-    r, tile = max(params.m - 1, 1), _tile(params, grids.shape[1])
+    r, tile = max(params.m - 1, 1), _tile(params)
     out, rows = np.empty((len(x), len(grids)), bool), first
     for l0 in range(0, len(grids), tile):
         if l0 or rows is None:
@@ -225,7 +211,7 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
     orthogonality: the row and column sums of the superposition counts
     force those of symbol 1.
     """
-    t, r, tile = len(grids), max(params.m - 1, 1), _tile(params, grids.shape[1])
+    t, r, tile = len(grids), max(params.m - 1, 1), _tile(params)
     for k0 in range(0, t, tile):
         strip = _indicator_rows(grids[k0 : k0 + tile], params)
         # Each k's first failing l, t while none is found.  The strip is

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mofs
+from mofs import core
 from mofs.core import _validate_regularity
 
 # The worked F(6;2) example used throughout the golden-vector tests.
@@ -50,6 +51,16 @@ CYCLIC_TRIPLE = [
     [[2, 3, 1], [1, 2, 3], [3, 1, 2]],
     [[3, 1, 2], [2, 3, 1], [1, 2, 3]],
 ]
+
+
+def blocks_of(monkeypatch, params, k):
+    """Shrink the one block budget until squares of this type go ``k`` to a
+    block, so that small sets span several blocks of every batched pass:
+    regularity, file I/O, stream batches and the orthogonality kernel."""
+    r = max(params.m - 1, 1)
+    budget = max(k * r * params.n**2, (k * r) ** 2)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
+    assert core._tile(params) == k
 
 
 @pytest.fixture
@@ -232,7 +243,7 @@ def corrupted_stacks(seed, count=12):
     sets = [
         mofs.construct_prime_power(3, 2),  # 32 x F(9;3)
         mofs.construct_prime_power(11, 1),  # 10 x F(11;1), two-digit symbols
-        mofs.construct_prime_power(2, 4),  # 225 x F(16;8), two chunks
+        mofs.construct_prime_power(2, 4),  # 225 x F(16;8)
         mofs.construct_federer(mofs.hadamard(12)),  # 121 x F(12;6)
     ]
     out = []

@@ -16,13 +16,14 @@ from mofs.core import (
     UncoveredCell,
 )
 
-from mofs.core import _chunk_squares, _validate_regularity
+from mofs.core import _tile, _validate_regularity
 
 from conftest import (
     EXAMPLE_GRID,
     EXAMPLE_I1,
     EXAMPLE_I2,
     EXAMPLE_I3,
+    blocks_of,
     corrupted_stacks,
     first_per_square_error,
     line_regularity_oracle,
@@ -237,10 +238,11 @@ class TestStackValidator:
             _validate_regularity(params, stack)
         assert str(exc.value) == str(expected)
 
-    def test_later_chunk_is_checked(self):
+    def test_later_chunk_is_checked(self, monkeypatch):
         mset = mofs.construct_prime_power(2, 4)
         params, stack = mset.params, mset.grids.copy()
-        assert mset.t > _chunk_squares(params)
+        blocks_of(monkeypatch, params, 128)
+        assert mset.t > _tile(params)
         stack[-1, 3, 5] = 3
         with pytest.raises(SymbolOutOfRange, match=r"entry \(3,5\) = 3 not in 1..2"):
             _validate_regularity(params, stack)
@@ -255,6 +257,51 @@ class TestStackValidator:
         for mset in (mofs.construct_prime_power(2, 4), mofs.construct_prime_power(11, 1)):
             _validate_regularity(mset.params, mset.grids)
             _validate_regularity(mset.params, mset.grids[:0])
+
+
+def _validation_outcome(params, stack):
+    try:
+        _validate_regularity(params, stack)
+    except mofs.MofsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _round_trip(mset):
+    text = mofs.encode(mset)
+    decoded = mofs.decode(text)
+    squares = [sq.grid.tobytes() for sq in decoded.squares]
+    return text, mofs.encode(decoded), decoded.grids.tobytes(), squares
+
+
+class TestBlockBudget:
+    """The block size changes no result of a batched pass: with one or
+    three squares to a block, decode and encode, regularity faults, a set's
+    squares and capped streams all give what the default budget gives."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_blocks_change_no_result(self, k, monkeypatch):
+        config = mofs.SearchConfig(max_results=20)
+        f42, f51 = mofs.Params(2, 2), mofs.Params(5, 1)
+        start = mofs.verify_mofs([mofs.random_fsquare(f51, random.Random(0))])
+        sets = [
+            mofs.construct_federer(mofs.hadamard(12)),  # 121 x F(12;6)
+            mofs.construct_prime_power(11, 1),  # 10 x F(11;1), two-digit symbols
+        ]
+        cases = [
+            *((mset.params, lambda mset=mset: _round_trip(mset)) for mset in sets),
+            *(
+                (params, lambda params=params, stack=stack: _validation_outcome(params, stack))
+                for params, stack in corrupted_stacks(7)
+            ),
+            (f42, lambda: [sq.grid.tobytes() for sq in mofs.enumerate_fsquares(f42, config)]),
+            (f51, lambda: [sq.grid.tobytes() for sq in mofs.extensions(start, config)]),
+        ]
+        want = [run() for _, run in cases]
+        assert any(want[len(sets) : -2]) and len(want[-1]) == 20
+        for (params, run), expected in zip(cases, want):
+            blocks_of(monkeypatch, params, k)
+            assert run() == expected
 
 
 class TestIndicator:

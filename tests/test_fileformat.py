@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import mofs
 import mofs.fileformat
 from mofs.cli import main
-from mofs.core import FSquare, MofsError, Params, _CHUNK_CELLS, _chunk_squares
+from mofs.core import FSquare, MofsError, Params, _tile
 from mofs.fileformat import ParseError, decode, encode
 from mofs.verify import NotOrthogonal, verify_mofs
 
-from conftest import corrupted_stacks, first_per_square_error, hand_built_sets
+from conftest import blocks_of, corrupted_stacks, first_per_square_error, hand_built_sets
 
 
 def _comments_and_no_gaps(text):
@@ -36,7 +36,7 @@ ONES = mofs.FSquare(Params(1, 3), np.ones((3, 3), np.int64))
 VALID_FILES = [
     encode(mofs.construct_federer(mofs.hadamard(4))),  # 9 x F(4;2)
     encode(mofs.construct_prime_power(3, 1)),  # 2 x F(3;1)
-    # 225 squares: two chunks, and not a multiple of the chunk.
+    # 225 squares: two blocks of 128, and not a multiple of the block.
     encode(FEDERER16),
     encode(mofs.construct_prime_power(11, 1)),  # 10 x F(11;1), two-digit symbols
     _comments_and_no_gaps(encode(mofs.construct_prime_power(3, 2))),
@@ -274,13 +274,20 @@ class TestDecodeFuzz:
 
 
 class TestBulkPath:
-    def test_valid_files_span_the_chunk_cases(self):
+    def test_valid_files_span_the_chunk_cases(self, monkeypatch):
+        # With F(16;8) 128 squares to a block, the 225 squares are two
+        # blocks, and not a multiple of the block; so are PP5_2's.
         p, t = FEDERER16.params, FEDERER16.t
-        assert t * p.n * p.n > _CHUNK_CELLS
-        assert t % _chunk_squares(p) != 0
+        blocks_of(monkeypatch, p, 128)
+        assert t > _tile(p)
+        assert t % _tile(p) != 0
         assert "count=10" in VALID_FILES[3] and " 10 " in VALID_FILES[3]
         p, t = PP5_2.params, PP5_2.t
-        assert t > _chunk_squares(p) and t % _chunk_squares(p) != 0
+        assert t > _tile(p) and t % _tile(p) != 0
+        for text in VALID_FILES[:4]:
+            assert encode(decode(text)) == text
+        text = encode(PP5_2)
+        assert decode(text) == PP5_2 and encode(decode(text)) == text
 
     @pytest.mark.parametrize(
         "mset",
@@ -367,8 +374,10 @@ class TestBulkPath:
     def test_wide_stack_over_several_chunks(self, m, lam, count, monkeypatch):
         # A regular stack, not a MOFS set: the stack the bulk reader passes
         # on to MofsSet is captured instead.
+        # Just under half the stack to a block: two full blocks and a part.
         params = Params(m, lam)
-        step = _chunk_squares(params)
+        blocks_of(monkeypatch, params, count // 2 - 1)
+        step = _tile(params)
         assert count > 2 * step and count % step != 0
         rng = random.Random(m)
         stack = np.array([mofs.random_fsquare(params, rng).grid for _ in range(count)])

@@ -24,7 +24,7 @@ from mofs.search import (
 )
 from mofs.verify import UndefinedForMOne
 
-from conftest import loop_row_reduce, naive_fsquares, row_stack_fsquares
+from conftest import blocks_of, loop_row_reduce, naive_fsquares, row_stack_fsquares
 
 
 def grids(stream):
@@ -439,8 +439,10 @@ def root_buffer(grid):
 
 class TestEngineTables:
     @pytest.mark.parametrize("m,lam", [(2, 2), (3, 1), (3, 2)])
-    def test_leaves_are_plain_squares(self, m, lam):
+    def test_leaves_are_plain_squares(self, m, lam, monkeypatch):
         p = mofs.Params(m, lam)
+        # Two squares to a block, so that streams and sets span several.
+        blocks_of(monkeypatch, p, 2)
         start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(m))])
         config = SearchConfig(max_results=600)
         streamed = [*mofs.enumerate_fsquares(p, config), *mofs.extensions(start, config)]
@@ -462,12 +464,12 @@ class TestEngineTables:
             # make writeable either.
             assert type(root_buffer(sq.grid)) is bytes
         # A streamed square keeps alive at most one batch of squares, and a
-        # set's squares share one int64 copy of each chunk of its stack.
+        # set's squares share one int64 copy of each block of its stack.
         for sq in streamed:
             cells = sq.params.n**2
-            assert len(root_buffer(sq.grid)) <= core._LEAF_BATCH * cells * 8
+            assert len(root_buffer(sq.grid)) <= core._tile(sq.params) * cells * 8
         for mset in sets:
-            step = core._chunk_squares(mset.params)
+            step = core._tile(mset.params)
             roots = [root_buffer(sq.grid) for sq in mset.squares]
             assert all(roots[k] is roots[k - k % step] for k in range(mset.t))
             assert sum(map(len, roots[::step])) == mset.grids.size * 8
@@ -553,7 +555,8 @@ GROW_PINS = {
 }
 
 
-LEAF_BATCH = core._LEAF_BATCH
+# The batch cap that TestLeafBatches gives each stream (see blocks_of).
+LEAF_BATCH = 256
 F63 = mofs.Params(2, 3)
 
 
@@ -565,17 +568,19 @@ def f51_singleton():
 
 
 class TestLeafBatches:
-    """Streams wrap keys in batches that double from one key up to
-    ``core._LEAF_BATCH``; a capped stream ends at any point of a batch."""
+    """Streams wrap keys in batches that double from one key up to one
+    block (``core._tile``); a capped stream ends at any point of a batch."""
 
     @pytest.mark.parametrize(
         "limit", [0, 1, 2, 3, 4, 7, 8, LEAF_BATCH - 1, LEAF_BATCH, LEAF_BATCH + 1]
     )
-    def test_capped_streams_are_prefixes(self, limit):
+    def test_capped_streams_are_prefixes(self, limit, monkeypatch):
         config = SearchConfig(max_results=limit)
+        blocks_of(monkeypatch, F63, LEAF_BATCH)
         capped = list(mofs.enumerate_fsquares(F63, config))
         assert len(capped) == limit
         assert capped == list(islice(mofs.enumerate_fsquares(F63), limit))
+        blocks_of(monkeypatch, f51_singleton().params, LEAF_BATCH)
         capped = list(mofs.extensions(f51_singleton(), config))
         assert len(capped) == limit
         assert capped == list(islice(mofs.extensions(f51_singleton()), limit))

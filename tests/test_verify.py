@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
-from mofs import verify
-from mofs.core import DimensionMismatch, SymbolOutOfRange
+from mofs.core import DimensionMismatch, SymbolOutOfRange, _tile
 from mofs.search import SearchConfig
 from mofs.verify import (
     NotOrthogonal,
@@ -20,10 +19,9 @@ from mofs.verify import (
     UndefinedForMOne,
     _indicator_rows,
     _meets,
-    _tile,
 )
 
-from conftest import corrupted_stacks, hand_built_sets, naive_superposition
+from conftest import blocks_of, corrupted_stacks, hand_built_sets, naive_superposition
 
 
 def permute_symbols(s, perm):
@@ -174,19 +172,10 @@ def brute_force_first_failure(squares):
     return None
 
 
-def tiles_of(monkeypatch, params, tile):
-    """Shrink the kernel's block budget until squares of this type go ``tile``
-    to a tile, so that sets of a few hundred squares span several tiles."""
-    r = max(params.m - 1, 1)
-    budget = max(tile * r * params.n**2, (tile * r) ** 2)
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", budget)
-    assert _tile(params, params.n**2) == tile
-
-
 @pytest.fixture(scope="module")
 def multi_tile_sets():
     """Complete sets larger than two 64-square tiles of the orthogonality
-    kernel (see :func:`tiles_of`)."""
+    kernel (see :func:`conftest.blocks_of`)."""
     return {
         "federer12": mofs.construct_federer(mofs.hadamard(12)).squares,  # 121, m = 2
         "pp33": mofs.construct_prime_power(3, 3).squares,  # 338, m = 3
@@ -197,7 +186,7 @@ class TestKernelAgainstBruteForce:
     @pytest.mark.parametrize("name", ["federer12", "pp33"])
     def test_first_failure_over_the_whole_row_strip(self, multi_tile_sets, name, monkeypatch):
         squares = list(multi_tile_sets[name])
-        tiles_of(monkeypatch, squares[0].params, 64)
+        blocks_of(monkeypatch, squares[0].params, 64)
         # (6, 101) fails in the second column tile; (11, 21) has a larger k
         # but sits in the first column tile.
         squares[100] = squares[5]
@@ -280,10 +269,10 @@ class TestMeets:
     @pytest.mark.parametrize("m,lam,t", [(2, 2, 150), (3, 1, 130), (1, 3, 140)])
     def test_stacks_over_several_tiles(self, m, lam, t, monkeypatch):
         params, rng = mofs.Params(m, lam), random.Random(t)
-        tiles_of(monkeypatch, params, 64)
+        blocks_of(monkeypatch, params, 64)
         grids = np.array([mofs.random_fsquare(params, rng).grid for _ in range(t)])
         flat = grids.reshape(t, -1)
-        tile = _tile(params, flat.shape[1])
+        tile = _tile(params)
         assert t > 2 * tile
         got = self.check(params, grids, range(1, m + 1))
         assert m == 1 or set(got.ravel()) == {False, True}
