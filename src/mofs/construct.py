@@ -300,11 +300,15 @@ def construct_federer(h: HadamardMatrix) -> MofsSet:
     """
     if not h.normalized:
         raise NotNormalized("the Hadamard matrix must be normalized")
-    order = h.order
+    order, entries = h.order, np.asarray(h.entries)
     if order < 4 or order % 4 != 0:
         raise UnsupportedOrder(f"need order 4n >= 4, got {order}")
+    if entries.shape != (order, order):
+        raise UnsupportedOrder(f"expected shape ({order}, {order}), got {entries.shape}")
+    if (entries[0] != 1).any() or (entries[:, 0] != 1).any():
+        raise NotNormalized("a normalized matrix has +1 in its first row and column")
     # grids[r - 1, c - 1][x, y]: 1 where h[r][x] == h[c][y], else 2.
-    plus = h.entries[1:] > 0
+    plus = entries[1:] > 0
     same = plus[:, None, :, None] == plus[None, :, None, :]
     grids = np.where(same, np.uint8(1), np.uint8(2)).reshape(-1, order, order)
     return _checked(Params(2, order // 2), grids, (order - 1) ** 2)

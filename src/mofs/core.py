@@ -283,6 +283,7 @@ def make_fsquare(params: Params, grid) -> FSquare:
 def indicator(s: FSquare, a: int) -> np.ndarray:
     """Indicator square I_a(s): the read-only 0/1 array of the cells of
     ``s`` that hold symbol ``a``."""
+    a = _as_int(a, "a symbol")
     if not 1 <= a <= s.params.m:
         raise SymbolOutOfRange(f"symbol {a} not in 1..{s.params.m}")
     return _read_only(s.grid == a)

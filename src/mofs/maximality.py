@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import MofsError, Params, SymbolOutOfRange
+from .core import MofsError, Params, SymbolOutOfRange, _as_int
 from .verify import MofsSet
 
 
@@ -90,6 +90,7 @@ def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
     if len(choice) != mset.t:
         raise LengthMismatch(f"expected {mset.t} symbols, got {len(choice)}")
     params = mset.params
+    choice = tuple(_as_int(a, "a symbol") for a in choice)
     bad = next((a for a in choice if not 1 <= a <= params.m), None)
     if bad is not None:
         raise SymbolOutOfRange(f"symbol {bad} not in 1..{params.m}")

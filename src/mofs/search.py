@@ -194,23 +194,24 @@ def _pattern_tables(m: int, lam: int):
     lexicographic order), the counters' field dtype, the patterns'
     read-only one-hot array, their packed column increments, their native
     int64 bytes, and the column-fit table the engine fills as it goes."""
+    # Each pattern after the sorted first is the next permutation of the
+    # last: raise the rightmost cell that a later cell exceeds to the
+    # least such later symbol, then sort the cells after it.
     n = m * lam
-    out = []
-    counts = [lam] * m
-
-    def rec(pos: int, row: list):
-        if pos == n:
-            out.append(tuple(row))
-            return
-        for a in range(1, m + 1):
-            if counts[a - 1]:
-                counts[a - 1] -= 1
-                row.append(a)
-                rec(pos + 1, row)
-                row.pop()
-                counts[a - 1] += 1
-
-    rec(0, [])
+    row = [a for a in range(1, m + 1) for _ in range(lam)]
+    out = [tuple(row)]
+    while True:
+        i = n - 2
+        while i >= 0 and row[i] >= row[i + 1]:
+            i -= 1
+        if i < 0:
+            break
+        j = n - 1
+        while row[j] <= row[i]:
+            j -= 1
+        row[i], row[j] = row[j], row[i]
+        row[i + 1 :] = row[:i:-1]  # the cells after i were descending
+        out.append(tuple(row))
     patterns = tuple(out)
     # The narrowest unsigned field whose top bit can flag a count above lam^2.
     dtype = next(
@@ -258,19 +259,24 @@ def _guard(params: Params, config: SearchConfig) -> None:
             raise InfeasibleSizeGuard(
                 least * params.n, ceiling, "a row-pattern table of", "cells"
             )
-        return
-    # For m >= 2 the n distinct rows of the cyclic square permute into n!
-    # distinct squares.  That lower bound passes the ceiling after a few
-    # factors, while the estimate below takes unbounded time as n grows.
-    if params.m >= 2:
-        least = 1
-        for k in range(2, params.n + 1):
-            least *= k
-            if least > ceiling:
-                raise InfeasibleSizeGuard(least, ceiling, "at least")
-    estimate = estimate_count(params)
-    if estimate > ceiling:
-        raise InfeasibleSizeGuard(estimate, ceiling)
+    else:
+        # For m >= 2 the n distinct rows of the cyclic square permute into
+        # n! distinct squares.  That lower bound passes the ceiling after a
+        # few factors, while the estimate below takes unbounded time as n
+        # grows.
+        if params.m >= 2:
+            least = 1
+            for k in range(2, params.n + 1):
+                least *= k
+                if least > ceiling:
+                    raise InfeasibleSizeGuard(least, ceiling, "at least")
+        estimate = estimate_count(params)
+        if estimate > ceiling:
+            raise InfeasibleSizeGuard(estimate, ceiling)
+    # The one square of an m = 1 type is the whole search, but it alone
+    # holds n^2 cells, which no count above bounds.
+    if params.m == 1 and params.n**2 > ceiling:
+        raise InfeasibleSizeGuard(params.n**2, ceiling, "a square of", "cells")
 
 
 def _pack(counts: np.ndarray, dtype: np.dtype) -> list:

@@ -417,6 +417,10 @@ class TestRefusedQuickly:
             pytest.param(["extend", "f16-1", "--exhaustive"], "at least", id="extend-f16-exhaustive"),
             pytest.param(["count", "2", "50"], "at least", id="count-2-50"),
             pytest.param(["count", "3000", "1"], "at least", id="count-3000-1"),
+            # One square, but of 10^10 cells.
+            pytest.param(
+                ["count", "1", "100000"], "a square of 10000000000 cells", id="count-1-100000"
+            ),
             # n = 10^21 cannot shape an (n, n) array: the guard runs first.
             pytest.param(
                 ["count", "1000000000", "1000000000000"], "at least", id="count-huge-n"

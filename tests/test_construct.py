@@ -488,6 +488,16 @@ class TestConstructFederer:
         with pytest.raises(NotNormalized):
             mofs.construct_federer(flipped)
 
+    def test_rejects_a_flagged_matrix_that_is_not_normalized(self):
+        entries = mofs.hadamard(8).entries.copy()
+        entries[:, 3] *= -1
+        with pytest.raises(NotNormalized):
+            mofs.construct_federer(mofs.HadamardMatrix(8, entries, True))
+
+    def test_rejects_entries_of_another_shape(self):
+        with pytest.raises(UnsupportedOrder, match=r"expected shape \(8, 8\), got \(8, 4\)"):
+            mofs.construct_federer(mofs.HadamardMatrix(8, np.ones((8, 4)), True))
+
     def test_rejects_order_two(self):
         with pytest.raises(UnsupportedOrder):
             mofs.construct_federer(mofs.HadamardMatrix(2, np.array([[1, 1], [1, -1]]), True))

@@ -19,6 +19,36 @@ def pm_from_bits(bits, t=1, choice=None):
     return mofs.ParityMatrix(params, t, choice or (1,) * t, bits)
 
 
+@pytest.fixture(scope="module")
+def latin3():
+    """A one-square F(3;1) set, which no uniform symbol choice certifies,
+    so that a verdict reads its extra choices."""
+    mset = mofs.verify_mofs([mofs.random_fsquare(mofs.Params(3, 1), random.Random(0))])
+    assert not mofs.maximality_verdict(mset).certified
+    return mset
+
+
+SYMBOL_CALLS = {
+    "indicator": lambda mset, a: mofs.indicator(mset.squares[0], a),
+    "parity_matrix": lambda mset, a: mofs.parity_matrix(mset, [a]),
+    "extra_choices": lambda mset, a: mofs.maximality_verdict(mset, [(a,)]),
+}
+
+
+@pytest.mark.parametrize("call", SYMBOL_CALLS)
+@pytest.mark.parametrize("bad", [1.5, np.float64(1.0), True, "1", None])
+def test_non_integer_symbols_are_refused(latin3, call, bad):
+    with pytest.raises(mofs.MofsError, match="a symbol must be an integer"):
+        SYMBOL_CALLS[call](latin3, bad)
+
+
+def test_numpy_integer_symbols_are_symbols(latin3):
+    indicator = SYMBOL_CALLS["indicator"]
+    assert np.array_equal(indicator(latin3, np.int64(2)), indicator(latin3, 2))
+    pm, want = mofs.parity_matrix(latin3, [np.int64(2)]), mofs.parity_matrix(latin3, [2])
+    assert pm.symbol_choice == want.symbol_choice and np.array_equal(pm.bits, want.bits)
+
+
 class TestParityMatrix:
     def test_cyclic_triple_sums_to_ones(self, cyclic_triple_set):
         pm = mofs.parity_matrix(cyclic_triple_set, (1, 1, 1))

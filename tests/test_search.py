@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,28 @@ class TestEnumerate:
             next(mofs.enumerate_fsquares(mofs.Params(2, 2)))
         monkeypatch.setenv("MOFS_MAX_ENUM", "1000")
         assert len(list(mofs.enumerate_fsquares(mofs.Params(2, 2)))) == 90
+
+    def test_long_m1_square_is_counted(self):
+        # n = 1200 rows once overflowed a recursive pattern builder.
+        p = mofs.Params(1, 1200)
+        assert mofs.count_fsquares(p) == 1
+        (only,) = mofs.enumerate_fsquares(p)
+        assert only.grid.shape == (1200, 1200) and (only.grid == 1).all()
+
+    def test_m1_square_over_the_ceiling_is_refused(self, monkeypatch):
+        # The one square is the whole count, but its n^2 cells are guarded.
+        p = mofs.Params(1, 100)
+        monkeypatch.setenv("MOFS_MAX_ENUM", "9999")
+        for config in (SearchConfig(), SearchConfig(max_results=1)):
+            with pytest.raises(InfeasibleSizeGuard, match="^a square of 10000 cells "):
+                mofs.count_fsquares(p, config)
+        monkeypatch.setenv("MOFS_MAX_ENUM", "10000")
+        assert mofs.count_fsquares(p) == 1
+
+    @pytest.mark.parametrize("m,lam", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
+    def test_patterns_are_every_regular_row_in_order(self, m, lam):
+        row = [a for a in range(1, m + 1) for _ in range(lam)]
+        assert search._pattern_tables(m, lam)[0] == tuple(sorted(set(permutations(row))))
 
     def test_bad_env_ceiling(self, monkeypatch):
         for raw in ("abc", "-5"):
