@@ -84,19 +84,25 @@ class MaximalityVerdict:
         return self.certificate is not None
 
 
-def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
-    """Mod-2 sum of I_{a_k}(S_k) over the set, one chosen symbol per square."""
+def _symbol_choice(mset: MofsSet, symbol_choice) -> tuple:
+    """``symbol_choice`` as a tuple of one integer symbol in 1..m per square
+    of the set, or a MofsError."""
     choice = tuple(symbol_choice)
     if len(choice) != mset.t:
         raise LengthMismatch(f"expected {mset.t} symbols, got {len(choice)}")
-    params = mset.params
     choice = tuple(_as_int(a, "a symbol") for a in choice)
-    bad = next((a for a in choice if not 1 <= a <= params.m), None)
+    bad = next((a for a in choice if not 1 <= a <= mset.params.m), None)
     if bad is not None:
-        raise SymbolOutOfRange(f"symbol {bad} not in 1..{params.m}")
+        raise SymbolOutOfRange(f"symbol {bad} not in 1..{mset.params.m}")
+    return choice
+
+
+def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
+    """Mod-2 sum of I_{a_k}(S_k) over the set, one chosen symbol per square."""
+    choice = _symbol_choice(mset, symbol_choice)
     hits = mset.grids == np.asarray(choice).reshape(-1, 1, 1)
     bits = hits.sum(axis=0, dtype=np.int64) & 1
-    return ParityMatrix(params, mset.t, choice, bits)
+    return ParityMatrix(mset.params, mset.t, choice, bits)
 
 
 def detect_full_relation(pm: ParityMatrix) -> FullRelationCertificate | None:
@@ -143,10 +149,11 @@ def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
     """Certify maximality via a full relation, or report no certificate.
 
     Only applicable for odd lam.  The m uniform symbol choices are tried
-    in order (plus any user-supplied per-square choices); the first
-    certificate found wins, which keeps the outcome deterministic.
+    in order (plus any user-supplied per-square choices, each checked up
+    front); the first certificate found wins, which keeps the outcome
+    deterministic.
     """
-    extra = [tuple(c) for c in extra_choices]
+    extra = [_symbol_choice(mset, c) for c in extra_choices]
     return _verdict(mset.params, _certificates(mset, extra))
 
 

@@ -36,7 +36,8 @@ ONES = mofs.FSquare(Params(1, 3), np.ones((3, 3), np.int64))
 VALID_FILES = [
     encode(mofs.construct_federer(mofs.hadamard(4))),  # 9 x F(4;2)
     encode(mofs.construct_prime_power(3, 1)),  # 2 x F(3;1)
-    # 225 squares: two blocks of 128, and not a multiple of the block.
+    # 225 squares: at 128 squares to a block (see the chunk-cases test), two
+    # blocks, and not a multiple of the block.
     encode(FEDERER16),
     encode(mofs.construct_prime_power(11, 1)),  # 10 x F(11;1), two-digit symbols
     _comments_and_no_gaps(encode(mofs.construct_prime_power(3, 2))),
@@ -276,7 +277,7 @@ class TestDecodeFuzz:
 class TestBulkPath:
     def test_valid_files_span_the_chunk_cases(self, monkeypatch):
         # With F(16;8) 128 squares to a block, the 225 squares are two
-        # blocks, and not a multiple of the block; so are PP5_2's.
+        # blocks, and not a multiple of the block; PP5_2 spans several too.
         p, t = FEDERER16.params, FEDERER16.t
         blocks_of(monkeypatch, p, 128)
         assert t > _tile(p)

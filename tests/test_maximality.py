@@ -21,11 +21,8 @@ def pm_from_bits(bits, t=1, choice=None):
 
 @pytest.fixture(scope="module")
 def latin3():
-    """A one-square F(3;1) set, which no uniform symbol choice certifies,
-    so that a verdict reads its extra choices."""
-    mset = mofs.verify_mofs([mofs.random_fsquare(mofs.Params(3, 1), random.Random(0))])
-    assert not mofs.maximality_verdict(mset).certified
-    return mset
+    """A one-square F(3;1) set."""
+    return mofs.verify_mofs([mofs.random_fsquare(mofs.Params(3, 1), random.Random(0))])
 
 
 SYMBOL_CALLS = {
@@ -40,6 +37,19 @@ SYMBOL_CALLS = {
 def test_non_integer_symbols_are_refused(latin3, call, bad):
     with pytest.raises(mofs.MofsError, match="a symbol must be an integer"):
         SYMBOL_CALLS[call](latin3, bad)
+
+
+@pytest.mark.parametrize(
+    "extra,error",
+    [(("x",), mofs.MofsError), ((99,), SymbolOutOfRange), ((1, 1), LengthMismatch)],
+)
+def test_bad_extra_choice_is_refused_after_a_certificate(extra, error):
+    # Seed 8 grows a one-square F(6;3) set that a uniform choice certifies,
+    # so the extra choice is never needed, but is still checked.
+    mset = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
+    assert mofs.maximality_verdict(mset).certified
+    with pytest.raises(error):
+        mofs.maximality_verdict(mset, [extra])
 
 
 def test_numpy_integer_symbols_are_symbols(latin3):
