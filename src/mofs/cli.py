@@ -9,6 +9,11 @@ stateless: each parse gets a fresh namespace, no argument has a mutable
 default, and usage errors and ``--help`` print to the ``sys.stderr`` and
 ``sys.stdout`` of the moment, at the width ``COLUMNS`` gives then.
 ``build_parser()`` returns a fresh parser on every call.
+
+At module level this imports only ``core`` (and with it numpy), which
+every command needs; each ``_cmd_*`` imports the modules it runs, so
+``mofs bound`` never loads the search engine, nor ``mofs verify`` the
+maximality checks.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ import argparse
 import functools
 import sys
 
-from . import construct, fileformat, maximality, search
-from .core import MofsError, Params
-from .search import InfeasibleSizeGuard, SearchConfig
-from .verify import completeness_structure, upper_bound
+from .core import InfeasibleSizeGuard, MofsError, Params
 
 
 def _write_set(mset, path):
+    from . import fileformat
+
     text = fileformat.encode(mset)
     if path is None:
         sys.stdout.write(text)
@@ -33,6 +37,8 @@ def _write_set(mset, path):
 
 
 def _read_set(path):
+    from . import fileformat
+
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -47,6 +53,8 @@ def _read_set(path):
 
 
 def _cmd_construct(args):
+    from . import construct
+
     if args.prime_power is not None:
         m, h = args.prime_power
         mset = construct.construct_prime_power(m, h)
@@ -63,10 +71,12 @@ def _print_completeness(report):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     mset = _read_set(args.file)
     report = None
     if mset.params.m >= 2:
-        report = completeness_structure(mset)
+        report = verify.completeness_structure(mset)
     print(f"OK: {mset.t} mutually orthogonal squares of type {mset.params}")
     if report is not None:
         _print_completeness(report)
@@ -74,25 +84,31 @@ def _cmd_verify(args):
 
 
 def _cmd_bound(args):
+    from . import verify
+
     params = Params(args.m, args.lam)
-    b = upper_bound(params)
+    b = verify.upper_bound(params)
     print(f"{b.value} ({'exact' if b.exact else 'floor'})")
     return 0
 
 
 def _cmd_count(args):
+    from . import search
+
     params = Params(args.m, args.lam)
-    config = SearchConfig(force=args.force)
+    config = search.SearchConfig(force=args.force)
     print(search.count_fsquares(params, config))
     return 0
 
 
 def _cmd_analyze(args):
+    from . import maximality, verify
+
     mset = _read_set(args.file)
     params = mset.params
     print(f"type {params}: {mset.t} mutually orthogonal squares")
     if params.m >= 2:
-        report = completeness_structure(mset)
+        report = verify.completeness_structure(mset)
         _print_completeness(report)
         print(f"completeness block structure matches: {report.structure_matches}")
     certs = list(maximality._certificates(mset))
@@ -126,8 +142,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_extend(args):
+    from . import search
+
     mset = _read_set(args.file)
-    config = SearchConfig(seed=args.seed, force=args.force)
+    config = search.SearchConfig(seed=args.seed, force=args.force)
     if args.exhaustive:
         found = search._count(mset.params, mset.grids, config)
         print(f"extensions: {found}")

@@ -25,6 +25,22 @@ class MofsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InfeasibleSizeGuard(MofsError):
+    """A search refused because it would walk more than the ceiling allows.
+
+    Raised by ``search``; defined here so that ``cli.main`` can catch it
+    without importing the search module.
+    """
+
+    def __init__(self, estimate, ceiling, kind="estimated", unit="squares"):
+        super().__init__(
+            f"{kind} {estimate} {unit} exceeds the ceiling {ceiling};"
+            f" raise MOFS_MAX_ENUM or force (--force) to override"
+        )
+        self.estimate = estimate
+        self.ceiling = ceiling
+
+
 class DimensionMismatch(MofsError):
     pass
 

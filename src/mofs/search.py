@@ -56,20 +56,18 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import FSquare, MofsError, Params, _as_int, _leaves, _tile
+from .core import (
+    FSquare,
+    InfeasibleSizeGuard,
+    MofsError,
+    Params,
+    _as_int,
+    _leaves,
+    _tile,
+)
 from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets
 
 DEFAULT_MAX_ENUM = 10_000_000
-
-
-class InfeasibleSizeGuard(MofsError):
-    def __init__(self, estimate, ceiling, kind="estimated", unit="squares"):
-        super().__init__(
-            f"{kind} {estimate} {unit} exceeds the ceiling {ceiling};"
-            f" raise MOFS_MAX_ENUM or force (--force) to override"
-        )
-        self.estimate = estimate
-        self.ceiling = ceiling
 
 
 @dataclass(frozen=True)

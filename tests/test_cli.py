@@ -1,5 +1,7 @@
 import argparse
+import importlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -500,3 +502,112 @@ class TestRefusedQuickly:
         done = _run_cli("construct", "--prime-power", m, h)
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == f"error: m^h = {size} exceeds the configured maximum\n"
+
+
+# Runs ``argv`` through ``mofs.cli.main`` in a fresh process and prints, as
+# its last line, the exit code and the ``mofs`` modules loaded after
+# ``import mofs``, after ``build_parser()`` and after the command.
+_LOADS = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "mofs")
+
+import mofs
+stages = [loaded()]
+import mofs.cli
+mofs.cli.build_parser()
+stages.append(loaded())
+code = mofs.cli.main(sys.argv[1:])
+stages.append(loaded())
+print(json.dumps([code, stages]))
+"""
+
+_REFUSED_SQUARE = (
+    "refused: a square of 10000000000 cells exceeds the ceiling 10000000;"
+    " raise MOFS_MAX_ENUM or force (--force) to override\n"
+)
+
+
+class TestLazyLoading:
+    """Each process loads only the modules it runs: ``import mofs`` loads no
+    submodule, the CLI's parser needs ``core`` alone, and each command
+    adds the modules it calls."""
+
+    @pytest.mark.parametrize(
+        "argv,extra,code",
+        [
+            (["bound", "2", "3"], {"verify"}, 0),
+            (["verify", "SET"], {"verify", "fileformat"}, 0),
+            (["analyze", "SET"], {"verify", "fileformat", "maximality"}, 0),
+            (["count", "2", "2"], {"verify", "search"}, 0),
+            (["count", "1", "100000"], {"verify", "search"}, 1),
+            (["extend", "SET", "--exhaustive"], {"verify", "fileformat", "search"}, 0),
+            (["construct", "--prime-power", "2", "2"], {"verify", "fileformat", "construct"}, 0),
+        ],
+        ids=["bound", "verify", "analyze", "count", "count-refused", "extend", "construct"],
+    )
+    def test_each_command_loads_what_it_runs(self, tmp_path, federer4, argv, extra, code):
+        path = tmp_path / "set.mofs"
+        path.write_text(encode(federer4))
+        done = _run_python("-c", _LOADS, *[str(path) if a == "SET" else a for a in argv])
+        assert done.returncode == 0, done.stderr
+        got_code, stages = json.loads(done.stdout.splitlines()[-1])
+        base = ["mofs", "mofs.cli", "mofs.core"]
+        assert stages[:2] == [["mofs"], base]
+        assert stages[2] == sorted(base + [f"mofs.{name}" for name in extra])
+        assert got_code == code
+        assert done.stderr == ("" if code == 0 else _REFUSED_SQUARE)
+
+    def test_package_names_load_their_home_module(self):
+        done = _run_python(
+            "-c",
+            "import sys\n"
+            "import mofs\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'mofs')\n"
+            "guard = mofs.InfeasibleSizeGuard\n"
+            "print(loaded())\n"
+            "from mofs import verify\n"
+            "print(loaded())\n"
+            "assert mofs.search.InfeasibleSizeGuard is guard\n"
+            "print(loaded())\n",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "['mofs', 'mofs.core']",
+            "['mofs', 'mofs.core', 'mofs.verify']",
+            "['mofs', 'mofs.core', 'mofs.search', 'mofs.verify']",
+        ]
+
+
+class TestPublicNames:
+    """The package's public names resolve lazily to their home modules."""
+
+    def test_each_name_is_its_home_modules_object(self):
+        for name in mofs.__all__:
+            home = importlib.import_module(f"mofs.{mofs._HOME[name]}")
+            assert getattr(mofs, name) is getattr(home, name), name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from mofs import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(mofs.__all__)
+
+    def test_dir_lists_public_names_and_submodules(self):
+        names = set(dir(mofs))
+        assert set(mofs.__all__) <= names
+        assert {"cli", "construct", "core", "fileformat", "maximality", "search", "verify"} <= names
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mofs.no_such_name
+        assert not hasattr(mofs, "ParseError")  # a submodule's name, not public
+        with pytest.raises(ImportError):
+            exec("from mofs import no_such_name", {})
+
+    def test_size_guard_lives_in_core(self):
+        assert mofs.InfeasibleSizeGuard is mofs.search.InfeasibleSizeGuard
+        assert mofs.InfeasibleSizeGuard is mofs.core.InfeasibleSizeGuard
+        assert mofs.InfeasibleSizeGuard.__module__ == "mofs.core"
+        assert issubclass(mofs.InfeasibleSizeGuard, mofs.MofsError)
