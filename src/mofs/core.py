@@ -221,13 +221,15 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
 
     The counts are read from the indicator squares, as the paper reads
     regularity: S is regular iff every I_a(S) has row and column sums lam.
-    Those of each symbol 2..m are two products of its 0/1 hits with a ones
-    vector, exact in float32, one symbol at a time so that no temporary
-    outgrows the block; once every entry is in 1..m, symbol 1's are n
-    minus the rest."""
+    Those of symbols 2..m are one pair of products of their 0/1 hits with
+    a ones vector, exact in float32: the hits take r n^2 entries per square
+    for r = m - 1, which the block budgets (see :func:`_tile`).  A square
+    larger than the budget is counted a budget of symbols at a time.  Once
+    every entry is in 1..m, symbol 1's are n minus the rest."""
     m, lam, n = params.m, params.lam, params.n
     step = _tile(params)
     ones = np.ones(n, np.float32)
+    narrow = np.min_scalar_type(m)
     for k0 in range(0, len(stack), step):
         block = stack[k0 : k0 + step]
         t = len(block)
@@ -235,13 +237,15 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
         # Only squares before the first one with an out-of-range entry are
         # counted; their entries narrow to the type of m without wrapping.
         ok = int(np.argmax(out)) if out.any() else t
-        grids = block[:ok].astype(np.min_scalar_type(m), copy=False)
+        grids = block[:ok].astype(narrow, copy=False)
         # counts[k, a - 1, 0 or 1, i]: symbol a in row or column i of square k.
         counts = np.empty((ok, m, 2, n), np.float32)
-        for a in range(2, m + 1):
-            hits = (grids == a).astype(np.float32)
-            counts[:, a - 1, 0] = (hits.reshape(-1, n) @ ones).reshape(ok, n)
-            counts[:, a - 1, 1] = ones @ hits
+        per = max(1, _BLOCK_ENTRIES // (max(ok, 1) * n * n))
+        for low in range(1, m, per):
+            symbols = np.arange(low + 1, min(low + per, m) + 1, dtype=narrow)
+            hits = (grids[:, None] == symbols[:, None, None]).astype(np.float32)
+            counts[:, low : low + per, 0] = hits @ ones
+            counts[:, low : low + per, 1] = ones @ hits
         counts[:, 0] = n - counts[:, 1:].sum(axis=1)
         bad = counts != lam
         if bad.any():

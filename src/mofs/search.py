@@ -6,22 +6,25 @@ paper's bound: for a set of t squares, the dimension of W, the cells with
 zero row and column sums orthogonal to every member's centred indicator
 squares I_a(S_k) - J/m.  An extension's indicator v of one symbol has
 v - J/m in W.  A search with at least one member and D <= ``_DUAL_MAX_D``
-takes the linear-dual path: D seeded random vectors, projected into W by
-the closed form of its projector (two skinny float64 products with the
-members' indicator squares) and row-reduced modulo the prime 2^21 - 9,
-give W's basis, whose pivots are D free cells; a draw of lower rank is
-replaced by the next seed's.  The 2^D 0/1 assignments of the free cells
-are met in the middle; each candidate indicator is then checked exactly
-by the orthogonality kernel that verifies sets (``verify._meets``), and m
-pairwise disjoint candidates that cover every cell make m! squares.  It
-is complete: as the prime divides none of n, lam, m, the projector stays
-one of rank D modulo it, whose image holds v - J/m for every extension
-(see :func:`_candidates`).  Every other search, with no members or a
-larger D, runs the engine below; both give the same squares in the same
-order.  :func:`_search` alone calls :func:`_candidates`, the covers and
-the engine: every stream, count, maximality check and greedy step is
-decided there, and guarded wherever keys are walked (on the engine, or
-through the covers to a prefix), not where covers are counted or picked.
+takes the linear-dual path.  For m >= 2, D = 0, the bound's equality
+case, leaves W = {0} and so no extension, with nothing to solve.
+Otherwise D seeded random vectors, projected into W by the closed form
+of its projector (two skinny float64 products with the members'
+indicator squares) and row-reduced modulo the prime 2^21 - 9, give W's
+basis, whose pivots are D free cells; a draw of lower rank is replaced
+by the next seed's.  The 2^D 0/1 assignments of the free cells are met
+in the middle, the halves joined on two cells; each candidate indicator
+is then checked exactly by the orthogonality kernel that verifies sets
+(``verify._meets``), and m pairwise disjoint candidates that cover every
+cell make m! squares.  It is complete: as the prime divides none of n,
+lam, m, the projector stays one of rank D modulo it, whose image holds
+v - J/m for every extension (see :func:`_candidates`).  Every other
+search, with no members or a larger D, runs the engine below; both give
+the same squares in the same order.  :func:`_search` alone calls
+:func:`_candidates`, the covers and the engine: every stream, count,
+maximality check and greedy step is decided there, and guarded wherever
+keys are walked (on the engine, or through the covers to a prefix), not
+where covers are counted or picked.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -51,7 +54,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import count, islice, permutations
+from itertools import count, islice, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -173,10 +176,14 @@ _FIT_CAP = 1 << 14
 # 2 040 states in one search (F(6;3) 141).
 _TAIL_CAP = 1 << 12
 # The most free cells (D) for which the linear-dual search replaces the
-# engine.  On greedy growth and exhaustive confirmation of 20 F(6;3) and 20
-# F(5;1) sets a cap of 20 ties with 18 and takes more memory (43 against
-# 32 MB max RSS); 22 is 5 times slower at 151 MB.
-_DUAL_MAX_D = 18
+# engine.  Greedy growth of 8 F(6;3) sets from one random square took
+# 9-14, 8-11, 7-10 and 11-15 ms a set at caps of 18, 19, 20 and 21 (medians
+# of 5 passes, 3 processes each), which with exhaustive counts of greedy
+# prefixes peaked at 31, 32, 38 and 47 MB max RSS: at 21 the first dual
+# solve costs more than the engine's first find.  The dual counts a set
+# at D = 19 in 2-4 ms against the engine's 33-48, and at D = 20 or 21 in
+# 4-10 ms against 27-49, so 20 would count faster for 5 MB more.
+_DUAL_MAX_D = 19
 # The prime the linear-dual search works modulo.  Its projector divides by
 # n and n lam and its constant cells are 1/m, so p must divide none of n,
 # lam, m: it cannot, as n = m lam is far below p for any type whose n^2
@@ -485,13 +492,12 @@ def _row_reduce(a: np.ndarray, p: int):
     return pivots if len(pivots) == len(a) else None
 
 
-def _half(reduced: np.ndarray, free: list, p: int, start: np.ndarray) -> np.ndarray:
-    """(len(reduced), 2^len(free)) residues: column u is ``start`` minus
-    the columns ``free`` of ``reduced`` whose bits are set in u, mod p."""
-    out = start[:, None] % p
-    for j in free:
-        out = np.concatenate((out, (out - reduced[:, j, None]) % p), axis=1)
-    return out
+def _half(reduced: np.ndarray, free, p: int, start: np.ndarray) -> np.ndarray:
+    """(len(reduced), 2^len(free)) int32 residues: column u is ``start``
+    minus the columns ``free`` of ``reduced`` whose bits are set in u (bit
+    i for ``free[i]``), mod p, as one integer product."""
+    bits = np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1
+    return ((start[:, None] - reduced[:, free] @ bits.T) % p).astype(np.int32)
 
 
 def _candidates(params: Params, members: np.ndarray):
@@ -502,16 +508,20 @@ def _candidates(params: Params, members: np.ndarray):
     Such an indicator v has v - J/m in W, the cells of zero row and column
     sums orthogonal to every member's centred indicators, and W has
     dimension D = (n-1)^2 - t(m - 1) for a MOFS (for m = 1, W is Z and D
-    is (n-1)^2).  D seeded draws projected into W (see :func:`_project`)
-    and row-reduced mod p give its basis B; a rank below D, of probability
-    about D/p, means the next draw.  B's pivots are the free cells F, and
-    every other cell is 1/m + sum_i (v_F_i - 1/m) B[i, cell] mod p.  So the
-    2^D 0/1 assignments of the free cells give every candidate.  They are
-    met in the middle: each half of the free cells has a residue table
-    over the other cells, the halves are joined on one cell (its residue
-    must come out 0 or 1), and the pairs are filtered 16 cells at a time,
-    so no array outgrows 16 times the 2^D pairs.  Every survivor is then
-    checked exactly: row and column sums lam, and then lam^2 against every
+    is (n-1)^2).  For m >= 2 and D = 0, a complete set, W = {0} holds
+    only J/m, which is no 0/1 vector: there is no candidate, and nothing
+    is drawn.  Otherwise D seeded draws projected into W (see
+    :func:`_project`) and row-reduced mod p give its basis B; a rank below
+    D, of probability about D/p, means the next draw.  B's pivots are the
+    free cells F, and every other cell is 1/m + sum_i (v_F_i - 1/m)
+    B[i, cell] mod p.  So the 2^D 0/1 assignments of the free cells give
+    every candidate.  They are met in the middle: each half of the free
+    cells has a residue table over the other cells (:func:`_half`), the
+    halves are joined on two cells (both residues must come out 0 or 1)
+    by one sorted lookup of a combined key per pair of 0/1 values, and
+    the pairs that pass both are filtered 16 cells at a time, so no array
+    outgrows 16 times those pairs.  Every survivor is then checked
+    exactly: row and column sums lam, and then lam^2 against every
     indicator of every member, by the kernel that verifies sets
     (:func:`verify._meets`); the row and column sums make its reduced
     symbols enough.
@@ -529,6 +539,9 @@ def _candidates(params: Params, members: np.ndarray):
     d = (n - 1) ** 2 - t * (m - 1)
     if not t or d > _DUAL_MAX_D:
         return None
+    if not d and m > 1:
+        # W = {0} leaves only J/m, which is no 0/1 vector.
+        return np.zeros((0, n * n), np.uint8)
     for seed in count():
         basis = _project(params, members, _draw(seed, d, n))
         free = _row_reduce(basis, p)
@@ -544,20 +557,28 @@ def _candidates(params: Params, members: np.ndarray):
     left = _half(reduced, low, p, reduced[:, -1])
     right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int32))) % p
     # x on fixed cell i is left[i, u] - right[i, w] mod p, which must be 0
-    # or 1, so each residue of one half pairs with at most two of the
-    # other's.  The join is on the cell whose residues are the most
-    # distinct on one half: if all are, it yields at most twice the other
-    # half's size.
+    # or 1.  The join is on two cells, keyed r0 p + r1 < 2^42: the cell
+    # whose residues are the most distinct on the right half, and the one
+    # that then makes the keys the most distinct.  One sorted lookup per
+    # 0/1 pair of differences finds the pairs that pass both cells.
     def distinct(table):
-        steps = np.diff(np.sort(table, axis=1), axis=1) != 0
-        return (steps.sum(axis=1) + 1) / table.shape[1]
+        return (np.diff(np.sort(table, axis=1), axis=1) != 0).sum(axis=1)
 
-    join = int(np.argmax(np.maximum(distinct(left), distinct(right))))
-    by = np.argsort(right[join], kind="stable")
-    ends = right[join, by]
+    first = int(np.argmax(distinct(right)))
+    by_pair = distinct(right[first].astype(np.int64) * p + right)
+    by_pair[first] = -1
+    join = [first, int(np.argmax(by_pair))]
+
+    def keys(table, d0, d1):
+        r0, r1 = (table[join].astype(np.int64) - [[d0], [d1]]) % p
+        return r0 * p + r1
+
+    ends = keys(right, 0, 0)
+    by = np.argsort(ends, kind="stable")
+    ends = ends[by]
     u, w = [], []
-    for diff in (0, 1):
-        want = (left[join] - diff) % p
+    for d0, d1 in product((0, 1), repeat=2):
+        want = keys(left, d0, d1)
         lo = np.searchsorted(ends, want)
         many = np.searchsorted(ends, want, "right") - lo
         u.append(np.repeat(np.arange(len(want)), many))

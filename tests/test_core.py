@@ -253,6 +253,22 @@ class TestStackValidator:
         with pytest.raises(RowRegularityViolation, match="row 0: symbol 1 occurs 2"):
             _validate_regularity(p, stack)
 
+    @pytest.mark.parametrize("budget", [None, 32, 16])
+    def test_lowest_symbol_of_several_is_reported(self, budget, monkeypatch):
+        # Symbols 3 and 4 break row 0; symbol 2 breaks column 1 and row 2.
+        # Symbol 1 is whole, so symbol 2's row comes first, counted with all
+        # three symbols in one pass or, on a budget under one square's
+        # hits, two symbols or one at a time.
+        p = mofs.Params(4, 1)
+        grid = np.array([[1, 2, 3, 3], [2, 3, 4, 1], [3, 2, 1, 2], [4, 1, 2, 3]])
+        assert regularity_reference(p, grid) == (RowRegularityViolation, 2, 2, 2)
+        if budget:
+            monkeypatch.setattr(mofs.core, "_BLOCK_ENTRIES", budget)
+        stack = np.array([np.roll(np.arange(1, 5), -i) for i in range(4)])[None]
+        for bad in (grid[None], np.concatenate((stack, grid[None], grid[None, ::-1]))):
+            with pytest.raises(RowRegularityViolation, match="row 2: symbol 2 occurs 2"):
+                _validate_regularity(p, bad)
+
     def test_valid_stacks_pass(self):
         for mset in (mofs.construct_prime_power(2, 4), mofs.construct_prime_power(11, 1)):
             _validate_regularity(mset.params, mset.grids)

@@ -925,6 +925,54 @@ class TestLinearDual:
         assert not any(map(uses_dual, sets))
         assert [search_outcomes(mset) for mset in sets] == dual
 
+    @pytest.mark.parametrize(
+        "m,lam,seed,t,found", [(2, 3, 0, 6, 20), (2, 3, 1, 6, 36), (2, 3, 2, 6, 20), (3, 2, 1, 3, 30)]
+    )
+    def test_nineteen_free_cells_match_the_engine_in_order(self, m, lam, seed, t, found):
+        # The first t members of a greedy F(6;3) or F(6;2) set leave
+        # D = 19, the most free cells the linear dual takes.
+        p = mofs.Params(m, lam)
+        grown = mofs.grow_maximal(p, SearchConfig(seed=seed, force=True))
+        members = grown.grids[:t]
+        assert (p.n - 1) ** 2 - t * (m - 1) == search._DUAL_MAX_D == 19
+        covers, keys = search._search(p, members, SearchConfig(force=True))
+        assert covers is not None
+        keys = list(keys)
+        assert len(keys) == found
+        assert keys == list(search._engine(p, members, None, ()))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_half_matches_the_doubling_loop(self, k):
+        # Column u subtracts free[i] for each bit i set in u, the order in
+        # which doubling the table one free cell at a time lists them.
+        rng, p = np.random.default_rng(k), search._PRIME
+        reduced = rng.integers(0, p, (7, 12)).astype(np.int32)
+        free = rng.permutation(12)[:k].tolist()
+        start = rng.integers(0, p, 7).astype(np.int32)
+        want = start[:, None] % p
+        for j in free:
+            want = np.concatenate((want, (want - reduced[:, j, None]) % p), axis=1)
+        got = search._half(reduced, free, p, start)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
+    def test_complete_sets_are_answered_without_a_solve(self, monkeypatch):
+        # D = 0 leaves W = {0}, whose one point J/m is no 0/1 vector: no
+        # draw, projection or elimination is needed to find no extension.
+        sets = complete_sets(9)
+        assert len(sets) == 12
+
+        def refuse(*args):
+            raise AssertionError("a complete set needs no solve")
+
+        for name in ("_draw", "_project", "_row_reduce"):
+            monkeypatch.setattr(search, name, refuse)
+        config = SearchConfig(force=True)
+        for mset in sets:
+            assert (mset.params.n - 1) ** 2 == mset.t * (mset.params.m - 1)
+            assert search._count(mset.params, mset.grids, config) == 0
+            assert mofs.exhaustive_maximality(mset, config)
+            assert next(mofs.extensions(mset, config), None) is None
+
     def test_rank_drop_is_retried(self, monkeypatch):
         # A first draw with two equal vectors has rank below D, so the
         # search must draw again and find the same candidates.
