@@ -211,19 +211,21 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     for _ in range(h):
         trace, conjugate = add[trace, conjugate], frobenius[conjugate]
     # Symbol labeling by element index order: zero -> 1, one -> 2, ...
-    symbol_of = np.zeros(q, dtype=np.int64)
+    symbol_of = np.zeros(q, dtype=np.min_scalar_type(m))
     symbol_of[subfield] = np.arange(1, m + 1)
-    symbols = symbol_of[trace]
 
     # Transversal of the nonzero elements modulo subfield scalars: keep the
     # lowest-index element of each orbit.
     reps = np.flatnonzero(mul[subfield[1:]].min(axis=0) == x)[1:]
 
     params = Params(m, m ** (h - 1))
-    # grids[i, b - 1][x, y] = symbols[a x + b y] with a = reps[i].
+    # grids[i, b - 1][x, y] = symbol of L(a x + b y) with a = reps[i], read
+    # from one (q, q) table of the symbol of L(u + v), in the set's narrow
+    # type, so the stack is gathered once and never held as int64.
+    symbols = symbol_of[trace[add]]
     ax = mul[reps][:, None, :, None]
     by = mul[1:][None, :, None, :]
-    grids = symbols[add[ax, by]].reshape(-1, q, q)
+    grids = symbols[ax, by].reshape(-1, q, q)
     return _checked(params, grids, (q - 1) ** 2 // (m - 1))
 
 

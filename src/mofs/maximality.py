@@ -87,21 +87,30 @@ class MaximalityVerdict:
 def _symbol_choice(mset: MofsSet, symbol_choice) -> tuple:
     """``symbol_choice`` as a tuple of one integer symbol in 1..m per square
     of the set, or a MofsError."""
-    choice = tuple(symbol_choice)
+    choice, m = tuple(symbol_choice), mset.params.m
     if len(choice) != mset.t:
         raise LengthMismatch(f"expected {mset.t} symbols, got {len(choice)}")
+    # Plain ints in range are checked at C speed; anything else, one at a time.
+    if set(map(type, choice)) <= {int} and 1 <= min(choice) and max(choice) <= m:
+        return choice
     choice = tuple(_as_int(a, "a symbol") for a in choice)
-    bad = next((a for a in choice if not 1 <= a <= mset.params.m), None)
+    bad = next((a for a in choice if not 1 <= a <= m), None)
     if bad is not None:
-        raise SymbolOutOfRange(f"symbol {bad} not in 1..{mset.params.m}")
+        raise SymbolOutOfRange(f"symbol {bad} not in 1..{m}")
     return choice
 
 
 def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
-    """Mod-2 sum of I_{a_k}(S_k) over the set, one chosen symbol per square."""
+    """Mod-2 sum of I_{a_k}(S_k) over the set, one chosen symbol per square.
+
+    Only the parity of each cell's count is needed, so the t indicator
+    squares are XOR-reduced as booleans, (sum_k I_{a_k}(S_k)) mod 2 =
+    I_{a_1}(S_1) xor ... xor I_{a_t}(S_t), and no count is summed; the
+    bits are returned as an int64 0/1 array."""
     choice = _symbol_choice(mset, symbol_choice)
-    hits = mset.grids == np.asarray(choice).reshape(-1, 1, 1)
-    bits = hits.sum(axis=0, dtype=np.int64) & 1
+    # Symbols in 1..m fit the stack's narrow type, so no side is widened.
+    hits = mset.grids == np.asarray(choice, mset.grids.dtype).reshape(-1, 1, 1)
+    bits = np.logical_xor.reduce(hits, axis=0).astype(np.int64)
     return ParityMatrix(mset.params, mset.t, choice, bits)
 
 

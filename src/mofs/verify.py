@@ -166,6 +166,21 @@ def _indicator_rows(grids: np.ndarray, params: Params, dtype=None) -> np.ndarray
     return hits.reshape(-1, cells).astype(dtype)
 
 
+def _hits(x: np.ndarray, rows: np.ndarray, params: Params) -> np.ndarray:
+    """The one product site of the orthogonality kernel: a (len(x), len(rows))
+    bool array, true where flattened 0/1 row i of ``x`` meets indicator row j
+    in exactly lam^2 cells, ``x @ rows.T == lam^2``.
+
+    Both take the indicator rows' float type (:func:`_indicator_rows`), in
+    which the product is exact.  When ``rows`` is ``x`` itself, BLAS
+    computes the product as a symmetric one.  On indicator rows of a MOFS
+    the closed form of this Gram matrix is known: every entry is lam^2
+    except each square's own r x r block against itself, which holds
+    n lam on its diagonal and 0 off it (for m = 1 the one indicator is J,
+    and that block is n^2 = lam^2 too)."""
+    return x @ rows.T == params.lam**2
+
+
 def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.ndarray:
     """The orthogonality kernel: a (len(x), t) bool array, true where
     flattened 0/1 row i of ``x`` meets every reduced indicator of square l
@@ -174,15 +189,14 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
     For a row with lam ones in each row and column of the square, such as
     an indicator square, that is orthogonality to square l: its m products
     with I_1(S_l), ..., I_m(S_l) sum to n lam = m lam^2, so the product
-    with I_1 is lam^2 too.  The products are GEMMs of ``x``, cast once to
-    the indicator rows' float type, against one tile of squares at a time
-    (:func:`_tile`).  A tile's r symbols are joined by r - 1 in-place ANDs
-    of strided views, which cost a fraction of a reduction over a length-r
-    axis.
+    with I_1 is lam^2 too.  The products are :func:`_hits` of ``x``, cast
+    once to the indicator rows' float type, against one tile of squares at
+    a time (:func:`_tile`).  A tile's r symbols are joined by r - 1 in-place
+    ANDs of strided views, which cost a fraction of a reduction over a
+    length-r axis.
     ``first``, when given, is the first tile's indicator rows, which a
     caller holding them passes to spare their rebuild; when it is ``x``
-    itself, that Gram block is ``x @ x.T``, which BLAS computes as a
-    symmetric product."""
+    itself, that Gram block is a symmetric product."""
     grids = grids.reshape(len(grids), -1)
     r, tile = max(params.m - 1, 1), _tile(params)
     out, rows = np.empty((len(x), len(grids)), bool), first
@@ -190,7 +204,7 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
         if l0 or rows is None:
             rows = _indicator_rows(grids[l0 : l0 + tile], params)
         x = x.astype(rows.dtype, copy=False)
-        hit = (x @ rows.T == params.lam**2).reshape(len(x), len(rows) // r, r)
+        hit = _hits(x, rows, params).reshape(len(x), len(rows) // r, r)
         block = out[:, l0 : l0 + tile]
         np.copyto(block, hit[..., 0])
         for a in range(1, r):
@@ -200,16 +214,22 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
 
 def _first_failing_pair(grids: np.ndarray, params: Params):
     """0-based (k, l) of the lexicographically first non-orthogonal pair of
-    the flattened ``grids`` (one square per row), or None when the set is
-    pairwise orthogonal.
+    the flattened regular ``grids`` (one square per row), or None when the
+    set is pairwise orthogonal.
 
     Each strip of a tile of squares (:func:`_tile`) has its indicator rows
-    built once and checked by :func:`_meets` against itself, in one
-    symmetric Gram product, and then against each later tile; a set within
+    built once and multiplied (:func:`_hits`) by themselves, in one
+    symmetric Gram product, and then by each later tile's; a set within
     the budget is one strip and one product, and no array grows with the
     number of squares.  For regular squares the reduced counts decide
     orthogonality: the row and column sums of the superposition counts
     force those of symbol 1.
+
+    Each Gram block's verdict is one count against its closed form: a
+    block of two tiles is all lam^2; the strip's own block is too, less its
+    t_strip r^2 own-square entries (n lam or 0) when m >= 2.  Only a block
+    whose count falls short is searched for its failing pairs, from the
+    same boolean block.
     """
     t, r, tile = len(grids), max(params.m - 1, 1), _tile(params)
     for k0 in range(0, t, tile):
@@ -220,8 +240,13 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
         # failure of its first square, which no pair precedes, ends it early.
         first_l = np.full(len(strip) // r, t)
         for l0 in range(k0, t, tile):
-            meets = _meets(strip, grids[l0 : l0 + tile], params, strip if l0 == k0 else None)
-            bad = ~meets.reshape(len(first_l), r, -1).all(axis=1)
+            own = l0 == k0
+            rows = strip if own else _indicator_rows(grids[l0 : l0 + tile], params)
+            hit = _hits(strip, rows, params)
+            expected = hit.size - (len(first_l) * r * r if own and params.m >= 2 else 0)
+            if np.count_nonzero(hit) == expected:
+                continue
+            bad = ~hit.reshape(len(first_l), r, -1, r).all(axis=(1, 3))
             bad &= np.arange(l0, l0 + bad.shape[1]) > np.arange(k0, k0 + len(first_l))[:, None]
             first_l = np.where((first_l == t) & bad.any(axis=1), l0 + bad.argmax(axis=1), first_l)
             if first_l[0] < t:

@@ -140,6 +140,38 @@ class TestParityAgainstLoop:
         with pytest.raises(SymbolOutOfRange, match="symbol 0 not"):
             mofs.parity_matrix(cyclic_triple_set, (2, 0, 4))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: mofs.construct_prime_power(2, 5), id="pp25"),
+            pytest.param(lambda: mofs.construct_federer(mofs.hadamard(12)), id="federer12"),
+        ],
+    )
+    def test_xor_against_the_sum(self, build):
+        # 961 squares of F(32;16): more hits per cell than a uint8 count holds.
+        mset = build()
+        m = mset.params.m
+        uniform = [(a,) * mset.t for a in range(1, m + 1)]
+        for choice in uniform + random_choices(mset, random.Random(mset.t), 4):
+            pm = mofs.parity_matrix(mset, choice)
+            assert pm.bits.dtype == np.int64
+            assert np.array_equal(pm.bits, parity_reference(mset, choice))
+
+    def test_plain_and_numpy_ints_mix(self, cyclic_triple_set):
+        pm = mofs.parity_matrix(cyclic_triple_set, (1, np.int64(2), 3))
+        assert pm.symbol_choice == (1, 2, 3)
+        assert {type(a) for a in pm.symbol_choice} == {int}
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_one_non_integer_among_plain_ints(self, cyclic_triple_set, bad):
+        with pytest.raises(mofs.MofsError, match="a symbol must be an integer"):
+            mofs.parity_matrix(cyclic_triple_set, (1, bad, 2))
+
+    @pytest.mark.parametrize("choice,bad", [((1, 2, 4), 4), ((0, 2, 4), 0), ((3, -1, 9), -1)])
+    def test_first_plain_int_out_of_range(self, cyclic_triple_set, choice, bad):
+        with pytest.raises(SymbolOutOfRange, match=f"^symbol {bad} not in 1..3$"):
+            mofs.parity_matrix(cyclic_triple_set, choice)
+
 
 class TestDetectFullRelation:
     def test_cyclic_triple_constant_matrix(self, cyclic_triple_set):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
+from mofs import verify
 from mofs.core import DimensionMismatch, SymbolOutOfRange, _tile
 from mofs.search import SearchConfig
 from mofs.verify import (
@@ -233,6 +234,123 @@ class TestKernelAgainstBruteForce:
     def test_whole_sets_verify(self, multi_tile_sets):
         for squares in multi_tile_sets.values():
             assert mofs.verify_mofs(squares).t == len(squares)
+
+
+def relabelled(grid, m, rng):
+    """``grid`` under a random non-identity permutation of its symbols: a
+    square that fails orthogonality against ``grid`` and meets every square
+    that ``grid`` meets."""
+    identity = list(range(1, m + 1))
+    perm = identity
+    while perm == identity:
+        perm = rng.sample(identity, m)
+    return np.array(perm)[np.asarray(grid) - 1]
+
+
+@pytest.fixture(scope="module")
+def small_complete_sets():
+    """Complete sets for r = m - 1 of 1, 2 and 3 (see :func:`_indicator_rows`)."""
+    return {
+        "federer8": mofs.construct_federer(mofs.hadamard(8)),  # 49 x F(8;4)
+        "pp32": mofs.construct_prime_power(3, 2),  # 32 x F(9;3)
+        "pp42": mofs.construct_prime_power(4, 2),  # 75 x F(16;4)
+    }
+
+
+def failing_pair(where, block, t):
+    """0-based (k, l) of a pair in the strip's own block (``diagonal``), in
+    a block of two tiles (``off-diagonal``, which at the default budget is
+    the one block too), or ending at the last square."""
+    if where == "diagonal":
+        return (block, 2 * block - 1) if block else (1, t // 2)
+    if where == "off-diagonal":
+        return 1, t - 2
+    return t // 2, t - 1
+
+
+class TestVerdictAgainstLocator:
+    """Each Gram block's verdict is one count against its closed form, and
+    only a block that falls short is searched: the failure reported must
+    still be the brute-force oracle's, whatever block holds it."""
+
+    @pytest.mark.parametrize(
+        "where,block",
+        [
+            (where, block)
+            for where in ("diagonal", "off-diagonal", "last")
+            for block in (None, 1, 2, 3)
+            if (where, block) != ("diagonal", 1)  # a 1-square block has no pair
+        ],
+    )
+    @pytest.mark.parametrize("name", ["federer8", "pp32", "pp42"])
+    def test_the_only_failure(self, small_complete_sets, name, where, block, monkeypatch):
+        mset = small_complete_sets[name]
+        params, t = mset.params, mset.t
+        if block:
+            blocks_of(monkeypatch, params, block)
+        k, l = failing_pair(where, block, t)
+        squares = list(mset.squares)
+        rng = random.Random(f"{name}-{where}-{block}")
+        squares[l] = mofs.make_fsquare(params, relabelled(squares[k].grid, params.m, rng))
+        with pytest.raises(NotOrthogonal) as exc:
+            mofs.MofsSet(params, np.array([s.grid for s in squares]))
+        e = exc.value
+        assert (e.k, e.l, e.a, e.b, e.count) == brute_force_first_failure(squares)
+        assert (e.k, e.l) == (k + 1, l + 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_several_failures(self, small_complete_sets, seed, block, monkeypatch):
+        rng = random.Random(seed)
+        mset = small_complete_sets[rng.choice(sorted(small_complete_sets))]
+        params = mset.params
+        blocks_of(monkeypatch, params, block)
+        squares = list(mset.squares)
+        for _ in range(2):
+            k, l = sorted(rng.sample(range(mset.t), 2))
+            squares[l] = mofs.make_fsquare(params, relabelled(squares[k].grid, params.m, rng))
+        with pytest.raises(NotOrthogonal) as exc:
+            mofs.MofsSet(params, np.array([s.grid for s in squares]))
+        e = exc.value
+        assert (e.k, e.l, e.a, e.b, e.count) == brute_force_first_failure(squares)
+
+    @pytest.mark.parametrize("name", ["federer8", "pp32", "pp42"])
+    def test_gram_matrix_has_the_closed_form(self, small_complete_sets, name):
+        # lam^2 everywhere but each square's own r x r block: n lam on its
+        # diagonal, 0 off it.
+        mset = small_complete_sets[name]
+        p, t, r = mset.params, mset.t, mset.params.m - 1
+        rows = _indicator_rows(mset.grids.reshape(t, -1), p)
+        gram = (rows @ rows.T).reshape(t, r, t, r)
+        own = np.eye(t, dtype=bool)[:, None, :, None]
+        want = np.where(own, p.n * p.lam * np.eye(r)[None, :, None, :], p.lam**2)
+        assert np.array_equal(gram, want)
+        assert np.count_nonzero(verify._hits(rows, rows, p)) == (t * r) ** 2 - t * r * r
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["federer8", "pp32", "pp42"])
+    def test_passing_set_multiplies_each_block_once(
+        self, small_complete_sets, name, block, monkeypatch
+    ):
+        mset = small_complete_sets[name]
+        if block:
+            blocks_of(monkeypatch, mset.params, block)
+        blocks = -(-mset.t // _tile(mset.params))
+        calls, hits = [], verify._hits
+        monkeypatch.setattr(
+            verify, "_hits", lambda x, rows, params: calls.append(1) or hits(x, rows, params)
+        )
+        assert mofs.MofsSet(mset.params, mset.grids).t == mset.t
+        assert len(calls) == blocks * (blocks + 1) // 2
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    def test_copies_of_the_one_m1_square_verify(self, block, monkeypatch):
+        # The one F(3;3) square meets itself in n^2 = lam^2 cells, so every
+        # entry of every Gram block, its own included, is lam^2.
+        params = mofs.Params(1, 3)
+        if block:
+            blocks_of(monkeypatch, params, block)
+        assert mofs.MofsSet(params, np.ones((7, 3, 3), int)).t == 7
 
 
 class TestMeets:
