@@ -10,20 +10,19 @@ A row of a regular square holds each symbol 1..m exactly lam times, so as
 and a square and the blank line after it are a record of fixed size: each
 cell's digits then its separator (a space, or a newline ending a row), and
 the blank line's newline.  The last square has no blank line, so the body
-is count * size - 1 bytes.  Both directions view a block of squares (as
-many as ``core._tile`` gives) as a (t, size) byte array, cut at the
-offset of its first record.  With one-digit symbols (m <= 9) digits and
-separators take alternate slots, filled and compared by strided views;
-wider symbols are written from a per-symbol digit table and read by
-scanning a block for its separators and the 1..width digits before each.
+is count * size - 1 bytes.  ``encode`` views a block of squares (as many
+as ``core._tile`` gives) as a (t, size) byte array: with one-digit
+symbols (m <= 9) digits and separators take alternate slots, filled by
+strided views; wider symbols are written from a per-symbol digit table.
 
-``decode`` takes this bulk path only for a file laid out exactly as
-``encode`` writes it (header on the first line, ``count`` records, single
-spaces, ASCII digits), which fills one stack that is validated once.  Any
-other file, and any file with a square that is not regular, goes to the
-per-line parser, which is the only path that reports a malformed file; so
-every ``ParseError`` and its ``line_no`` come from the same line-by-line
-rules.
+``decode`` reads a block the same way, by strided views, only for a file
+with one-digit symbols laid out exactly as ``encode`` writes it (header on
+the first line, ``count`` records, single spaces, ASCII digits), which
+fills one stack that is validated once.  Any other file, every file with
+m >= 10 among them, and any file with a square that is not regular, goes
+to the per-line parser, which is the only path that reports a malformed
+file; so every ``ParseError`` and its ``line_no`` come from the same
+line-by-line rules.
 """
 
 from __future__ import annotations
@@ -96,16 +95,6 @@ def _separators(n: int) -> np.ndarray:
     return seps.reshape(-1)
 
 
-def _record_size(params: Params) -> int:
-    """Bytes of a square and its blank line as ``encode`` writes them,
-    with the digits of 1..m summed per decimal width, so that a huge m in
-    a header costs a few steps."""
-    m, digits = params.m, 0
-    for w in range(1, len(str(m)) + 1):
-        digits += w * (min(m, 10**w - 1) - 10 ** (w - 1) + 1)
-    return params.n * (params.lam * digits + params.n) + 1
-
-
 def decode(text: str) -> MofsSet:
     """Parse and fully validate (regularity and pairwise orthogonality)."""
     mset = _decode_bulk(text)
@@ -113,22 +102,23 @@ def decode(text: str) -> MofsSet:
 
 
 def _decode_bulk(text: str):
-    """The set of a file laid out exactly as ``encode`` writes it, or None
-    for any other file and for any square that is not regular.  A file of
-    regular squares that do not form a MOFS set raises the constructor's
-    error here, since the per-line parser would read the same squares."""
+    """The set of a file with one-digit symbols (m <= 9) laid out exactly
+    as ``encode`` writes it, or None for any other file and for any square
+    that is not regular.  A file of regular squares that do not form a MOFS
+    set raises the constructor's error here, since the per-line parser
+    would read the same squares."""
     end = text.find("\n")
     match = _HEADER_RE.match(text[:end]) if end >= 0 else None
     if match is None:
         return None
     m, lam, count = (int(g) for g in match.groups())
-    if m < 1 or lam < 1 or count < 1:
+    if not 1 <= m <= 9 or lam < 1 or count < 1:
         return None
     params = Params(m, lam)
     # Only a body of count records, less the last newline, is laid out as
     # encode writes it.  Checked first, this bounds every allocation below
     # by the size of the file, before anything of size n * n is built.
-    size = _record_size(params)
+    size = 2 * params.n**2 + 1
     if len(text) - end - 1 != count * size - 1:
         return None
     stack = _read_records(text, end + 1, params, count, size)
@@ -141,15 +131,13 @@ def _decode_bulk(text: str):
 
 
 def _read_records(text: str, pos: int, params: Params, count: int, size: int):
-    """The (count, n, n) stack of the ``count`` records of ``size`` bytes
-    from ``pos`` on, or None where a record is not laid out as ``encode``
-    writes it: a newline last, the separators in order before it, and a
-    symbol 1..m of 1..width digits before each separator."""
+    """The (count, n, n) stack of the ``count`` one-digit records of
+    ``size`` bytes from ``pos`` on, or None where a record is not laid out
+    as ``encode`` writes it: a digit 1..m and its separator for each cell,
+    then a newline."""
     m, n = params.m, params.n
-    width = len(str(m))
     seps = _separators(n)
-    record_seps = np.append(seps, np.uint8(_NEWLINE))
-    stack = np.empty((count, n, n), np.min_scalar_type(m))
+    stack = np.empty((count, n, n), np.uint8)
     step = _tile(params)
     for k0 in range(0, count, step):
         t = min(step, count - k0)
@@ -160,37 +148,14 @@ def _read_records(text: str, pos: int, params: Params, count: int, size: int):
             raw = np.frombuffer(block.encode("ascii"), np.uint8).reshape(t, size)
         except UnicodeEncodeError:
             return None
-        if (raw[:, -1] != _NEWLINE).any():
+        if (raw[:, -1] != _NEWLINE).any() or (raw[:, 1::2] != seps).any():
             return None
+        # Digits in the even slots; a byte below "0" wraps above 9, so only
+        # the digits 1..m pass.
         values = stack[k0 : k0 + t].reshape(t, -1)
-        if width == 1:
-            # Digits in the even slots, separators in the odd ones; a byte
-            # below "0" wraps above 9, so only the digits 1..m pass.
-            if (raw[:, 1::2] != seps).any():
-                return None
-            np.subtract(raw[:, :-1:2], _ZERO, out=values)
-            if values.min() < 1 or values.max() > m:
-                return None
-            continue
-        flat, expected = raw.reshape(-1), np.tile(record_seps, t)
-        found = np.flatnonzero((flat - _ZERO) > 9).astype(np.int32)
-        if len(found) != len(expected) or (flat[found] != expected).any():
+        np.subtract(raw[:, :-1:2], _ZERO, out=values)
+        if values.min() < 1 or values.max() > m:
             return None
-        # lengths[k, c]: digits before separator c of record k.  A cell has
-        # 1..width digits before its separator, the blank line none.
-        lengths = np.diff(found, prepend=np.int32(-1)).reshape(t, -1) - 1
-        blank, lengths = lengths[:, -1], lengths[:, :-1]
-        if blank.any() or lengths.min() < 1 or lengths.max() > width:
-            return None
-        ends = found.reshape(t, -1)[:, :-1]
-        parsed = (flat[ends - 1] - _ZERO).astype(np.int64)
-        for k in range(2, width + 1):
-            more = (flat[ends - k] - _ZERO).astype(np.int64) * 10 ** (k - 1)
-            parsed += np.where(lengths >= k, more, 0)
-        # Range-checked before the narrowing cast, so no entry wraps.
-        if parsed.min() < 1 or parsed.max() > m:
-            return None
-        values[...] = parsed
     return stack
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
+from . import core
 from .core import (
     FSquare,
     MofsError,
@@ -181,7 +182,7 @@ def _hits(x: np.ndarray, rows: np.ndarray, params: Params) -> np.ndarray:
     return x @ rows.T == params.lam**2
 
 
-def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.ndarray:
+def _meets(x: np.ndarray, grids: np.ndarray, params: Params) -> np.ndarray:
     """The orthogonality kernel: a (len(x), t) bool array, true where
     flattened 0/1 row i of ``x`` meets every reduced indicator of square l
     of the t ``grids`` (see :func:`_indicator_rows`) in exactly lam^2 cells.
@@ -193,16 +194,12 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params, first=None) -> np.n
     once to the indicator rows' float type, against one tile of squares at
     a time (:func:`_tile`).  A tile's r symbols are joined by r - 1 in-place
     ANDs of strided views, which cost a fraction of a reduction over a
-    length-r axis.
-    ``first``, when given, is the first tile's indicator rows, which a
-    caller holding them passes to spare their rebuild; when it is ``x``
-    itself, that Gram block is a symmetric product."""
+    length-r axis."""
     grids = grids.reshape(len(grids), -1)
     r, tile = max(params.m - 1, 1), _tile(params)
-    out, rows = np.empty((len(x), len(grids)), bool), first
+    out = np.empty((len(x), len(grids)), bool)
     for l0 in range(0, len(grids), tile):
-        if l0 or rows is None:
-            rows = _indicator_rows(grids[l0 : l0 + tile], params)
+        rows = _indicator_rows(grids[l0 : l0 + tile], params)
         x = x.astype(rows.dtype, copy=False)
         hit = _hits(x, rows, params).reshape(len(x), len(rows) // r, r)
         block = out[:, l0 : l0 + tile]
@@ -230,8 +227,18 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
     t_strip r^2 own-square entries (n lam or 0) when m >= 2.  Only a block
     whose count falls short is searched for its failing pairs, from the
     same boolean block.
+
+    When one square's indicator rows alone exceed the budget
+    (``core._BLOCK_ENTRIES``), none are built: each pair, in (k, l) order,
+    is judged by its superposition counts instead, in O(n^2) memory.
     """
     t, r, tile = len(grids), max(params.m - 1, 1), _tile(params)
+    if r * grids.shape[1] > core._BLOCK_ENTRIES:
+        target = params.lam**2
+        for k, l in combinations(range(t), 2):
+            if (_superposition(grids[k], grids[l], params.m) != target).any():
+                return k, l
+        return None
     for k0 in range(0, t, tile):
         strip = _indicator_rows(grids[k0 : k0 + tile], params)
         # Each k's first failing l, t while none is found.  The strip is

@@ -315,6 +315,10 @@ class TestBulkPath:
         def refuse(text):
             raise AssertionError("the per-line parser ran on an encoded file")
 
+        if int(_HEADER_RE.match(text.partition("\n")[0]).group(1)) >= 10:
+            # Files with m >= 10 are read line by line only.
+            assert outcome(decode, text) == outcome(reference_decode, text)
+            return
         monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
         assert encode(decode(text)) == text
 
@@ -326,7 +330,11 @@ class TestBulkPath:
         with pytest.raises(NotOrthogonal) as want:
             verify_mofs(mset.squares)
         text = encode(mset)
-        monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
+        if mset.params.m >= 10:
+            # Read line by line only, like the reference.
+            assert outcome(decode, text) == outcome(reference_decode, text)
+        else:
+            monkeypatch.setattr(mofs.fileformat, "_decode_lines", refuse)
         with pytest.raises(NotOrthogonal) as got:
             decode(text)
         assert vars(got.value) == vars(want.value)
@@ -373,8 +381,9 @@ class TestBulkPath:
 
     @pytest.mark.parametrize("m,lam,count", [(12, 1, 600), (10, 2, 200), (101, 1, 8)])
     def test_wide_stack_over_several_chunks(self, m, lam, count, monkeypatch):
-        # A regular stack, not a MOFS set: the stack the bulk reader passes
-        # on to MofsSet is captured instead.
+        # A regular stack, not a MOFS set, laid out as encode writes it: the
+        # bulk path declines it before reading a record, and the line
+        # parser decodes it like the reference.
         # Just under half the stack to a block: two full blocks and a part.
         params = Params(m, lam)
         blocks_of(monkeypatch, params, count // 2 - 1)
@@ -382,11 +391,30 @@ class TestBulkPath:
         assert count > 2 * step and count % step != 0
         rng = random.Random(m)
         stack = np.array([mofs.random_fsquare(params, rng).grid for _ in range(count)])
-        read = []
-        monkeypatch.setattr(mofs.fileformat, "MofsSet", lambda p, grids: read.append(grids))
-        assert mofs.fileformat._decode_bulk(reference_encode(params, stack)) is None
-        (got,) = read
-        assert got.shape == stack.shape and np.array_equal(got, stack)
+        text = reference_encode(params, stack)
+
+        def refuse(*args):
+            raise AssertionError("the bulk path read a file with m >= 10")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mofs.fileformat, "_read_records", refuse)
+            patch.setattr(mofs.fileformat, "MofsSet", refuse)
+            assert mofs.fileformat._decode_bulk(text) is None
+        assert outcome(decode, text) == outcome(reference_decode, text)
+
+    def test_one_digit_body_under_a_wide_header_is_read_line_by_line(self, monkeypatch):
+        # Ten rows of ten one-digit cells: as long as a one-digit record,
+        # but m = 10, so the record reader must not see it.
+        row = " ".join(str(j % 9 + 1) for j in range(10))
+        text = "MOFS m=10 lambda=1 count=1\n" + "\n".join([row] * 10) + "\n"
+        want = outcome(reference_decode, text)
+
+        def refuse(*args):
+            raise AssertionError("the bulk path read a file with m >= 10")
+
+        monkeypatch.setattr(mofs.fileformat, "_read_records", refuse)
+        assert mofs.fileformat._decode_bulk(text) is None
+        assert outcome(decode, text) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_bad_square_reported_at_its_first_line(self, seed):

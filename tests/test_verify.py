@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
-from mofs import verify
+from mofs import core, verify
 from mofs.core import DimensionMismatch, SymbolOutOfRange, _tile
 from mofs.search import SearchConfig
 from mofs.verify import (
@@ -353,6 +354,62 @@ class TestVerdictAgainstLocator:
         assert mofs.MofsSet(params, np.ones((7, 3, 3), int)).t == 7
 
 
+def below_one_square(monkeypatch, params):
+    """Shrink the block budget below one square's reduced indicator rows
+    (see :func:`conftest.blocks_of`), so that verification judges each pair
+    by its superposition counts and never builds indicator rows."""
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", max(params.m - 1, 1) * params.n**2 - 1)
+
+    def refuse(*args):
+        raise AssertionError("indicator rows built for a square over the budget")
+
+    monkeypatch.setattr(verify, "_indicator_rows", refuse)
+
+
+class TestSquaresOverTheBudget:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["federer8", "pp32", "pp42"])
+    def test_corrupted_sets_fail_like_the_oracle(
+        self, small_complete_sets, name, seed, monkeypatch
+    ):
+        mset = small_complete_sets[name]
+        params, rng = mset.params, random.Random(f"{name}-{seed}")
+        squares = list(mset.squares)
+        for _ in range(2):
+            k, l = sorted(rng.sample(range(mset.t), 2))
+            squares[l] = mofs.make_fsquare(params, relabelled(squares[k].grid, params.m, rng))
+        squares[rng.randrange(mset.t)] = mofs.random_fsquare(params, rng)
+        below_one_square(monkeypatch, params)
+        with pytest.raises(NotOrthogonal) as exc:
+            mofs.verify_mofs(squares)
+        e = exc.value
+        assert (e.k, e.l, e.a, e.b, e.count) == brute_force_first_failure(squares)
+        assert e.expected == params.lam**2
+
+    def test_passing_sets_verify(self, small_complete_sets, monkeypatch):
+        for mset in small_complete_sets.values():
+            with monkeypatch.context() as patch:
+                below_one_square(patch, mset.params)
+                assert mofs.MofsSet(mset.params, mset.grids).t == mset.t
+        params = mofs.Params(1, 3)
+        below_one_square(monkeypatch, params)
+        assert mofs.MofsSet(params, np.ones((7, 3, 3), int)).t == 7
+
+    def test_two_large_squares_verify_in_bounded_memory(self):
+        # One F(257;1) square's indicator rows (256 x 257^2 float32, 64 MiB)
+        # exceed the budget; two of them once took 210 MiB.
+        n = 257
+        i, j = np.indices((n, n))
+        grids = np.array([(a * i + j) % n + 1 for a in (1, 2)])
+        tracemalloc.start()
+        try:
+            assert mofs.MofsSet(mofs.Params(n, 1), grids).t == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"{peak / 2**20:.0f} MiB"
+
+
 class TestMeets:
     """The one orthogonality kernel against cell-by-cell superposition
     counts, on stacks that are not pairwise orthogonal: row (k, a) of the
@@ -389,17 +446,10 @@ class TestMeets:
         params, rng = mofs.Params(m, lam), random.Random(t)
         blocks_of(monkeypatch, params, 64)
         grids = np.array([mofs.random_fsquare(params, rng).grid for _ in range(t)])
-        flat = grids.reshape(t, -1)
         tile = _tile(params)
         assert t > 2 * tile
         got = self.check(params, grids, range(1, m + 1))
         assert m == 1 or set(got.ravel()) == {False, True}
-        # A strip's own indicator rows, passed as the first tile, give the
-        # same verdicts as a rebuild.
-        strip = _indicator_rows(flat[tile : 2 * tile], params)
-        assert np.array_equal(
-            _meets(strip, flat[tile:], params, strip), _meets(strip, flat[tile:], params)
-        )
 
 
 class TestUpperBound:
