@@ -16,7 +16,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class FSquare:
     1..m.  The constructor always validates, so an FSquare value cannot
     exist in an invalid state; squares that are valid by construction
     (search leaves, validated stacks) are wrapped by the private
-    :func:`_leaves` instead.  Either way ``grid`` is a C-contiguous int64
+    :func:`_wrap` instead.  Either way ``grid`` is a C-contiguous int64
     (n, n) array whose memory is an immutable ``bytes`` object, so it is
     read-only and cannot be made writeable.  The constructor's grid views
     bytes of its own; a wrapped square's views the bytes of its stream
@@ -197,13 +197,21 @@ class FSquare:
 
 
 # One budget, in entries, sizes every block of squares handled at once
-# (regularity checks, file I/O, stream batches and the Gram kernel): a
-# block's reduced indicator rows (block * r * n^2, r = m - 1 or 1 when
-# m = 1) and a Gram product of two blocks ((block * r)^2) each stay within
-# it.  At 2^20 a few hundred squares of side up to 27 are one block, and
-# federer(64) goes in blocks of 256, where BLAS runs near its peak; 2^21
-# was no faster there and held 13 MB more.
+# (regularity checks, file I/O, set squares and the Gram kernel; stream
+# batches are capped lower still, see _STREAM_BATCH): a block's reduced
+# indicator rows (block * r * n^2, r = m - 1 or 1 when m = 1) and a Gram
+# product of two blocks ((block * r)^2) each stay within it.  At 2^20 a
+# few hundred squares of side up to 27 are one block, and federer(64)
+# goes in blocks of 256, where BLAS runs near its peak; 2^21 was no faster
+# there and held 13 MB more.
 _BLOCK_ENTRIES = 1 << 20
+
+# Squares per stream batch at most, below the block.  CPython starts a
+# generation-0 collection after 700 net allocations of tracked objects, so
+# a batch of at most 256 FSquares that the consumer drops before the next
+# is read never starts one.  At one block, 1 024 squares, a full F(6;3)
+# stream would trigger about 290 collections.
+_STREAM_BATCH = 256
 
 
 def _tile(params: Params) -> int:
@@ -263,31 +271,27 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
 _drain = deque(maxlen=0).extend
 
 
-def _leaves(params: Params, keys):
-    """FSquares for ``keys``, without validation: each key holds the native
-    int64 cells, row by row, of one or more whole squares of the type that
-    are valid by construction.  Keys are read a batch at a time: joined,
-    read as one (k, n, n) array over the joined bytes, and wrapped by
-    C-level maps, so no Python code runs per square.  Batches double from
-    one key, so a stream's first square costs one key, up to one block of
-    squares (:func:`_tile`).  Each grid is a view of its batch's bytes,
-    read-only and never writeable, which live while any of its squares
-    does; equality and hashing match the constructor's."""
-    return chain.from_iterable(_batches(params, iter(keys)))
-
-
 def _batches(params: Params, keys):
-    # The lists of squares that _leaves chains, one per batch.  No local
-    # name holds a batch's squares, so a batch the consumer has dropped is
-    # freed before the next is read.
-    size, cap = 1, _tile(params)
+    """FSquares for ``keys``, without validation, as one list per batch for
+    a C-level chain to flatten: each key holds the native int64 cells, row
+    by row, of one square of the type that is valid by construction.  Keys
+    are read a batch at a time, joined and wrapped (:func:`_wrap`), so no
+    Python code runs per square.  Batches double from one key, so a
+    stream's first square costs one key, up to the lesser of one block
+    (:func:`_tile`) and ``_STREAM_BATCH`` keys: 256 squares, 74 KB, on
+    F(6;3).  No local name holds a batch's squares, so a batch the consumer
+    has dropped is freed before the next is read."""
+    size, cap = 1, min(_tile(params), _STREAM_BATCH)
     while chunk := b"".join(islice(keys, size)):
         yield _wrap(params, chunk)
         size = min(2 * size, cap)
 
 
 def _wrap(params: Params, chunk: bytes) -> list:
-    # The squares of one batch: views of ``chunk``, built by C-level maps.
+    """The squares whose native int64 cells ``chunk`` joins, unvalidated,
+    built by C-level maps.  Each grid is a view of ``chunk``, read-only and
+    never writeable, which lives while any of its squares does; equality
+    and hashing match the constructor's."""
     grids = np.frombuffer(chunk, np.int64).reshape(-1, params.n, params.n)
     squares = list(map(object.__new__, repeat(FSquare, len(grids))))
     _drain(map(FSquare.params.__set__, squares, repeat(params)))

@@ -41,10 +41,11 @@ under the column counts they complete, to those rows, and one lookup of
 what the counts still lack finds them.  Each square comes out as the
 joined int64 bytes of its rows, its key; ``count_fsquares`` only counts
 them.  The streams wrap keys as ``FSquare``s without calling the
-validating constructor (``core._leaves``): a batch of up to one block of
-keys (``core._tile``, 1 024 for F(6;3)) is joined and read as one int64
-array, and each square's grid is a view of it, so a square that is kept
-keeps its batch's bytes alive (295 KB for F(6;3)).
+validating constructor (``core._batches``): a batch of up to 256 keys
+(fewer when one block, ``core._tile``, is smaller) is joined and read as
+one int64 array, and each square's grid is a view of it, so a square
+that is kept keeps its batch's bytes alive (74 KB for F(6;3)).  A C-level
+chain flattens the batches, so no Python code runs per square.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import count, islice, permutations, product
+from itertools import chain, count, islice, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -65,7 +66,7 @@ from .core import (
     MofsError,
     Params,
     _as_int,
-    _leaves,
+    _batches,
     _tile,
 )
 from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets
@@ -705,25 +706,36 @@ def _search(params: Params, members: np.ndarray, config: SearchConfig, first_ord
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
     """Every F-square of the type exactly once, in lexicographic grid order."""
-    keys = _search(params, _NO_MEMBERS, config)[1]
-    yield from _leaves(params, islice(keys, config.max_results))
+    return chain.from_iterable(_streamed(params, _NO_MEMBERS, config))
 
 
 def extensions(mset: MofsSet, config: SearchConfig = SearchConfig()):
     """Every F-square orthogonal to all members of the set, in
     lexicographic grid order."""
-    keys = _search(mset.params, mset.grids, config)[1]
-    yield from _leaves(mset.params, islice(keys, config.max_results))
+    return chain.from_iterable(_streamed(mset.params, mset.grids, config))
+
+
+def _streamed(params: Params, members: np.ndarray, config: SearchConfig):
+    # The batches of a stream (core._batches), for a C-level chain to flatten
+    # so that no Python frame runs per square.  As a generator it searches,
+    # and the size guard runs, on the stream's first next(), not at the call.
+    keys = _search(params, members, config)[1]
+    yield from _batches(params, islice(keys, config.max_results))
 
 
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``config.max_results``, counted without building the squares: m! per
-    cover on the linear-dual path, else from the keys."""
+    cover on the linear-dual path, else from the keys.  For m = 1 without
+    a prefix it is 1 once the search (and its guard) is decided: the one
+    square, all ones, is orthogonal to itself, so no key is built."""
     covers, keys = _search(params, members, config)
-    if covers is None:
+    if covers is not None:
+        found = len(covers) * factorial(params.m)
+    elif params.m == 1 and not config.prefix:
+        found = 1
+    else:
         return sum(1 for _ in islice(keys, config.max_results))
-    found = len(covers) * factorial(params.m)
     return found if config.max_results is None else min(found, config.max_results)
 
 

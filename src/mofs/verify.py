@@ -21,9 +21,9 @@ from .core import (
     Params,
     _ArrayValued,
     _as_grid,
-    _leaves,
     _tile,
     _validate_regularity,
+    _wrap,
 )
 
 
@@ -115,7 +115,7 @@ class MofsSet(_ArrayValued):
             self.grids[k : k + step].astype(np.int64).tobytes()
             for k in range(0, self.t, step)
         )
-        return tuple(chain.from_iterable(_leaves(self.params, [b]) for b in blocks))
+        return tuple(chain.from_iterable(_wrap(self.params, b) for b in blocks))
 
 
 @dataclass(frozen=True)

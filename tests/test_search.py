@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
@@ -140,6 +142,36 @@ class TestEnumerate:
             next(mofs.enumerate_fsquares(mofs.Params(2, 2)))
         monkeypatch.setenv("MOFS_MAX_ENUM", "1000")
         assert len(list(mofs.enumerate_fsquares(mofs.Params(2, 2)))) == 90
+
+    def test_streams_are_lazy(self, monkeypatch):
+        # The search and its guard wait for the first next(), not the call.
+        monkeypatch.setenv("MOFS_MAX_ENUM", "10")
+        start = mofs.verify_mofs([mofs.random_fsquare(F63, random.Random(0))])
+        streams = (mofs.enumerate_fsquares(mofs.Params(2, 2)), mofs.extensions(start))
+        for stream in streams:
+            with pytest.raises(InfeasibleSizeGuard):
+                next(stream)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+    def test_m1_count_matches_the_engine(self, lam):
+        p = mofs.Params(1, lam)
+        only = mofs.make_fsquare(p, np.ones((lam, lam), int))
+        for members in (search._NO_MEMBERS, mofs.verify_mofs([only]).grids):
+            engine = sum(1 for _ in search._engine(p, members, None, ()))
+            for limit in (None, 0, 1, 2):
+                config = SearchConfig(max_results=limit)
+                want = engine if limit is None else min(engine, limit)
+                assert search._count(p, members, config) == want
+
+    def test_m1_count_builds_no_square(self):
+        tracemalloc.start()
+        try:
+            assert mofs.count_fsquares(mofs.Params(1, 1000)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The square alone would take 8 MB.
+        assert peak < 1 << 20
 
     def test_long_m1_square_is_counted(self):
         # n = 1200 rows once overflowed a recursive pattern builder.
@@ -638,6 +670,34 @@ class TestLeafBatches:
         assert seen == [3, 3, 7]
         rest = [sq.grid.tobytes() for sq in squares]
         assert len(pulled) == 4 + len(rest) and pulled[4:] == rest
+
+    def test_full_stream_starts_no_collection(self):
+        # Batches of at most 256 squares, each dropped before the next is
+        # read, stay below the 700 allocations that start a gen-0 collection.
+        started = []
+
+        def counted(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        enabled = gc.isenabled()
+        gc.enable()
+        try:
+            roots = {len(root_buffer(sq.grid)) for sq in mofs.enumerate_fsquares(F63)}
+            gc.callbacks.append(counted)
+            try:
+                for _ in mofs.enumerate_fsquares(F63):
+                    pass
+            finally:
+                gc.callbacks.remove(counted)
+        finally:
+            gc.set_threshold(*thresholds)
+            if not enabled:
+                gc.disable()
+        assert len(started) <= 2, started
+        assert max(roots) == 256 * F63.n**2 * 8
 
 
 def pinned_growth(m, lam, seed):
