@@ -8,17 +8,20 @@ squares I_a(S_k) - J/m.  An extension's indicator v of one symbol has
 v - J/m in W.  A search with at least one member and D <= ``_DUAL_MAX_D``
 takes the linear-dual path.  For m >= 2, D = 0, the bound's equality
 case, leaves W = {0} and so no extension, with nothing to solve.
-Otherwise D seeded random vectors, projected into W by the closed form
-of its projector (two skinny float64 products with the members'
-indicator squares) and row-reduced modulo the prime 2^21 - 9, give W's
-basis, whose pivots are D free cells; a draw of lower rank is replaced
-by the next seed's.  The 2^D 0/1 assignments of the free cells are met
-in the middle, the halves joined on two cells; each candidate indicator
-is then checked exactly by the orthogonality kernel that verifies sets
-(``verify._meets``), and m pairwise disjoint candidates that cover every
-cell make m! squares.  It is complete: as the prime divides none of n,
-lam, m, the projector stays one of rank D modulo it, whose image holds
-v - J/m for every extension (see :func:`_candidates`).  Every other
+Otherwise D free cells parametrise v modulo the prime 2^21 - 9, found by
+row-reducing the smaller of two systems: the members' t(m - 1)
+constraints on the interior cells, when they are fewer than D, or else D
+seeded random vectors projected into W by the closed form of its
+projector (two skinny float64 products with the members' indicator
+squares), a draw of lower rank replaced by the next seed's.  The 2^D 0/1
+assignments of the free cells are met in the middle, the halves built by
+one float64 product each and joined on two cells by one sorted lookup;
+each candidate indicator is then checked exactly by the orthogonality
+kernel that verifies sets (``verify._meets``), and m pairwise disjoint
+candidates that cover every cell make m! squares.  It is complete: as
+the prime divides none of n, lam, m, both systems keep their rank
+modulo it, so every extension's v is among the points (see
+:func:`_candidates`).  Every other
 search, with no members or a larger D, runs the engine below; both give
 the same squares in the same order.  :func:`_search` alone calls
 :func:`_candidates`, the covers and the engine: every stream, count,
@@ -55,7 +58,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, count, islice, permutations, product
+from itertools import chain, count, islice, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -301,15 +304,10 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
         return [[0] * len(patterns)] * params.n
     # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
     member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
-    return [
-        _pack(
-            np.einsum("pja,kjb->pkab", pattern_hot, member_hot[:, i]).reshape(
-                len(patterns), -1
-            ),
-            dtype,
-        )
-        for i in range(params.n)
-    ]
+    counts = np.einsum("pja,kijb->ipkab", pattern_hot, member_hot)
+    size = len(patterns)
+    packed = _pack(counts.reshape(params.n * size, -1), dtype)
+    return [packed[i : i + size] for i in range(0, len(packed), size)]
 
 
 def _engine(params, members, first_order, prefix):
@@ -343,8 +341,9 @@ def _engine(params, members, first_order, prefix):
     ends at exactly ``full``, its bias plus lam^2.  So the per-call tail
     table maps each ``cols`` met below ``stop`` to a dict from the packed
     pair counts the remaining rows add to the ascending tuple of those
-    rows' bytes, and a surviving node at ``stop`` yields the hits of one
-    lookup of ``full - pairs``.  The packed compare is exact: a field is
+    rows' bytes, listed one row at a time from the column-fit table, and a
+    surviving node at ``stop`` yields the hits of one lookup of
+    ``full - pairs``.  The packed compare is exact: a field is
     at most its bias plus lam^2 = top - 1 before the lookup and the rows
     add at most 2 lam <= lam^2 + 1 <= top to it, so no add carries and no
     subtract borrows between fields; with no members every completion
@@ -373,18 +372,18 @@ def _engine(params, members, first_order, prefix):
         fit[cols] = found
         return found
 
-    def ends(i, cols):
-        # (pair increment, bytes) of every completion of rows i..n-1.
-        if i == n:
-            yield 0, b""
-            return
-        for p in fit.get(cols) or fits(cols):
-            for added, rest in ends(i + 1, cols + col_inc[p]):
-                yield pair_inc[i][p] + added, row_bytes[p] + rest
-
     def tail_of(cols):
+        # (columns, pair increment, bytes) of every completion of the rows
+        # below stop, extended one row at a time in lexicographic order.
+        ends = [(cols, 0, b"")]
+        for i in range(stop + 1, n):
+            ends = [
+                (done + col_inc[p], added + pair_inc[i][p], rest + row_bytes[p])
+                for done, added, rest in ends
+                for p in fit.get(done) or fits(done)
+            ]
         found = {}
-        for added, rest in ends(stop + 1, cols):
+        for _, added, rest in ends:
             found.setdefault(added, []).append(rest)
         if len(tail) >= _TAIL_CAP:
             tail.clear()
@@ -479,11 +478,11 @@ def _row_reduce(a: np.ndarray, p: int):
         r = len(pivots)
         if r == len(a):
             break
-        hit = np.flatnonzero(a[r:, j])
-        if not len(hit):
-            continue
-        k = r + int(hit[0])
-        if k != r:
+        if not a[r, j]:
+            hit = np.flatnonzero(a[r:, j])
+            if not len(hit):
+                continue
+            k = r + int(hit[0])
             a[[r, k]] = a[[k, r]]
         row = a[r] * pow(int(a[r, j]), -1, p) % p
         a -= a[:, j, None] * row
@@ -496,9 +495,12 @@ def _row_reduce(a: np.ndarray, p: int):
 def _half(reduced: np.ndarray, free, p: int, start: np.ndarray) -> np.ndarray:
     """(len(reduced), 2^len(free)) int32 residues: column u is ``start``
     minus the columns ``free`` of ``reduced`` whose bits are set in u (bit
-    i for ``free[i]``), mod p, as one integer product."""
-    bits = np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1
-    return ((start[:, None] - reduced[:, free] @ bits.T) % p).astype(np.int32)
+    i for ``free[i]``), mod p, as one float64 product: numpy has no BLAS
+    for int64, and a half of at most ``_DUAL_MAX_D`` free cells sums at
+    most 10 residues below 2^21, exactly."""
+    bits = (np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1).astype(np.float64)
+    sums = (reduced[:, free].astype(np.float64) @ bits.T).astype(np.int64)
+    return ((start[:, None] - sums) % p).astype(np.int32)
 
 
 def _candidates(params: Params, members: np.ndarray):
@@ -511,57 +513,119 @@ def _candidates(params: Params, members: np.ndarray):
     dimension D = (n-1)^2 - t(m - 1) for a MOFS (for m = 1, W is Z and D
     is (n-1)^2).  For m >= 2 and D = 0, a complete set, W = {0} holds
     only J/m, which is no 0/1 vector: there is no candidate, and nothing
-    is drawn.  Otherwise D seeded draws projected into W (see
-    :func:`_project`) and row-reduced mod p give its basis B; a rank below
-    D, of probability about D/p, means the next draw.  B's pivots are the
-    free cells F, and every other cell is 1/m + sum_i (v_F_i - 1/m)
-    B[i, cell] mod p.  So the 2^D 0/1 assignments of the free cells give
-    every candidate.  They are met in the middle: each half of the free
-    cells has a residue table over the other cells (:func:`_half`), the
-    halves are joined on two cells (both residues must come out 0 or 1)
-    by one sorted lookup of a combined key per pair of 0/1 values, and
-    the pairs that pass both are filtered 16 cells at a time, so no array
-    outgrows 16 times those pairs.  Every survivor is then checked
-    exactly: row and column sums lam, and then lam^2 against every
-    indicator of every member, by the kernel that verifies sets
-    (:func:`verify._meets`); the row and column sums make its reduced
-    symbols enough.
-
-    The projector's entries are fractions over n and n lam, and so is the
-    constant 1/m over m, so they reduce mod p while p divides none of n,
-    lam, m: P_W P_Z mod p is then a projector of rank exactly D whose image
-    holds v - J/m for every 0/1 solution v.  So no solution is missed, and
-    the candidates are exactly the 0/1 solutions; those of a set are the
-    candidates of any subset that are orthogonal to the other members, so
-    its covers are the subset's covers whose candidates all are, which
-    :func:`grow_maximal` uses.
+    is solved.  Otherwise D free cells parametrise v mod p, from the side
+    with fewer rows to row-reduce: the members' t(m - 1) constraints
+    (:func:`_reduce_constraints`), or D draws projected into W
+    (:func:`_reduce_draws`), which also answer if the constraints lose
+    rank.  The candidates are the 0/1 points of either (:func:`_zero_one`).
+    Those of a set are the candidates of any subset that are orthogonal to
+    the other members, so its covers are the subset's covers whose
+    candidates all are, which :func:`grow_maximal` uses.
     """
-    m, lam, n, t, p = params.m, params.lam, params.n, len(members), _PRIME
+    m, n, t = params.m, params.n, len(members)
     d = (n - 1) ** 2 - t * (m - 1)
     if not t or d > _DUAL_MAX_D:
         return None
     if not d and m > 1:
         # W = {0} leaves only J/m, which is no 0/1 vector.
         return np.zeros((0, n * n), np.uint8)
+    space = _reduce_constraints(params, members) if t * (m - 1) < d else None
+    return _zero_one(params, members, *(space or _reduce_draws(params, members)))
+
+
+def _reduce_draws(params: Params, members: np.ndarray):
+    """W's side of the linear dual: ``(free, reduced)`` (see
+    :func:`_zero_one`) from D seeded draws projected into W (see
+    :func:`_project`) and row-reduced mod p into W's basis B; a rank below
+    D, of probability about D/p, means the next draw.  B's pivots are the
+    free cells F, and every other cell is 1/m + sum_i (v_F_i - 1/m)
+    B[i, cell] mod p.
+
+    The projector's entries are fractions over n and n lam, and so is the
+    constant 1/m over m, so they reduce mod p while p divides none of n,
+    lam, m: P_W P_Z mod p is then a projector of rank exactly D whose image
+    holds v - J/m for every 0/1 solution v, so none is missed."""
+    m, n, p = params.m, params.n, _PRIME
+    d = (n - 1) ** 2 - len(members) * (m - 1)
     for seed in count():
         basis = _project(params, members, _draw(seed, d, n))
         free = _row_reduce(basis, p)
         if free is not None:
             break
-    # Each other cell as a constant (the last column) minus the free
-    # cells' coefficients.
-    fixed = np.delete(np.arange(n * n), free)
-    on_fixed = basis[:, fixed]
+    on_fixed = np.delete(basis, free, axis=1)
     const = pow(m, -1, p) * (1 - on_fixed.sum(axis=0))
-    reduced = (np.column_stack((-on_fixed.T, const)) % p).astype(np.int32)
+    return free, (np.column_stack((-on_fixed.T, const)) % p).astype(np.int32)
+
+
+def _reduce_constraints(params: Params, members: np.ndarray):
+    """The members' side of the linear dual: ``(free, reduced)`` (see
+    :func:`_zero_one`) from their t(m - 1) constraints, or None when those
+    lose rank mod p.
+
+    A point z of Z is fixed by its interior y, the cells (i, j) with
+    i, j < k = n - 1, since its last row and column complete zero sums.
+    So <c, z> = 0, for the indicator c of a member's symbol 2..m, is
+    C' y = 0 with c'_ij = c_ij - c_ik - c_kj + c_kk.  Row-reduced mod p,
+    C' fixes its pivot cells P by the other D interior cells F,
+    y_P = -R y_F, so v_P = (1 + R 1)/m - R v_F; each cell of the last
+    column is lam less its row's other cells, and the last row likewise.
+
+    The projector onto the members' centred indicators has entries over
+    n lam, so mod p it is an idempotent of trace t(m - 1) < p, and so of
+    that rank.  Its image is spanned by the functionals that C' writes on
+    the interior, so C' keeps rank t(m - 1) and no 0/1 solution is missed."""
+    m, lam, n, p = params.m, params.lam, params.n, _PRIME
+    k = n - 1
+    c = (members[:, None] == np.arange(2, m + 1)[:, None, None]).astype(np.int64)
+    rows = (c[..., :k, :k] - c[..., :k, k:] - c[..., k:, :k] + c[..., k:, k:]) % p
+    rows = rows.reshape(-1, k * k)
+    pivots = _row_reduce(rows, p)
+    if pivots is None:
+        return None
+    free = np.delete(np.arange(k * k), pivots)
+    d, on_free = len(free), rows[:, free]
+    # Each cell as minus its coefficients on v_F, then its constant; the
+    # last column and row are linear in the others, so in these too.
+    interior = np.zeros((k * k, d + 1), np.int64)
+    interior[free, np.arange(d)] = -1
+    interior[pivots, :d] = on_free
+    interior[pivots, d] = (1 + on_free.sum(axis=1)) * pow(m, -1, p) % p
+    cells = np.zeros((n, n, d + 1), np.int64)
+    cells[:k, :k] = interior.reshape(k, k, d + 1)
+    lam_cell = np.eye(1, d + 1, d, np.int64) * lam
+    cells[:k, k] = lam_cell - cells[:k, :k].sum(axis=1)
+    cells[k] = lam_cell - cells[:k].sum(axis=0)
+    free = free // k * n + free % k
+    return free, (np.delete(cells.reshape(n * n, d + 1), free, axis=0) % p).astype(np.int32)
+
+
+def _zero_one(params: Params, members: np.ndarray, free, reduced: np.ndarray):
+    """The candidates of an affine parametrisation mod p by the ascending
+    cells ``free``: row i of ``reduced`` gives the i-th other cell as its
+    last entry, a constant, minus the others times v on ``free``.
+
+    The 2^D 0/1 assignments of the free cells give every candidate.  They
+    are met in the middle: each half of the free cells has a residue table
+    over the other cells (:func:`_half`), the halves are joined on two
+    cells (both residues must come out 0 or 1) by one sorted lookup of a
+    combined key for the four pairs of 0/1 values, and the pairs that pass
+    both are filtered 4 cells at a time, so no array outgrows 4 times
+    those pairs.  Every survivor is then checked exactly: row and column
+    sums lam, and then lam^2 against every indicator of every member, by
+    the kernel that verifies sets (:func:`verify._meets`); the row and
+    column sums make its reduced symbols enough.
+    """
+    lam, n, p, d = params.lam, params.n, _PRIME, len(free)
+    fixed = np.delete(np.arange(n * n), free)
     low, high = range(d // 2), range(d // 2, d)
     left = _half(reduced, low, p, reduced[:, -1])
     right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int32))) % p
     # x on fixed cell i is left[i, u] - right[i, w] mod p, which must be 0
     # or 1.  The join is on two cells, keyed r0 p + r1 < 2^42: the cell
     # whose residues are the most distinct on the right half, and the one
-    # that then makes the keys the most distinct.  One sorted lookup per
-    # 0/1 pair of differences finds the pairs that pass both cells.
+    # that then makes the keys the most distinct.  One sorted lookup of the
+    # keys of all four 0/1 pairs of differences, in order, finds the pairs
+    # that pass both cells.
     def distinct(table):
         return (np.diff(np.sort(table, axis=1), axis=1) != 0).sum(axis=1)
 
@@ -577,22 +641,19 @@ def _candidates(params: Params, members: np.ndarray):
     ends = keys(right, 0, 0)
     by = np.argsort(ends, kind="stable")
     ends = ends[by]
-    u, w = [], []
-    for d0, d1 in product((0, 1), repeat=2):
-        want = keys(left, d0, d1)
-        lo = np.searchsorted(ends, want)
-        many = np.searchsorted(ends, want, "right") - lo
-        u.append(np.repeat(np.arange(len(want)), many))
-        w.append(by[np.arange(many.sum()) + np.repeat(lo - np.cumsum(many) + many, many)])
-    u, w = np.concatenate(u), np.concatenate(w)
+    want = np.concatenate([keys(left, d0, d1) for d0 in (0, 1) for d1 in (0, 1)])
+    lo = np.searchsorted(ends, want)
+    many = np.searchsorted(ends, want, "right") - lo
+    u = np.repeat(np.arange(len(want)) % left.shape[1], many)
+    w = by[np.arange(many.sum()) + np.repeat(lo - np.cumsum(many) + many, many)]
 
     def residues(rows):
         # left - right lies in (-p, p), where adding p is a cheap mod p.
         diff = left[rows, u] - right[rows, w]
         return diff + p * (diff < 0)
 
-    for i in range(0, len(reduced), 16):
-        keep = (residues(slice(i, i + 16)) <= 1).all(axis=0)
+    for i in range(0, len(reduced), 4):
+        keep = (residues(slice(i, i + 4)) <= 1).all(axis=0)
         u, w = u[keep], w[keep]
     # Built a cell per row, then turned: a row write is the fast one.
     x = np.empty((n * n, len(u)), np.uint8)

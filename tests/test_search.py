@@ -581,6 +581,24 @@ class TestEngineTables:
         assert (grown.t, set_digest(grown)) == GROW_PINS[(2, 3, 1)]
         assert search._count(mset.params, mset.grids, SearchConfig()) == count >= 1
 
+    @pytest.mark.parametrize("m,lam", [(2, 2), (2, 3), (5, 1), (3, 2)])
+    def test_pair_increments_match_a_row_at_a_time(self, m, lam):
+        # One product over every row, sliced per row, against the product
+        # per row, for no members, one, and a whole greedy set.
+        p = mofs.Params(m, lam)
+        patterns, dtype, pattern_hot = search._pattern_tables(m, lam)[:3]
+        grown = mofs.grow_maximal(p, SearchConfig(seed=0, force=True))
+        for members in (grown.grids[:0], grown.grids[:1], grown.grids):
+            hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
+            want = [
+                search._pack(
+                    np.einsum("pja,kjb->pkab", pattern_hot, hot[:, i]).reshape(len(patterns), -1),
+                    dtype,
+                )
+                for i in range(p.n)
+            ]
+            assert search._pair_increments(p, members) == want
+
     @pytest.mark.parametrize(
         "m,lam,config",
         [
@@ -909,6 +927,37 @@ def uses_dual(mset):
     return search._candidates(mset.params, mset.grids) is not None
 
 
+def free_cells(mset):
+    """D, the paper's bound less the set's size: the dimension of W."""
+    return (mset.params.n - 1) ** 2 - mset.t * (mset.params.m - 1)
+
+
+def constrained(mset):
+    """Whether the linear dual row-reduces the members' constraints: they
+    are fewer than D <= ``_DUAL_MAX_D``."""
+    return mset.t * (mset.params.m - 1) < free_cells(mset) <= search._DUAL_MAX_D
+
+
+def both_sides(mset):
+    """The candidates of each side of the linear dual, constraints first,
+    as sorted bytes."""
+    p, g = mset.params, mset.grids
+    return [
+        sorted(map(bytes, search._zero_one(p, g, *side(p, g))))
+        for side in (search._reduce_constraints, search._reduce_draws)
+    ]
+
+
+@lru_cache(maxsize=None)
+def near_complete_sets():
+    """Complete F(8;4) and F(9;3) sets less their last 1 or 5 squares."""
+    return [
+        mofs.verify_mofs(full.squares[:-removed])
+        for full in (mofs.construct_prime_power(2, 3), mofs.construct_prime_power(3, 2))
+        for removed in (1, 5)
+    ]
+
+
 class TestWideSymbolSets:
     """Extension streams of m = 11 sets walk the 11! symbol assignments of a
     cover lazily, and the maximality check counts covers instead; both stay
@@ -1015,6 +1064,20 @@ class TestLinearDual:
         got = search._half(reduced, free, p, start)
         assert got.dtype == np.int32 and np.array_equal(got, want)
 
+    def test_half_is_exact_at_its_largest_sums(self):
+        # Ten free cells, the most a half of D <= 19 has, each p - 1 (p - 2
+        # in one row, whose odd sums pass 2^24): every float64 sum of the
+        # product is exact.
+        p = search._PRIME
+        reduced = np.full((3, 12), p - 1, np.int32)
+        reduced[1] = p - 2
+        free = [11, 0, 5, 2, 9, 1, 7, 3, 10, 4]
+        want = np.zeros((3, 1), np.int64)
+        for j in free:
+            want = np.concatenate((want, (want - reduced[:, j, None]) % p), axis=1)
+        got = search._half(reduced, free, p, np.zeros(3, np.int32))
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
     def test_complete_sets_are_answered_without_a_solve(self, monkeypatch):
         # D = 0 leaves W = {0}, whose one point J/m is no 0/1 vector: no
         # draw, projection or elimination is needed to find no extension.
@@ -1035,11 +1098,13 @@ class TestLinearDual:
 
     def test_rank_drop_is_retried(self, monkeypatch):
         # A first draw with two equal vectors has rank below D, so the
-        # search must draw again and find the same candidates.
+        # search must draw again and find the same candidates.  Draws are
+        # made where the members have at least D constraints.
         sets = [
             mset
-            for mset in dual_inputs(2, 3, 1) + dual_inputs(5, 1, 0)
-            if 2 <= (mset.params.n - 1) ** 2 - mset.t * (mset.params.m - 1) <= search._DUAL_MAX_D
+            for mset in dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
+            if 2 <= free_cells(mset) <= search._DUAL_MAX_D
+            and mset.t * (mset.params.m - 1) >= free_cells(mset)
         ]
         assert len(sets) >= 3
         want = [search._candidates(mset.params, mset.grids) for mset in sets]
@@ -1062,14 +1127,16 @@ class TestLinearDual:
     @pytest.mark.parametrize("p", [3, 5])
     def test_small_prime_keeps_every_result(self, p, monkeypatch):
         # The projector needs a prime dividing none of n, lam, m, which
-        # leaves mod 3 the F(5;1) sets and mod 5 the (2, 3, 3) ones.  So
-        # small a prime drops the rank of some first draw, and lets many
-        # false 0/1 residues through, which the redraw and the exact check
-        # must absorb.
+        # leaves mod 3 the F(5;1) and F(8;4) sets and mod 5 the F(8;4) and
+        # F(9;3) ones, all with at least D constraints, so drawn.  So small
+        # a prime drops the rank of some first draw, and lets many false
+        # 0/1 residues through, which the redraw and the exact check must
+        # absorb.
         sets = [
             mset
-            for mset in dual_inputs(2, 3, 3) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
+            for mset in dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4) + near_complete_sets()
             if uses_dual(mset)
+            and mset.t * (mset.params.m - 1) >= free_cells(mset)
             and all(k % p for k in (mset.params.n, mset.params.lam, mset.params.m))
         ]
         assert len(sets) >= 2
@@ -1091,6 +1158,102 @@ class TestLinearDual:
             assert sorted(map(bytes, got)) == sorted(map(bytes, wanted))
         assert redrawn
         assert [search_outcomes(mset) for mset in sets] == expected
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_prime_keeps_every_constraint_result(self, p, monkeypatch):
+        # The twin of the test above where the members have fewer than D
+        # constraints: mod 3 the one-square F(5;1) sets, mod 5 the F(6;3)
+        # ones.  The reduced constraints then let many false 0/1 residues
+        # through, which the exact check must absorb.
+        sets = [
+            mset
+            for mset in dual_inputs(2, 3, 3) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
+            if constrained(mset)
+            and all(k % p for k in (mset.params.n, mset.params.lam, mset.params.m))
+        ]
+        assert len(sets) >= 2
+        expected = [search_outcomes(mset) for mset in sets]
+        want = [search._candidates(mset.params, mset.grids) for mset in sets]
+        monkeypatch.setattr(search, "_PRIME", p)
+        draw, seeds = search._draw, []
+
+        def counted(seed, d, n):
+            seeds.append(seed)
+            return draw(seed, d, n)
+
+        monkeypatch.setattr(search, "_draw", counted)
+        undrawn = 0
+        for mset, wanted in zip(sets, want):
+            seeds.clear()
+            got = search._candidates(mset.params, mset.grids)
+            undrawn += not seeds
+            assert sorted(map(bytes, got)) == sorted(map(bytes, wanted))
+        assert undrawn
+        assert [search_outcomes(mset) for mset in sets] == expected
+
+    def test_constraint_rank_drop_falls_back_to_draws(self, monkeypatch):
+        # Were the constraints to lose rank mod p, as only a test prime can
+        # make them, the draws must answer instead, with the same candidates.
+        sets = [mset for mset in dual_inputs(2, 3, 0) + dual_inputs(5, 1, 0) if constrained(mset)]
+        assert len(sets) >= 3
+        want = [search._candidates(mset.params, mset.grids) for mset in sets]
+        row_reduce, draw, seeds = search._row_reduce, search._draw, []
+
+        def lost_rank(a, p):
+            # The constraints are reduced before anything is drawn.
+            return row_reduce(a, p) if seeds else None
+
+        def counted(seed, d, n):
+            seeds.append(seed)
+            return draw(seed, d, n)
+
+        monkeypatch.setattr(search, "_row_reduce", lost_rank)
+        monkeypatch.setattr(search, "_draw", counted)
+        for mset, expected in zip(sets, want):
+            seeds.clear()
+            got = search._candidates(mset.params, mset.grids)
+            assert seeds == [0]
+            assert sorted(map(bytes, got)) == sorted(map(bytes, expected))
+
+    def test_constraint_side_needs_no_draw(self, monkeypatch):
+        # The twin of test_complete_sets_are_answered_without_a_solve: where
+        # the members have fewer than D constraints, they are row-reduced
+        # themselves, and nothing is drawn or projected.
+        sets = [
+            mset
+            for source in [(2, 3, 0), (2, 3, 4), (5, 1, 0), (5, 1, 4)]
+            for mset in dual_inputs(*source)
+            if constrained(mset)
+        ]
+        assert len(sets) >= 8
+        expected = [search_outcomes(mset) for mset in sets]
+
+        def refuse(*args):
+            raise AssertionError("fewer constraints than free cells need no draw")
+
+        for name in ("_draw", "_project"):
+            monkeypatch.setattr(search, name, refuse)
+        assert [search_outcomes(mset) for mset in sets] == expected
+
+    @pytest.mark.parametrize("m,lam,seed", DUAL_SOURCES)
+    def test_both_sides_agree_on_greedy_prefixes(self, m, lam, seed):
+        sets = [mset for mset in dual_inputs(m, lam, seed) if 0 < free_cells(mset) <= search._DUAL_MAX_D]
+        assert sets
+        for mset in sets:
+            found = search._candidates(mset.params, mset.grids)
+            assert both_sides(mset) == [sorted(map(bytes, found))] * 2
+
+    @pytest.mark.parametrize("m,h,removed", [(2, 3, 1), (2, 3, 5), (3, 2, 3), (2, 4, 2)])
+    def test_both_sides_agree_near_complete(self, m, h, removed):
+        # F(8;4), F(9;3) and F(16;8) minus a few squares: the members have far
+        # more constraints than free cells, so today only the draws run.
+        complete = mofs.construct_prime_power(m, h)
+        mset = mofs.verify_mofs(complete.squares[:-removed])
+        by_constraints, by_draws = both_sides(mset)
+        assert by_constraints == by_draws
+        n = complete.params.n
+        removed_hot = complete.grids[-removed:].reshape(-1, 1, n * n) == np.arange(1, m + 1)[:, None]
+        assert set(map(bytes, removed_hot.reshape(-1, n * n).astype(np.uint8))) <= set(by_draws)
 
     @pytest.mark.parametrize("prefix", [(0,), (6,), (2, 0), (1, 2, 3, 4, 5, 1)])
     def test_prefixes_outside_the_first_row_find_nothing(self, prefix):
@@ -1232,6 +1395,23 @@ class TestElimination:
                 assert np.array_equal(got, want[1][:, :-1])
             outcomes.add(full)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # A zero leading entry with a nonzero one below it: a swap.
+            [[0, 2, 1, 5], [3, 1, 4, 1], [1, 0, 0, 2]],
+            # Every leading entry nonzero: row r is always the pivot row.
+            [[2, 1, 5, 1], [1, 3, 7, 2], [4, 1, 1, 3]],
+        ],
+    )
+    def test_pivot_rows_match_the_loop(self, system):
+        p = search._PRIME
+        system = np.array(system, np.int64)
+        want = loop_row_reduce(np.column_stack((system, 0 * system[:, 0])), p)
+        got = system % p
+        assert search._row_reduce(got, p) == want[0] == [0, 1, 2]
+        assert np.array_equal(got, want[1][:, :-1])
 
     @pytest.mark.parametrize("m,h,removed", [(2, 4, 1), (2, 4, 3), (3, 3, 2)])
     def test_near_complete_projections_span_w(self, m, h, removed):
