@@ -64,6 +64,7 @@ def prime_power_decomposition(n: int):
     """(p, e) with n = p^e and p prime, or None."""
     if n < 2:
         return None
+    # The least divisor p >= 2 of n is prime.
     for p in range(2, n + 1):
         if n % p == 0:
             e = 0
@@ -71,7 +72,7 @@ def prime_power_decomposition(n: int):
             while q % p == 0:
                 q //= p
                 e += 1
-            return (p, e) if q == 1 and is_prime(p) else None
+            return (p, e) if q == 1 else None
     return None
 
 

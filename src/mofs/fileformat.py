@@ -104,7 +104,7 @@ def decode(text: str) -> MofsSet:
 def _decode_bulk(text: str):
     """The set of a file with one-digit symbols (m <= 9) laid out exactly
     as ``encode`` writes it, or None for any other file and for any square
-    that is not regular.  A file of regular squares that do not form a MOFS
+    with a cell outside 1..m or that is not regular.  A file of regular squares that do not form a MOFS
     set raises the constructor's error here, since the per-line parser
     would read the same squares."""
     end = text.find("\n")
@@ -133,9 +133,10 @@ def _decode_bulk(text: str):
 def _read_records(text: str, pos: int, params: Params, count: int, size: int):
     """The (count, n, n) stack of the ``count`` one-digit records of
     ``size`` bytes from ``pos`` on, or None where a record is not laid out
-    as ``encode`` writes it: a digit 1..m and its separator for each cell,
-    then a newline."""
-    m, n = params.m, params.n
+    as ``encode`` writes it: a byte and its separator for each cell, then a
+    newline.  Each cell is its byte less "0", so a byte below "0" wraps
+    above 9; ``MofsSet`` refuses any cell outside 1..m."""
+    n = params.n
     seps = _separators(n)
     stack = np.empty((count, n, n), np.uint8)
     step = _tile(params)
@@ -150,12 +151,7 @@ def _read_records(text: str, pos: int, params: Params, count: int, size: int):
             return None
         if (raw[:, -1] != _NEWLINE).any() or (raw[:, 1::2] != seps).any():
             return None
-        # Digits in the even slots; a byte below "0" wraps above 9, so only
-        # the digits 1..m pass.
-        values = stack[k0 : k0 + t].reshape(t, -1)
-        np.subtract(raw[:, :-1:2], _ZERO, out=values)
-        if values.min() < 1 or values.max() > m:
-            return None
+        np.subtract(raw[:, :-1:2], _ZERO, out=stack[k0 : k0 + t].reshape(t, -1))
     return stack
 
 

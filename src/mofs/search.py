@@ -8,26 +8,27 @@ squares I_a(S_k) - J/m.  An extension's indicator v of one symbol has
 v - J/m in W.  A search with at least one member and D <= ``_DUAL_MAX_D``
 takes the linear-dual path.  For m >= 2, D = 0, the bound's equality
 case, leaves W = {0} and so no extension, with nothing to solve.
-Otherwise D free cells parametrise v modulo the prime 2^21 - 9, found by
-row-reducing the smaller of two systems: the members' t(m - 1)
-constraints on the interior cells, when they are fewer than D, or else D
-seeded random vectors projected into W by the closed form of its
+Otherwise D free cells parametrise v modulo the prime 2^21 - 9.  The
+smaller of two systems on the interior cells (i, j < n - 1), which fix a
+point of Z (``_in_z``), is row-reduced into W's basis: the members'
+t(m - 1) constraints, when they are fewer than D, or else D seeded random
+interiors mapped into Z and projected into W by the closed form of its
 projector (two skinny float64 products with the members' indicator
-squares), a draw of lower rank replaced by the next seed's.  The 2^D 0/1
-assignments of the free cells are met in the middle, the halves built by
-one float64 product each and joined on two cells by one sorted lookup;
-each candidate indicator is then checked exactly by the orthogonality
-kernel that verifies sets (``verify._meets``), and m pairwise disjoint
-candidates that cover every cell make m! squares.  It is complete: as
-the prime divides none of n, lam, m, both systems keep their rank
-modulo it, so every extension's v is among the points (see
-:func:`_candidates`).  Every other
-search, with no members or a larger D, runs the engine below; both give
-the same squares in the same order.  :func:`_search` alone calls
-:func:`_candidates`, the covers and the engine: every stream, count,
-maximality check and greedy step is decided there, and guarded wherever
-keys are walked (on the engine, or through the covers to a prefix), not
-where covers are counted or picked.
+squares), a draw of lower rank replaced by the next seed's; one assembly
+turns either basis into the other cells' affine form in the free ones.
+The 2^D 0/1 assignments of the free cells are met in the middle,
+the halves built by one float64 product each and joined on two cells by
+one sorted lookup; each candidate indicator is then checked exactly by
+the orthogonality kernel that verifies sets (``verify._meets``), and m
+pairwise disjoint candidates that cover every cell make m! squares.  It
+is complete: as the prime divides none of n, lam, m, both systems keep
+their rank modulo it, so every extension's v is among the points (see
+:func:`_candidates`).  Every other search, with no members or a larger
+D, runs the engine below; both give the same squares in the same order.
+:func:`_search` alone calls :func:`_candidates`, the covers and the
+engine: every stream, count, maximality check and greedy step is decided
+there, and guarded wherever keys are walked (on the engine, or through
+the covers to a prefix), not where covers are counted or picked.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -425,48 +426,54 @@ def _engine(params, members, first_order, prefix):
                     yield node + rest
 
 
-def _draw(seed: int, d: int, n: int) -> np.ndarray:
+def _draw(seed: int, d: int, k: int) -> np.ndarray:
     """Draw ``seed`` of the linear-dual search: d seeded pseudorandom
-    (n, n) residues mod ``_PRIME``, as int64."""
-    raw = np.frombuffer(random.Random(seed).randbytes(4 * d * n * n), "<u4")
-    return (raw % _PRIME).astype(np.int64).reshape(d, n, n)
+    (k, k) residues mod ``_PRIME``, as int64, the interiors of d points
+    of Z (see :func:`_in_z`)."""
+    raw = np.frombuffer(random.Random(seed).randbytes(4 * d * k * k), "<u4")
+    return (raw % _PRIME).astype(np.int64).reshape(d, k, k)
 
 
-def _project(params: Params, members: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P_W P_Z x mod ``_PRIME`` for the (d, n, n) residues ``x``, as a
+def _in_z(y: np.ndarray) -> np.ndarray:
+    """The (d, n*n) points of Z mod ``_PRIME`` whose interiors, the cells
+    (i, j) with i, j < k = n - 1, are the (d, k, k) residues ``y``: each
+    cell of the last column is minus the rest of its row, and each cell
+    of the last row minus the rest of its column."""
+    d, k = len(y), y.shape[1]
+    z = np.zeros((d, k + 1, k + 1), np.int64)
+    z[:, :k, :k] = y
+    z[:, :k, k] = -y.sum(axis=2)
+    z[:, k] = -z[:, :k].sum(axis=1)
+    return (z % _PRIME).reshape(d, (k + 1) ** 2)
+
+
+def _project(params: Params, members: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """P_W z mod ``_PRIME`` for the (d, n*n) points ``z`` of Z mod p, as a
     (d, n*n) int64 array.
 
-    P_Z subtracts each row's and each column's mean and adds back the
-    grand mean, so the result lies in Z, the cells whose rows and columns
-    sum to 0.  For y in Z, P_W y = y - (1/(n lam)) sum_{k,a} I_a(S_k)
-    <I_a(S_k), y> over the members k and symbols a: the centred indicators
+    For z in Z, P_W z = z - (1/(n lam)) sum_{k,a} I_a(S_k) <I_a(S_k), z>
+    over the members k and symbols a: the centred indicators
     I_a(S_k) - J/m lie in Z, those of different members are orthogonal,
     and a member's sum to 0 with Gram matrix n lam I - lam^2, so
     (1/(n lam)) sum_a c_a c_a^T projects onto their span.  In the reduced
     symbols 2..m of :func:`verify._indicator_rows`, A, with s_k the sum of
-    member k's entries of A y, the sum is A^T(A y + s_k) - J sum_k s_k: two
+    member k's entries of A z, the sum is A^T(A z + s_k) - J sum_k s_k: two
     float64 products against d columns per tile of squares, exact as
-    n^2 p < 2^53.  For m = 1 every centred indicator is 0 and P_W is the
-    identity."""
-    p, n, d = _PRIME, params.n, len(x)
-    inv_n = pow(n, -1, p)
-    means = x.sum(axis=2, keepdims=True) % p + x.sum(axis=1, keepdims=True) % p
-    grand = x.sum(axis=(1, 2), keepdims=True) % p * (inv_n * inv_n % p)
-    x = ((x - means * inv_n + grand) % p).reshape(d, n * n)
-    if params.m == 1 or not d:
-        return x
-    r, tile = params.m - 1, _tile(params)
+    n^2 p < 2^53.  For m = 1 the one row is J, which meets every point of
+    Z in 0, so P_W is the identity."""
+    p, n, d = _PRIME, params.n, len(z)
+    r, tile = max(params.m - 1, 1), _tile(params)
     grids = members.reshape(len(members), -1)
-    y = x.T.astype(np.float64)
+    y = z.T.astype(np.float64)
     found, sums = np.zeros_like(y), 0
     for l0 in range(0, len(grids), tile):
         rows = _indicator_rows(grids[l0 : l0 + tile], params, np.float64)
-        ay = (rows @ y % p).reshape(-1, r, d)
+        ay = (rows @ y % p).reshape(len(rows) // r, r, d)
         s = ay.sum(axis=1, keepdims=True) % p
-        found = (found + rows.T @ ((ay + s) % p).reshape(-1, d)) % p
+        found = (found + rows.T @ ((ay + s) % p).reshape(len(rows), d)) % p
         sums = sums + s.sum(axis=0)
     found = (found.astype(np.int64) - sums.astype(np.int64)) % p
-    return (x - pow(n * params.lam, -1, p) * found.T) % p
+    return (z - pow(n * params.lam, -1, p) * found.T) % p
 
 
 def _row_reduce(a: np.ndarray, p: int):
@@ -513,8 +520,9 @@ def _candidates(params: Params, members: np.ndarray):
     dimension D = (n-1)^2 - t(m - 1) for a MOFS (for m = 1, W is Z and D
     is (n-1)^2).  For m >= 2 and D = 0, a complete set, W = {0} holds
     only J/m, which is no 0/1 vector: there is no candidate, and nothing
-    is solved.  Otherwise D free cells parametrise v mod p, from the side
-    with fewer rows to row-reduce: the members' t(m - 1) constraints
+    is solved.  Otherwise W's basis mod p comes from the side with fewer
+    rows to row-reduce, both on the interior cells mapped into Z by
+    :func:`_in_z`: the members' t(m - 1) constraints
     (:func:`_reduce_constraints`), or D draws projected into W
     (:func:`_reduce_draws`), which also answer if the constraints lose
     rank.  The candidates are the 0/1 points of either (:func:`_zero_one`).
@@ -534,47 +542,40 @@ def _candidates(params: Params, members: np.ndarray):
 
 
 def _reduce_draws(params: Params, members: np.ndarray):
-    """W's side of the linear dual: ``(free, reduced)`` (see
-    :func:`_zero_one`) from D seeded draws projected into W (see
-    :func:`_project`) and row-reduced mod p into W's basis B; a rank below
-    D, of probability about D/p, means the next draw.  B's pivots are the
-    free cells F, and every other cell is 1/m + sum_i (v_F_i - 1/m)
-    B[i, cell] mod p.
+    """W's side of the linear dual: ``(free, basis)`` (see
+    :func:`_zero_one`) from D seeded draws of interiors, mapped into Z
+    (:func:`_in_z`), projected into W (:func:`_project`) and row-reduced
+    mod p; a rank below D, of probability about D/p, means the next draw.
 
-    The projector's entries are fractions over n and n lam, and so is the
-    constant 1/m over m, so they reduce mod p while p divides none of n,
-    lam, m: P_W P_Z mod p is then a projector of rank exactly D whose image
-    holds v - J/m for every 0/1 solution v, so none is missed."""
-    m, n, p = params.m, params.n, _PRIME
-    d = (n - 1) ** 2 - len(members) * (m - 1)
+    A draw uniform over the interiors is uniform over Z mod p, where P_W,
+    whose entries are fractions over n and n lam, has rank exactly D while
+    p divides neither: its image holds v - J/m for every 0/1 solution v."""
+    n, p = params.n, _PRIME
+    d = (n - 1) ** 2 - len(members) * (params.m - 1)
     for seed in count():
-        basis = _project(params, members, _draw(seed, d, n))
+        basis = _project(params, members, _in_z(_draw(seed, d, n - 1)))
         free = _row_reduce(basis, p)
         if free is not None:
-            break
-    on_fixed = np.delete(basis, free, axis=1)
-    const = pow(m, -1, p) * (1 - on_fixed.sum(axis=0))
-    return free, (np.column_stack((-on_fixed.T, const)) % p).astype(np.int32)
+            return free, basis
 
 
 def _reduce_constraints(params: Params, members: np.ndarray):
-    """The members' side of the linear dual: ``(free, reduced)`` (see
+    """The members' side of the linear dual: ``(free, basis)`` (see
     :func:`_zero_one`) from their t(m - 1) constraints, or None when those
     lose rank mod p.
 
-    A point z of Z is fixed by its interior y, the cells (i, j) with
-    i, j < k = n - 1, since its last row and column complete zero sums.
-    So <c, z> = 0, for the indicator c of a member's symbol 2..m, is
-    C' y = 0 with c'_ij = c_ij - c_ik - c_kj + c_kk.  Row-reduced mod p,
-    C' fixes its pivot cells P by the other D interior cells F,
-    y_P = -R y_F, so v_P = (1 + R 1)/m - R v_F; each cell of the last
-    column is lam less its row's other cells, and the last row likewise.
+    A point z of Z is fixed by its interior y (:func:`_in_z`), so
+    <c, z> = 0, for the indicator c of a member's symbol 2..m, is
+    C' y = 0 with c'_ij = c_ij - c_ik - c_kj + c_kk, k = n - 1.
+    Row-reduced mod p, C' fixes its pivot cells P by the other D interior
+    cells F, y_P = -R y_F, so the interiors with 1 at one cell of F, 0 at
+    the others and -R on P, mapped into Z, are W's basis.
 
     The projector onto the members' centred indicators has entries over
     n lam, so mod p it is an idempotent of trace t(m - 1) < p, and so of
     that rank.  Its image is spanned by the functionals that C' writes on
     the interior, so C' keeps rank t(m - 1) and no 0/1 solution is missed."""
-    m, lam, n, p = params.m, params.lam, params.n, _PRIME
+    m, n, p = params.m, params.n, _PRIME
     k = n - 1
     c = (members[:, None] == np.arange(2, m + 1)[:, None, None]).astype(np.int64)
     rows = (c[..., :k, :k] - c[..., :k, k:] - c[..., k:, :k] + c[..., k:, k:]) % p
@@ -583,26 +584,17 @@ def _reduce_constraints(params: Params, members: np.ndarray):
     if pivots is None:
         return None
     free = np.delete(np.arange(k * k), pivots)
-    d, on_free = len(free), rows[:, free]
-    # Each cell as minus its coefficients on v_F, then its constant; the
-    # last column and row are linear in the others, so in these too.
-    interior = np.zeros((k * k, d + 1), np.int64)
-    interior[free, np.arange(d)] = -1
-    interior[pivots, :d] = on_free
-    interior[pivots, d] = (1 + on_free.sum(axis=1)) * pow(m, -1, p) % p
-    cells = np.zeros((n, n, d + 1), np.int64)
-    cells[:k, :k] = interior.reshape(k, k, d + 1)
-    lam_cell = np.eye(1, d + 1, d, np.int64) * lam
-    cells[:k, k] = lam_cell - cells[:k, :k].sum(axis=1)
-    cells[k] = lam_cell - cells[:k].sum(axis=0)
-    free = free // k * n + free % k
-    return free, (np.delete(cells.reshape(n * n, d + 1), free, axis=0) % p).astype(np.int32)
+    null = np.eye(k * k, dtype=np.int64)[free]
+    null[:, pivots] = -rows[:, free].T
+    return free // k * n + free % k, _in_z(null.reshape(len(free), k, k))
 
 
-def _zero_one(params: Params, members: np.ndarray, free, reduced: np.ndarray):
-    """The candidates of an affine parametrisation mod p by the ascending
-    cells ``free``: row i of ``reduced`` gives the i-th other cell as its
-    last entry, a constant, minus the others times v on ``free``.
+def _zero_one(params: Params, members: np.ndarray, free, basis: np.ndarray):
+    """The candidates of W's (D, n*n) ``basis`` mod p, which holds the
+    identity on the ascending cells ``free``: v - J/m is the sum of the
+    basis rows times v - 1/m on ``free``, so row i of ``reduced`` is the
+    i-th other cell as minus its basis column, then its constant
+    (1 - the column's sum)/m.
 
     The 2^D 0/1 assignments of the free cells give every candidate.  They
     are met in the middle: each half of the free cells has a residue table
@@ -617,6 +609,9 @@ def _zero_one(params: Params, members: np.ndarray, free, reduced: np.ndarray):
     """
     lam, n, p, d = params.lam, params.n, _PRIME, len(free)
     fixed = np.delete(np.arange(n * n), free)
+    on_fixed = basis[:, fixed]
+    const = pow(params.m, -1, p) * (1 - on_fixed.sum(axis=0))
+    reduced = (np.column_stack((-on_fixed.T, const)) % p).astype(np.int32)
     low, high = range(d // 2), range(d // 2, d)
     left = _half(reduced, low, p, reduced[:, -1])
     right = (-_half(reduced, high, p, np.zeros(len(reduced), np.int32))) % p
@@ -728,7 +723,8 @@ def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
 def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     """The key the engine finds first when its first row takes
     ``first_order``: the square whose first row comes first in that order,
-    then the lowest in grid order."""
+    then the lowest in grid order: with that whole row as their prefix,
+    the covers of its shape give one key each, the least first."""
     patterns = _pattern_tables(params.m, params.lam)[0]
     by_row = {}
     for labels in covers:
@@ -739,9 +735,7 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
         relabel = {}
         shape = tuple(relabel.setdefault(a, len(relabel)) for a in patterns[q])
         if shape in by_row:
-            assign = np.zeros(params.m, np.int64)
-            assign[list(shape)] = patterns[q]
-            return min(assign[labels].tobytes() for labels in by_row[shape])
+            return next(_cover_keys(params, by_row[shape], patterns[q]))
     return None
 
 

@@ -252,6 +252,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "maximal: undetermined" in out
 
+    def test_analyze_certified_set(self, tmp_path, capsys):
+        # Greedy growth from seed 8 stops at one F(6;3) square.  For both
+        # symbols its parity matrix is a full relation that passes all five
+        # conditions, so analyze certifies the set maximal without a search,
+        # and the exhaustive search agrees.
+        grown = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
+        rows = ["222111", "111222", "111222", "111222", "222111", "222111"]
+        assert grown.t == 1
+        assert ["".join(map(str, row)) for row in grown.grids[0].tolist()] == rows
+        path = tmp_path / "cert.mofs"
+        path.write_text(encode(grown))
+        assert main(["analyze", str(path)]) == 0
+        checks = [
+            "  x = y = t*lambda (mod 2): pass",
+            "  m*lambda even: pass",
+            "  t odd: pass",
+            "  t = m(x+y) - (m+1) (mod 8): pass",
+            "  t = m - 1 (mod 4): pass",
+        ]
+        want = [
+            "type F(6;3): 1 mutually orthogonal squares",
+            "upper bound: 25 (exact)",
+            "complete: no",
+            "completeness block structure matches: False",
+            "symbol 1: full relation with x=3 y=3 (canonical orientation)",
+            *checks,
+            "symbol 2: full relation with x=3 y=3 (canonical orientation)",
+            *checks,
+            "maximal: yes (parity certificate, symbols 1, x=3, y=3)",
+        ]
+        assert capsys.readouterr().out.split("\n") == want + [""]
+        assert main(["extend", str(path), "--exhaustive"]) == 0
+        assert capsys.readouterr().out == "extensions: 0\nmaximal: yes (exhaustive search)\n"
+
     @pytest.mark.parametrize("m", [3, 5])
     def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, m):
         path = tmp_path / "set.mofs"

@@ -153,6 +153,16 @@ class TestMakeFSquare:
         with pytest.raises(ValueError):
             example_square.grid[0, 0] = 2
 
+    @pytest.mark.parametrize("name", ["grid", "params", "other"])
+    def test_attributes_cannot_be_set(self, example_square, name):
+        with pytest.raises(AttributeError, match="^FSquare is immutable$"):
+            setattr(example_square, name, None)
+        assert example_square.grid.tolist() == EXAMPLE_GRID
+
+    def test_repr_names_params_and_grid(self):
+        s = mofs.make_fsquare(mofs.Params(2, 1), [[1, 2], [2, 1]])
+        assert repr(s) == "FSquare(F(2;1), [[1, 2], [2, 1]])"
+
     def test_caller_array_is_copied(self):
         p = mofs.Params(3, 2)
         arr = np.array(EXAMPLE_GRID, dtype=np.int64)

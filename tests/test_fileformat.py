@@ -173,6 +173,8 @@ SAME_LENGTH_EDITS = [
     pytest.param(lambda s: s.replace("\n\n", "\n1", 1), id="digit-in-blank-line"),
     pytest.param(lambda s: s.replace("\n1 ", "\n0 ", 1), id="symbol-0"),
     pytest.param(lambda s: s.replace("\n1 ", "\n3 ", 1), id="symbol-above-m"),
+    pytest.param(lambda s: s.replace("\n1 ", "\n/ ", 1), id="byte-below-0"),
+    pytest.param(lambda s: s.replace("\n1 ", "\n: ", 1), id="byte-above-9"),
 ]
 
 
@@ -239,6 +241,12 @@ class TestDecodeFuzz:
         got = outcome(decode, mutated)
         assert isinstance(got, mofs.MofsSet) or issubclass(got[0], MofsError)
         assert got == outcome(reference_decode, mutated)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\n", "# only a comment\n#\n"])
+    def test_file_without_a_header_is_empty(self, text):
+        expected = (ParseError, "line 1: empty file", 1)
+        assert outcome(decode, text) == expected
+        assert outcome(reference_decode, text) == expected
 
     def test_huge_header_fails_fast(self):
         text = "MOFS m=1000000000000 lambda=1000000000000 count=1000000000000\n"

@@ -1413,6 +1413,29 @@ class TestElimination:
         assert search._row_reduce(got, p) == want[0] == [0, 1, 2]
         assert np.array_equal(got, want[1][:, :-1])
 
+    @pytest.mark.parametrize("d,k", [(0, 0), (0, 4), (1, 0), (3, 1), (5, 4)])
+    def test_interiors_map_into_z(self, d, k):
+        # The given interior is kept, and the last row and column complete
+        # zero row and column sums mod p, for any count of points.
+        p, n = search._PRIME, k + 1
+        y = search._draw(d + k, d, k)
+        z = search._in_z(y)
+        assert z.shape == (d, n * n) and z.dtype == np.int64
+        assert ((0 <= z) & (z < p)).all()
+        cells = z.reshape(d, n, n)
+        assert np.array_equal(cells[:, :k, :k], y)
+        assert not (cells.sum(axis=1) % p).any() and not (cells.sum(axis=2) % p).any()
+
+    def test_a_point_of_z_is_its_interior(self):
+        # The centred indicators I_a(S) - J/m lie in Z, so their interiors
+        # map back to them.
+        p, params = search._PRIME, mofs.Params(3, 2)
+        square = mofs.random_fsquare(params, random.Random(5))
+        hot = square.grid.reshape(1, -1) == np.arange(1, 4)[:, None]
+        centred = (hot - pow(3, -1, p)) % p
+        interiors = centred.reshape(3, 6, 6)[:, :5, :5]
+        assert np.array_equal(search._in_z(interiors), centred)
+
     @pytest.mark.parametrize("m,h,removed", [(2, 4, 1), (2, 4, 3), (3, 3, 2)])
     def test_near_complete_projections_span_w(self, m, h, removed):
         # F(16;8) and F(27;9): the projected draws lie in W, have rank D,
@@ -1421,7 +1444,8 @@ class TestElimination:
         p, n = search._PRIME, complete.params.n
         members = mofs.verify_mofs(complete.squares[:-removed])
         d = removed * (m - 1)
-        basis = search._project(complete.params, members.grids, search._draw(0, d, n))
+        z = search._in_z(search._draw(0, d, n - 1))
+        basis = search._project(complete.params, members.grids, z)
         assert in_w(members, basis)
         free = search._row_reduce(basis, p)
         assert len(free) == d and in_w(members, basis)
@@ -1436,7 +1460,8 @@ class TestElimination:
         assert len(sets) == 19
         for mset in sets:
             n = mset.params.n
-            assert not search._project(mset.params, mset.grids, search._draw(0, 3, n)).any()
+            z = search._in_z(search._draw(0, 3, n - 1))
+            assert not search._project(mset.params, mset.grids, z).any()
             assert search._candidates(mset.params, mset.grids).shape == (0, n * n)
 
 
