@@ -104,9 +104,9 @@ def decode(text: str) -> MofsSet:
 def _decode_bulk(text: str):
     """The set of a file with one-digit symbols (m <= 9) laid out exactly
     as ``encode`` writes it, or None for any other file and for any square
-    with a cell outside 1..m or that is not regular.  A file of regular squares that do not form a MOFS
-    set raises the constructor's error here, since the per-line parser
-    would read the same squares."""
+    with a cell outside 1..m or that is not regular.  A file of regular
+    squares that do not form a MOFS set raises the constructor's error
+    here, since the per-line parser would read the same squares."""
     end = text.find("\n")
     match = _HEADER_RE.match(text[:end]) if end >= 0 else None
     if match is None:

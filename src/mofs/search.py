@@ -26,9 +26,9 @@ their rank modulo it, so every extension's v is among the points (see
 :func:`_candidates`).  Every other search, with no members or a larger
 D, runs the engine below; both give the same squares in the same order.
 :func:`_search` alone calls :func:`_candidates`, the covers and the
-engine: every stream, count, maximality check and greedy step is decided
-there, and guarded wherever keys are walked (on the engine, or through
-the covers to a prefix), not where covers are counted or picked.
+engine: every stream, extension count, maximality check and greedy step
+is decided there, and guarded wherever keys are walked (on the engine, or
+through the covers to a prefix), not where covers are counted or picked.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -43,13 +43,14 @@ orthogonal to every member iff each pair count ends at exactly lam^2, so a
 per-search tail table maps the pair counts that the two rows can add,
 under the column counts they complete, to those rows, and one lookup of
 what the counts still lack finds them.  Each square comes out as the
-joined int64 bytes of its rows, its key; ``count_fsquares`` only counts
-them.  The streams wrap keys as ``FSquare``s without calling the
-validating constructor (``core._batches``): a batch of up to 256 keys
-(fewer when one block, ``core._tile``, is smaller) is joined and read as
-one int64 array, and each square's grid is a view of it, so a square
-that is kept keeps its batch's bytes alive (74 KB for F(6;3)).  A C-level
-chain flattens the batches, so no Python code runs per square.
+joined int64 bytes of its rows, its key; ``count_fsquares`` builds none,
+as it reads the counting DP (:func:`_count_arrays`).  The streams wrap
+keys as ``FSquare``s without calling the validating constructor
+(``core._batches``): a batch of up to 256 keys (fewer when one block,
+``core._tile``, is smaller) is joined and read as one int64 array, and
+each square's grid is a view of it, so a square that is kept keeps its
+batch's bytes alive (74 KB for F(6;3)).  A C-level chain flattens the
+batches, so no Python code runs per square.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, count, islice, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -82,13 +83,13 @@ DEFAULT_MAX_ENUM = 10_000_000
 class SearchConfig:
     """Knobs for the search operations.
 
-    Identical seed and config give identical outcomes; ``seed`` is None
-    or an integer, and ``force`` a bool.  ``prefix``
-    restricts the first row to start with the given symbols, which
-    partitions the search space between runs; ``max_results`` caps a
-    stream.  Greedy growth and the exhaustive maximality check need the
-    whole space and refuse both.  ``force`` lifts the enumeration size
-    guard, whose ceiling is the ``MOFS_MAX_ENUM`` environment variable.
+    Identical seed and config give identical outcomes; ``seed`` is None or
+    an integer, and ``force`` a bool.  ``prefix`` restricts the first row to
+    start with the given symbols, which partitions the search space between
+    runs; ``max_results`` caps a stream or a count.  Greedy growth and the
+    exhaustive maximality check need the whole space and refuse both.
+    ``force`` lifts the size guard: the ``MOFS_MAX_ENUM`` ceiling on the
+    row patterns and on the count, exact or a lower bound.
     """
 
     seed: int | None = None
@@ -119,55 +120,65 @@ class SearchConfig:
 
 
 @lru_cache(maxsize=None)
+def _count_arrays(quotas: tuple, bound: int | None = None) -> int:
+    """The number of n x n arrays, n = sum(``quotas``), with symbol a
+    ``quotas[a]`` times in every row and column; with a ``bound``, the first
+    partial count above it instead, if one is.  Row by row, a layer maps
+    each multiset of the columns' remaining quotas, as sorted (quotas left,
+    columns) classes, to the partial arrays reaching it; a row gives k_a of a
+    class's c columns symbol a in c!/(k_1! ... k_m!) ways, and the last row
+    is forced.  Every partial array completes (Koenig: the rows left are the
+    perfect matchings of a regular bipartite multigraph, symbol a split into
+    quotas[a] nodes), so a layer's partial sums bound the count below."""
+    quotas = tuple(q for q in quotas if q)
+    last, layer = len(quotas) - 1, {((quotas, sum(quotas)),): 1}
+    for _ in range(sum(quotas) - 1 if last else 0):
+        built, total = {}, 0
+        for state, ways in layer.items():
+            # down[i][a]: the quotas a column of class i leaves once it takes a.
+            down = [[v[:a] + (v[a] - 1,) + v[a + 1 :] for a in range(last + 1)] for v, _ in state]
+            need, moved, sizes = list(quotas), [], [c for _, c in state] + [0]
+
+            def place(i, a, cols, weight):
+                # Give ``cols`` columns of class i the symbols a..last, the
+                # last all that are left; True once the sum passes the bound.
+                nonlocal total
+                if i == len(state):
+                    after = {}
+                    for v, k in moved:
+                        after[v] = after.get(v, 0) + k
+                    after = tuple(sorted(after.items()))
+                    built[after] = built.get(after, 0) + ways * weight
+                    total += ways * weight
+                    return bound is not None and total > bound
+                left = state[i][0]
+                hi = min(cols, need[a]) if left[a] else 0
+                lo = max(cols - need[last] if left[last] else cols, 0) if a == last - 1 else 0
+                for take in range(lo, hi + 1):
+                    takes = ((a, take), (last, cols - take)) if a == last - 1 else ((a, take),)
+                    for b, k in takes:
+                        if k:
+                            moved.append((down[i][b], k))
+                            need[b] -= k
+                    then = (i, a + 1, cols - take) if a < last - 1 else (i + 1, 0, sizes[i + 1])
+                    stop = place(*then, weight * comb(cols, take))
+                    for b, k in takes:
+                        if k:
+                            moved.pop()
+                            need[b] += k
+                    if stop:
+                        return True
+                return False
+
+            if place(0, 0, sizes[0], 1):
+                return total
+        layer = built
+    return sum(layer.values())
+
+
 def count_binary_matrices(n: int, k: int) -> int:
-    """Exact number of n x n 0/1 matrices with all row and column sums k,
-    by dynamic programming over column-capacity multiplicities."""
-
-    @lru_cache(maxsize=None)
-    def rec(rows_left: int, state: tuple) -> int:
-        if rows_left == 0:
-            return 1 if sum(c * cnt for c, cnt in enumerate(state)) == 0 else 0
-        total = 0
-
-        def place(c: int, left: int, ways: int, taken: tuple):
-            # Choose how many of this row's ones land in each capacity
-            # class of the *original* state (a column takes at most one).
-            nonlocal total
-            if left == 0 or c == 0:
-                if left:
-                    return
-                st = list(state)
-                for cls, take in taken:
-                    st[cls] -= take
-                    st[cls - 1] += take
-                total += ways * rec(rows_left - 1, tuple(st))
-                return
-            for take in range(min(state[c], left) + 1):
-                place(
-                    c - 1,
-                    left - take,
-                    ways * comb(state[c], take),
-                    taken + ((c, take),) if take else taken,
-                )
-
-        place(k, k, 1, ())
-        return total
-
-    state = [0] * (k + 1)
-    state[k] = n
-    return rec(n, tuple(state))
-
-
-def estimate_count(params: Params) -> int:
-    """Estimated number of F-squares of the type: exact for m = 2,
-    a row-pattern overestimate otherwise."""
-    m, lam, n = params.m, params.lam, params.n
-    if m == 1:
-        return 1
-    if m == 2:
-        return count_binary_matrices(n, lam)
-    patterns = factorial(n) // factorial(lam) ** m
-    return patterns**n
+    """Exact number of n x n 0/1 matrices with all row and column sums k."""
+    return _count_arrays((n - k, k))
 
 
 # Entries a type's column-fit table holds before it is cleared.  An entry
@@ -249,44 +260,27 @@ def _guard(params: Params, config: SearchConfig) -> None:
         ceiling = -1
     if ceiling < 0:
         raise MofsError(f"MOFS_MAX_ENUM must be a non-negative integer, got {raw!r}")
-    if config.max_results is not None and config.max_results <= ceiling:
-        # A capped stream stops early, but the engine still tables all
-        # P = n!/(lam!)^m row patterns, and P is a lower bound on the count:
-        # every regular first row completes to a (circulant) square.  P is
-        # the product of C(n - a*lam, lam) over a < m - 1, built one integer
-        # step at a time; after s steps it is at least 2^s, so this takes at
-        # most log2(ceiling) + 1 steps for any m and lam.
-        least = 1
-        for a in range(params.m - 1):
-            left = params.n - a * params.lam
-            for j in range(1, params.lam + 1):
-                least = least * (left - j + 1) // j
-                if least > ceiling:
-                    raise InfeasibleSizeGuard(least, ceiling, "at least")
-        # The table holds n cells per pattern, so P under the ceiling can
-        # still take gigabytes to table (C(24, 12) patterns of 24 cells).
-        if least * params.n > ceiling:
-            raise InfeasibleSizeGuard(
-                least * params.n, ceiling, "a row-pattern table of", "cells"
-            )
-    else:
-        # For m >= 2 the n distinct rows of the cyclic square permute into
-        # n! distinct squares.  That lower bound passes the ceiling after a
-        # few factors, while the estimate below takes unbounded time as n
-        # grows.
-        if params.m >= 2:
-            least = 1
-            for k in range(2, params.n + 1):
-                least *= k
-                if least > ceiling:
-                    raise InfeasibleSizeGuard(least, ceiling, "at least")
-        estimate = estimate_count(params)
-        if estimate > ceiling:
-            raise InfeasibleSizeGuard(estimate, ceiling)
-    # The one square of an m = 1 type is the whole search, but it alone
-    # holds n^2 cells, which no count above bounds.
-    if params.m == 1 and params.n**2 > ceiling:
-        raise InfeasibleSizeGuard(params.n**2, ceiling, "a square of", "cells")
+    m, lam, n = params.m, params.lam, params.n
+    # The one square of an m = 1 type holds n^2 cells, which no count bounds.
+    if m == 1 and n**2 > ceiling:
+        raise InfeasibleSizeGuard(n**2, ceiling, "a square of", "cells")
+    # Every search tables the P = n!/(lam!)^m row patterns of n cells (for
+    # F(24;12), gigabytes), and P, the DP's first layer, bounds the count.
+    # P, the product of C(n - a*lam, lam) over a < m - 1, is built a step
+    # at a time: at least 2^s after s steps, so in log2(ceiling) + 1 steps.
+    least = 1
+    for a in range(m - 1):
+        for j in range(1, lam + 1):
+            least = least * (n - a * lam - j + 1) // j
+            if least > ceiling:
+                raise InfeasibleSizeGuard(least, ceiling, "at least")
+    if least * n > ceiling:
+        raise InfeasibleSizeGuard(least * n, ceiling, "a row-pattern table of", "cells")
+    # Unless a cap within the ceiling stops it, a walk meets every square.
+    if config.max_results is None or config.max_results > ceiling:
+        least = _count_arrays((lam,) * m, ceiling)
+        if least > ceiling:
+            raise InfeasibleSizeGuard(least, ceiling, "at least")
 
 
 def _pack(counts: np.ndarray, dtype: np.dtype) -> list:
@@ -781,23 +775,28 @@ def _streamed(params: Params, members: np.ndarray, config: SearchConfig):
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``config.max_results``, counted without building the squares: m! per
-    cover on the linear-dual path, else from the keys.  For m = 1 without
-    a prefix it is 1 once the search (and its guard) is decided: the one
-    square, all ones, is orthogonal to itself, so no key is built."""
+    cover on the linear-dual path, else from the keys."""
     covers, keys = _search(params, members, config)
-    if covers is not None:
-        found = len(covers) * factorial(params.m)
-    elif params.m == 1 and not config.prefix:
-        found = 1
-    else:
+    if covers is None:
         return sum(1 for _ in islice(keys, config.max_results))
+    found = len(covers) * factorial(params.m)
     return found if config.max_results is None else min(found, config.max_results)
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
-    """Number of F-squares of the type, by full enumeration without
-    building the squares."""
-    return _count(params, _NO_MEMBERS, config)
+    """Number of F-squares of the type, up to ``config.max_results``, from
+    the counting DP (:func:`_count_arrays`), which builds no square.  Every
+    first row leaves the same column state, so the rows that start with
+    ``config.prefix`` start their share of the squares."""
+    _guard(params, config)
+    m, lam, prefix, limit = params.m, params.lam, config.prefix, config.max_results
+    left = [lam - prefix.count(a) for a in range(1, m + 1)]
+    if min(left) < 0 or sum(left) + len(prefix) != params.n:
+        return 0
+    rows = factorial(sum(left)) // prod(map(factorial, left))
+    whole = factorial(params.n) // factorial(lam) ** m
+    found = _count_arrays((lam,) * m, limit and limit * whole // rows) * rows // whole
+    return found if limit is None else min(found, limit)
 
 
 # The stack of no members.  Its shape does not depend on n, so a type too

@@ -433,9 +433,14 @@ class TestRefusedQuickly:
     @pytest.mark.parametrize(
         "argv,kind",
         [
-            pytest.param(["extend", "h24-1", "--exhaustive"], "at least", id="extend-h24-exhaustive"),
-            # Greedy growth guards its row-pattern table first: C(24, 12)
-            # patterns of 24 cells, even where the linear dual would answer.
+            # Every walk guards its row-pattern table first: C(24, 12)
+            # patterns of 24 cells; greedy growth even where the linear
+            # dual would answer.
+            pytest.param(
+                ["extend", "h24-1", "--exhaustive"],
+                "a row-pattern table of 64899744 cells",
+                id="extend-h24-exhaustive",
+            ),
             pytest.param(
                 ["extend", "h24", "--greedy", "--seed", "0"],
                 "a row-pattern table of 64899744 cells",
@@ -493,7 +498,7 @@ class TestRefusedQuickly:
             pytest.param(
                 "mofs.count_fsquares(mofs.Params(9, 1),"
                 " mofs.SearchConfig(max_results=10**12))",
-                "estimated",
+                "at least 10160640 squares",
                 id="cap-above-the-ceiling",
             ),
             # P = C(24, 12) = 2 704 156 patterns pass, but not their table
@@ -516,11 +521,13 @@ class TestRefusedQuickly:
         assert done.stdout.startswith(f"{kind} ")
         assert "exceeds the ceiling 10000000" in done.stdout
 
-    def test_size_guard_keeps_the_estimate_for_small_types(self):
+    def test_size_guard_stops_the_count_at_the_ceiling(self):
+        # F(9;3)'s 1680 patterns pass; the counting DP stops at its first
+        # partial count past the ceiling.
         with pytest.raises(mofs.InfeasibleSizeGuard) as exc:
             mofs.count_fsquares(mofs.Params(3, 3))
-        assert str(exc.value).startswith("estimated ")
-        assert exc.value.estimate == mofs.search.estimate_count(mofs.Params(3, 3))
+        assert str(exc.value).startswith("at least 10382400 squares ")
+        assert exc.value.estimate == 10382400
 
     @pytest.mark.parametrize(
         "m,h,size",

@@ -18,12 +18,7 @@ from mofs import core, search
 from mofs.cli import main
 from mofs.construct import prime_power_decomposition
 from mofs.core import DimensionMismatch, RowRegularityViolation
-from mofs.search import (
-    InfeasibleSizeGuard,
-    SearchConfig,
-    count_binary_matrices,
-    estimate_count,
-)
+from mofs.search import InfeasibleSizeGuard, SearchConfig, count_binary_matrices
 from mofs.verify import UndefinedForMOne
 
 from conftest import blocks_of, loop_row_reduce, naive_fsquares, row_stack_fsquares
@@ -69,11 +64,13 @@ class TestCountBinaryMatrices:
     @pytest.mark.parametrize(
         "n,k,expected",
         [
+            # (2k, k): the published counts of OEIS A058527.
             (2, 1, 2),
             (3, 1, 6),  # permutation matrices
             (4, 2, 90),
             (6, 3, 297200),
             (8, 4, 116963796250),
+            (10, 5, 6736218287430460752),
         ],
     )
     def test_known_values(self, n, k, expected):
@@ -91,9 +88,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("n,expected", [(4, 576), (5, 161280)])
     def test_latin_square_counts(self, n, expected):
         # L(4) and L(5), the published numbers of Latin squares (OEIS
-        # A002860).  F(5;1) is over the size guard's estimate.
-        config = SearchConfig(force=True)
-        assert mofs.count_fsquares(mofs.Params(n, 1), config) == expected
+        # A002860).  Both are under the size guard's default ceiling.
+        assert mofs.count_fsquares(mofs.Params(n, 1)) == expected
 
     @pytest.mark.parametrize("m,lam", [(2, 1), (3, 1), (2, 2)])
     def test_matches_naive_filter_oracle(self, m, lam):
@@ -129,7 +125,10 @@ class TestEnumerate:
         stream = mofs.enumerate_fsquares(mofs.Params(2, 4))
         with pytest.raises(InfeasibleSizeGuard) as exc:
             next(stream)
-        assert exc.value.estimate == 116963796250
+        # The counting DP stops at its first partial count past the ceiling,
+        # short of the 116 963 796 250 squares.
+        assert str(exc.value).startswith("at least 10129980 squares ")
+        assert exc.value.estimate == 10129980
 
     def test_guard_override_by_config(self):
         p = mofs.Params(2, 3)
@@ -253,11 +252,44 @@ class TestSearchConfig:
 
 
 class TestEstimateCount:
+    # The counting DP that sizes the guard is exact for every m.
     def test_exact_for_two_symbols(self):
-        assert estimate_count(mofs.Params(2, 3)) == 297200
+        assert search._count_arrays((3, 3)) == 297200
 
     def test_overestimates_generic(self):
-        assert estimate_count(mofs.Params(3, 1)) >= 12
+        assert search._count_arrays((1, 1, 1)) == 12
+
+
+class TestCountingDP:
+    """The one counter (streams and the m = 2 counts are checked above)."""
+
+    @pytest.mark.parametrize("prefix", [(0,), (1, 2, 1, 2, 1), (1, 1, 1)])
+    def test_a_prefix_no_row_starts_with_counts_none(self, prefix):
+        # A symbol out of range, a prefix longer than n, or a symbol more
+        # than lam times: no F(4;2) row starts with it.
+        p, config = mofs.Params(2, 2), SearchConfig(prefix=prefix)
+        assert mofs.count_fsquares(p, config) == 0
+        assert list(mofs.enumerate_fsquares(p, config)) == []
+
+    def test_latin_square_count_over_the_ceiling(self):
+        # L(6) of OEIS A002860; L(4) and L(5) are counted unforced above.
+        assert search._count_arrays((1,) * 6) == 812851200
+
+    @pytest.mark.parametrize("quotas", [(3, 3), (4, 4), (2, 2, 2), (1,) * 5, (2, 1)])
+    def test_a_bound_stops_it_between_the_bound_and_the_count(self, quotas):
+        exact = search._count_arrays(quotas)
+        for bound in (0, 1, exact // 3, exact - 1):
+            assert bound < search._count_arrays(quotas, bound) <= exact
+        assert search._count_arrays(quotas, exact) == exact
+
+    def test_counts_walk_no_key(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(search, "_engine", walked)
+        for config in (SearchConfig(), SearchConfig(prefix=(2, 1)), SearchConfig(max_results=7)):
+            mofs.count_fsquares(mofs.Params(2, 3), config)
+        assert mofs.count_fsquares(mofs.Params(3, 2), SearchConfig(max_results=10**6)) == 10**6
 
 
 class TestExtensions:
@@ -605,6 +637,13 @@ class TestEngineTables:
             (3, 1, SearchConfig()),
             (2, 2, SearchConfig()),
             (3, 2, SearchConfig(prefix=(3, 3, 2, 2), force=True)),
+            (2, 1, SearchConfig()),
+            (4, 1, SearchConfig()),
+            (2, 3, SearchConfig()),
+            (5, 1, SearchConfig()),
+            # Each full F(6;2) first row starts 35 599 500 / 90 = 395 550.
+            (3, 2, SearchConfig(prefix=(1, 2, 3, 3, 2, 1), force=True)),
+            (3, 2, SearchConfig(prefix=(3, 1, 1, 2, 3, 2), force=True)),
         ],
     )
     def test_count_matches_enumeration(self, m, lam, config):
