@@ -1,30 +1,36 @@
 """Enumeration, extension search, greedy growth, and the exhaustive
 maximality oracle.
 
-Two exact methods find squares, chosen by D = (n-1)^2 - t(m - 1), the
-paper's bound: for a set of t squares, the dimension of W, the cells with
-zero row and column sums orthogonal to every member's centred indicator
-squares I_a(S_k) - J/m.  An extension's indicator v of one symbol has
-v - J/m in W.  A search with at least one member and D <= ``_DUAL_MAX_D``
-takes the linear-dual path.  For m >= 2, D = 0, the bound's equality
-case, leaves W = {0} and so no extension, with nothing to solve.
-Otherwise D free cells parametrise v modulo the prime 2^21 - 9.  The
-smaller of two systems on the interior cells (i, j < n - 1), which fix a
-point of Z (``_in_z``), is row-reduced into W's basis: the members'
-t(m - 1) constraints, when they are fewer than D, or else D seeded random
-interiors mapped into Z and projected into W by the closed form of its
-projector (two skinny float64 products with the members' indicator
-squares), a draw of lower rank replaced by the next seed's; one assembly
-turns either basis into the other cells' affine form in the free ones.
+Exact methods find squares, chosen by lam and D = (n-1)^2 - t(m - 1),
+the paper's bound: for a set of t squares, the dimension of W, the cells
+with zero row and column sums orthogonal to every member's centred
+indicator squares I_a(S_k) - J/m.  An extension's indicator v of one
+symbol has v - J/m in W.  A search with at least one member builds the
+extensions from candidate indicators where it can.  For m >= 2 and
+D <= ``_DUAL_MAX_D``, D = 0, the bound's equality case, leaves W = {0}
+and so no extension, with nothing to solve.  For lam = 1 each indicator
+is a permutation matrix, so the candidates are those of the type's n!
+that meet every member in one cell per symbol (``verify._meets``), while
+the n! fit one block (n <= 7).  Otherwise, while D <= ``_DUAL_MAX_D``,
+the linear dual runs: D free cells parametrise v modulo the prime
+2^21 - 9.  The smaller of two systems on the interior cells
+(i, j < n - 1), which fix a point of Z (``_in_z``), is row-reduced into
+W's basis: the members' t(m - 1) constraints, when they are fewer than
+D, or else D seeded random interiors mapped into Z and projected into W
+by the closed form of its projector (two skinny float64 products with
+the members' indicator squares), a draw of lower rank replaced by the
+next seed's; one assembly turns either basis into the other cells'
+affine form in the free ones.
 The 2^D 0/1 assignments of the free cells are met in the middle,
 the halves built by one float64 product each and joined on two cells by
 one sorted lookup; each candidate indicator is then checked exactly by
-the orthogonality kernel that verifies sets (``verify._meets``), and m
-pairwise disjoint candidates that cover every cell make m! squares.  It
+the orthogonality kernel that verifies sets (``verify._meets``).  It
 is complete: as the prime divides none of n, lam, m, both systems keep
 their rank modulo it, so every extension's v is among the points (see
-:func:`_candidates`).  Every other search, with no members or a larger
-D, runs the engine below; both give the same squares in the same order.
+:func:`_candidates`).  Either way, m pairwise disjoint candidates that
+cover every cell make m! squares.  Every other search, with no members
+or neither method, runs the engine below; all give the same squares in
+the same order.
 :func:`_search` alone calls :func:`_candidates`, the covers and the
 engine: every stream, extension count, maximality check and greedy step
 is decided there, and guarded wherever keys are walked (on the engine, or
@@ -65,6 +71,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
+from . import core
 from .core import (
     FSquare,
     InfeasibleSizeGuard,
@@ -297,11 +304,13 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
     patterns, dtype, pattern_hot = _pattern_tables(m, params.lam)[:3]
     if not len(members):
         return [[0] * len(patterns)] * params.n
-    # member_hot[k, i, j, b]: member k holds symbol b + 1 at cell (i, j).
-    member_hot = (members[..., None] == np.arange(1, m + 1)).astype(dtype)
-    counts = np.einsum("pja,kijb->ipkab", pattern_hot, member_hot)
-    size = len(patterns)
-    packed = _pack(counts.reshape(params.n * size, -1), dtype)
+    # member_hot[j, k, i, b]: member k holds symbol b + 1 at cell (i, j).
+    # One float32 product sums over j, exactly: no count exceeds n.
+    n, size = params.n, len(patterns)
+    member_hot = (members.transpose(2, 0, 1)[..., None] == np.arange(1, m + 1)).astype(np.float32)
+    counts = pattern_hot.transpose(0, 2, 1).reshape(size * m, n) @ member_hot.reshape(n, -1)
+    counts = counts.reshape(size, m, len(members), n, m).transpose(3, 0, 2, 1, 4)
+    packed = _pack(counts.reshape(n * size, -1), dtype)
     return [packed[i : i + size] for i in range(0, len(packed), size)]
 
 
@@ -507,15 +516,20 @@ def _half(reduced: np.ndarray, free, p: int, start: np.ndarray) -> np.ndarray:
 def _candidates(params: Params, members: np.ndarray):
     """The 0/1 indicators of one symbol of the squares orthogonal to every
     member, as a (c, n*n) uint8 array, or None where the engine searches
-    instead: no members, or more than ``_DUAL_MAX_D`` free cells.
+    instead: no members, or more than ``_DUAL_MAX_D`` free cells on a type
+    with no permutation-matrix table.
 
     Such an indicator v has v - J/m in W, the cells of zero row and column
     sums orthogonal to every member's centred indicators, and W has
     dimension D = (n-1)^2 - t(m - 1) for a MOFS (for m = 1, W is Z and D
     is (n-1)^2).  For m >= 2 and D = 0, a complete set, W = {0} holds
     only J/m, which is no 0/1 vector: there is no candidate, and nothing
-    is solved.  Otherwise W's basis mod p comes from the side with fewer
-    rows to row-reduce, both on the interior cells mapped into Z by
+    is solved.  For lam = 1 the indicators are permutation matrices: the
+    candidates are the rows of :func:`_permutation_matrices` that meet
+    every member in one cell per symbol, checked by the kernel that
+    verifies sets (:func:`verify._meets`), as :func:`_zero_one` ends.
+    Otherwise W's basis mod p comes from the side with fewer rows to
+    row-reduce, both on the interior cells mapped into Z by
     :func:`_in_z`: the members' t(m - 1) constraints
     (:func:`_reduce_constraints`), or D draws projected into W
     (:func:`_reduce_draws`), which also answer if the constraints lose
@@ -526,13 +540,35 @@ def _candidates(params: Params, members: np.ndarray):
     """
     m, n, t = params.m, params.n, len(members)
     d = (n - 1) ** 2 - t * (m - 1)
-    if not t or d > _DUAL_MAX_D:
+    if not t:
         return None
-    if not d and m > 1:
+    if not d and m > 1 and d <= _DUAL_MAX_D:
         # W = {0} leaves only J/m, which is no 0/1 vector.
         return np.zeros((0, n * n), np.uint8)
+    table = _permutation_matrices(params)
+    if table is not None:
+        return table[_meets(table, members, params).all(axis=1)]
+    if d > _DUAL_MAX_D:
+        return None
     space = _reduce_constraints(params, members) if t * (m - 1) < d else None
     return _zero_one(params, members, *(space or _reduce_draws(params, members)))
+
+
+def _permutation_matrices(params: Params):
+    """For lam = 1, every 0/1 array with one 1 in each row and column: the
+    n! permutation matrices, flattened, as a read-only (n!, n*n) uint8
+    view of the type's one-hot patterns (:func:`_pattern_tables`).  None
+    for lam > 1, or when they pass one block (``core._BLOCK_ENTRIES``), for
+    n >= 8; n^2 n! is built a factor at a time, so no larger n! is."""
+    if params.lam > 1:
+        return None
+    n = params.n
+    entries = n * n
+    for k in range(2, n + 1):
+        entries *= k
+        if entries > core._BLOCK_ENTRIES:
+            return None
+    return _pattern_tables(n, 1)[2].reshape(-1, n * n)
 
 
 def _reduce_draws(params: Params, members: np.ndarray):
@@ -736,9 +772,10 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
 def _search(params: Params, members: np.ndarray, config: SearchConfig, first_order=None):
     """The one place a search is decided and guarded: ``(covers, keys)`` for
     the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
-    their keys, lazy and uncapped, from the linear-dual covers or the
-    engine, whose first row takes ``first_order`` (see :func:`_engine`);
-    in lexicographic order when that is None.  ``covers`` are those covers
+    their keys, lazy and uncapped, from the covers of the candidates
+    (:func:`_candidates`: the permutation-matrix table or the linear dual)
+    or from the engine, whose first row takes ``first_order`` (see
+    :func:`_engine`); in lexicographic order when that is None.  ``covers`` are those covers
     when they alone give the answer, m! squares each; otherwise they are
     None, the keys must be walked, and the size guard runs first."""
     candidates = _candidates(params, members)
@@ -775,7 +812,7 @@ def _streamed(params: Params, members: np.ndarray, config: SearchConfig):
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``config.max_results``, counted without building the squares: m! per
-    cover on the linear-dual path, else from the keys."""
+    cover of the candidates, else from the keys."""
     covers, keys = _search(params, members, config)
     if covers is None:
         return sum(1 for _ in islice(keys, config.max_results))
@@ -817,8 +854,8 @@ def _require_whole_space(config: SearchConfig) -> None:
 def exhaustive_maximality(
     mset: MofsSet, config: SearchConfig = SearchConfig()
 ) -> bool:
-    """Ground truth: true iff no F-square extends the set: it has no
-    linear-dual cover, or the engine finds no key.  On a maximal set the
+    """Ground truth: true iff no F-square extends the set: its candidates
+    have no cover, or the engine finds no key.  On a maximal set the
     engine walks the whole space, so it is guarded like an uncapped count."""
     _require_whole_space(config)
     covers, keys = _search(mset.params, mset.grids, config)
@@ -832,12 +869,12 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     step permutes the first-row pattern order by the seed and adds the
     extension whose first row comes first in it, the lowest in grid order
     on a tie: the engine's first find, or the same square picked from the
-    linear-dual covers.  Steps are searched (:func:`_search`) until the
-    linear dual applies; its covers are then kept, less at each step those
-    whose label classes fail :func:`verify._meets` against the square
-    added (a cover's m! squares are all orthogonal to it or none are).  Up
-    front only the row-pattern table that the seeded order shuffles is
-    guarded, as for a capped stream.  The loop ends when no extension
+    covers.  Steps are searched (:func:`_search`) until candidates are
+    found (:func:`_candidates`); their covers are then kept, less at each
+    step those whose label classes fail :func:`verify._meets` against the
+    square added (a cover's m! squares are all orthogonal to it or none
+    are).  Up front only the row-pattern table that the seeded order
+    shuffles is guarded, as for a capped stream.  The loop ends when no extension
     exists, so the result is maximal by construction (and re-verified).
     For m = 1 the only square is orthogonal to itself, so growth would
     never end; it raises ``UndefinedForMOne`` instead.

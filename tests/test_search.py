@@ -8,6 +8,7 @@ import textwrap
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -762,7 +763,7 @@ def pinned_growth(m, lam, seed):
     p = mofs.Params(m, lam)
     if m == 2:
         return mofs.grow_maximal(p, SearchConfig(seed=seed))
-    # F(5;1) from one random square; its type is over the guard.
+    # Latin types grow from one random square.
     start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(seed))])
     return mofs.grow_maximal(start, SearchConfig(seed=seed, force=True))
 
@@ -936,6 +937,7 @@ class TestRandomFSquare:
 
 # Greedy sets beyond GROW_PINS that the linear-dual path is checked on.
 DUAL_SOURCES = sorted(GROW_PINS) + [(2, 3, 3), (2, 3, 4), (5, 1, 4), (5, 1, 5)]
+DUAL_SOURCES += [(m, 1, seed) for m in (3, 4) for seed in range(4)]
 
 
 @lru_cache(maxsize=None)
@@ -964,6 +966,11 @@ def search_outcomes(mset):
 
 def uses_dual(mset):
     return search._candidates(mset.params, mset.grids) is not None
+
+
+def without_table(monkeypatch):
+    """Send Latin types to the meet in the middle, as every other type."""
+    monkeypatch.setattr(search, "_permutation_matrices", lambda params: None)
 
 
 def free_cells(mset):
@@ -1066,12 +1073,17 @@ class TestLinearDual:
 
     @pytest.mark.parametrize("m,lam,seed", DUAL_SOURCES)
     def test_matches_the_engine(self, m, lam, seed, monkeypatch):
+        # Three sides for Latin types: the permutation-matrix table, the
+        # meet in the middle, and the engine; two for the others.
         sets = dual_inputs(m, lam, seed)
+        table = [search_outcomes(mset) for mset in sets]
+        assert (search._permutation_matrices(sets[0].params) is None) == (lam > 1)
+        without_table(monkeypatch)
         dual = [search_outcomes(mset) for mset in sets]
         assert any(map(uses_dual, sets))
         monkeypatch.setattr(search, "_DUAL_MAX_D", -1)
         assert not any(map(uses_dual, sets))
-        assert [search_outcomes(mset) for mset in sets] == dual
+        assert [search_outcomes(mset) for mset in sets] == dual == table
 
     @pytest.mark.parametrize(
         "m,lam,seed,t,found", [(2, 3, 0, 6, 20), (2, 3, 1, 6, 36), (2, 3, 2, 6, 20), (3, 2, 1, 3, 30)]
@@ -1139,6 +1151,7 @@ class TestLinearDual:
         # A first draw with two equal vectors has rank below D, so the
         # search must draw again and find the same candidates.  Draws are
         # made where the members have at least D constraints.
+        without_table(monkeypatch)
         sets = [
             mset
             for mset in dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
@@ -1171,6 +1184,7 @@ class TestLinearDual:
         # a prime drops the rank of some first draw, and lets many false
         # 0/1 residues through, which the redraw and the exact check must
         # absorb.
+        without_table(monkeypatch)
         sets = [
             mset
             for mset in dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4) + near_complete_sets()
@@ -1204,6 +1218,7 @@ class TestLinearDual:
         # constraints: mod 3 the one-square F(5;1) sets, mod 5 the F(6;3)
         # ones.  The reduced constraints then let many false 0/1 residues
         # through, which the exact check must absorb.
+        without_table(monkeypatch)
         sets = [
             mset
             for mset in dual_inputs(2, 3, 3) + dual_inputs(5, 1, 0) + dual_inputs(5, 1, 4)
@@ -1233,6 +1248,7 @@ class TestLinearDual:
     def test_constraint_rank_drop_falls_back_to_draws(self, monkeypatch):
         # Were the constraints to lose rank mod p, as only a test prime can
         # make them, the draws must answer instead, with the same candidates.
+        without_table(monkeypatch)
         sets = [mset for mset in dual_inputs(2, 3, 0) + dual_inputs(5, 1, 0) if constrained(mset)]
         assert len(sets) >= 3
         want = [search._candidates(mset.params, mset.grids) for mset in sets]
@@ -1258,6 +1274,7 @@ class TestLinearDual:
         # The twin of test_complete_sets_are_answered_without_a_solve: where
         # the members have fewer than D constraints, they are row-reduced
         # themselves, and nothing is drawn or projected.
+        without_table(monkeypatch)
         sets = [
             mset
             for source in [(2, 3, 0), (2, 3, 4), (5, 1, 0), (5, 1, 4)]
@@ -1369,6 +1386,89 @@ class TestLinearDual:
         assert grown.t == complete.t
         assert grown == mofs.grow_maximal(members, SearchConfig(seed=0, force=True))
         assert mofs.exhaustive_maximality(grown)
+
+
+def cyclic_square(n):
+    """The one-square set of the Cayley table of Z_n, symbols 1..n."""
+    i, j = np.indices((n, n))
+    return mofs.verify_mofs([mofs.make_fsquare(mofs.Params(n, 1), (i + j) % n + 1)])
+
+
+def mates_by_exact_cover(grid):
+    """The Latin squares orthogonal to ``grid``, counted apart from the
+    library: its transversals by brute force over the n! permutations,
+    then every partition of the cells into n of them by bitmask exact
+    cover, each one n! squares (one symbol per transversal)."""
+    n = len(grid)
+    found = [
+        sum(1 << (i * n + s[i]) for i in range(n))
+        for s in permutations(range(n))
+        if len({grid[i][s[i]] for i in range(n)}) == n
+    ]
+
+    def covers(left):
+        if not left:
+            return 1
+        low = left & -left
+        return sum(covers(left & ~t) for t in found if t & low and t & left == t)
+
+    return len(found), covers((1 << n * n) - 1) * factorial(n)
+
+
+class TestPermutationTable:
+    """For lam = 1 a candidate indicator is a permutation matrix, so a search
+    with members takes its candidates from the type's n! of them, checked
+    against every member."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_table_is_every_permutation_matrix(self, n):
+        table = search._permutation_matrices(mofs.Params(n, 1))
+        if n >= 8:
+            # 8^2 8! passes the block budget of 2^20 entries.
+            assert table is None
+            return
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        want = sorted(np.eye(n, dtype=np.uint8)[list(s)].tobytes() for s in permutations(range(n)))
+        assert sorted(map(bytes, table)) == want
+
+    @pytest.mark.parametrize("m,lam", [(2, 2), (2, 3), (3, 2), (1, 2)])
+    def test_only_latin_types_have_a_table(self, m, lam):
+        assert search._permutation_matrices(mofs.Params(m, lam)) is None
+
+    def test_the_rule_computes_no_large_factorial(self):
+        # n^2 n! passes the budget after one factor, at once even for a
+        # type whose n! has tens of millions of digits.
+        assert search._permutation_matrices(mofs.Params(10**7, 1)) is None
+
+    @pytest.mark.parametrize("n,count", [(2, 0), (3, 3), (4, 0), (5, 15), (6, 0), (7, 133)])
+    def test_cyclic_transversals_match_oeis(self, n, count):
+        # OEIS A006717: Z_n has 3, 15, 133 transversals for n = 3, 5, 7,
+        # and an even n none.
+        mset = cyclic_square(n)
+        assert len(search._candidates(mset.params, mset.grids)) == count
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_cyclic_mates_match_an_exact_cover(self, n):
+        mset = cyclic_square(n)
+        transversals, mates = mates_by_exact_cover(mset.grids[0].tolist())
+        assert len(search._candidates(mset.params, mset.grids)) == transversals
+        assert search._count(mset.params, mset.grids, SearchConfig()) == mates
+        assert not mofs.exhaustive_maximality(mset)
+
+    def test_tarry_first_lexicographic_latin_squares_of_order_6(self):
+        # Tarry: no Latin square of order 6 has an orthogonal mate.  Most
+        # of the first 200 have transversals, so their covers are searched.
+        p = mofs.Params(6, 1)
+        squares = list(mofs.enumerate_fsquares(p, SearchConfig(max_results=200)))
+        assert len(squares) == 200
+        with_transversals = 0
+        for square in squares:
+            mset = mofs.verify_mofs([square])
+            with_transversals += len(search._candidates(p, mset.grids)) > 0
+            assert search._count(p, mset.grids, SearchConfig()) == 0
+            assert mofs.exhaustive_maximality(mset)
+            assert mofs.grow_maximal(mset).t == 1
+        assert with_transversals > 100
 
 
 def complete_sets(most):
