@@ -220,7 +220,22 @@ def _tile(params: Params) -> int:
     return max(1, min(_BLOCK_ENTRIES // (r * params.n**2), math.isqrt(_BLOCK_ENTRIES) // r))
 
 
-def _validate_regularity(params: Params, stack: np.ndarray) -> None:
+def _indicator_rows(grids: np.ndarray, params: Params, dtype=None, symbols=None) -> np.ndarray:
+    """The reduced indicator squares (symbols 2..m; symbol 1 when m = 1) of
+    the flattened ``grids``, or those of ``symbols`` when given, one row per
+    (square, symbol) with the symbols varying fastest, in ``dtype``; by
+    default float32 (float64 once n^2 >= 2^24), in which every product of
+    two rows is exact."""
+    cells = grids.shape[1]
+    if dtype is None:
+        dtype = np.float32 if cells < 1 << 24 else np.float64
+    if symbols is None:
+        symbols = range(min(2, params.m), params.m + 1)
+    hits = grids[:, None, :] == np.array(symbols, grids.dtype)[:, None]
+    return hits.reshape(-1, cells).astype(dtype)
+
+
+def _validate_regularity(params: Params, stack: np.ndarray):
     """Check a (t, n, n) integer stack block by block (see :func:`_tile`)
     and raise, for its first invalid square, the error of that square's
     first fault: an entry outside 1..m (first in row-major order), else the
@@ -229,15 +244,22 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
 
     The counts are read from the indicator squares, as the paper reads
     regularity: S is regular iff every I_a(S) has row and column sums lam.
-    Those of symbols 2..m are one pair of products of their 0/1 hits with
-    a ones vector, exact in float32: the hits take r n^2 entries per square
+    Those of symbols 2..m are the row and column sums of the float32
+    reduced indicator rows (:func:`_indicator_rows`) viewed as (k r, n, n),
+    each one product with a ones vector (a fifth of the time of numpy's
+    axis sums), exact in float32: the rows take r n^2 entries per square
     for r = m - 1, which the block budgets (see :func:`_tile`).  A square
     larger than the budget is counted a budget of symbols at a time.  Once
-    every entry is in 1..m, symbol 1's are n minus the rest."""
+    every entry is in 1..m, symbol 1's are n minus the rest.
+
+    Returns the rows of a valid stack of m >= 2 that is one block, built in
+    one piece, for the Gram kernel to reuse
+    (:func:`verify._first_failing_pair`); None otherwise."""
     m, lam, n = params.m, params.lam, params.n
     step = _tile(params)
     ones = np.ones(n, np.float32)
     narrow = np.min_scalar_type(m)
+    whole = None
     for k0 in range(0, len(stack), step):
         block = stack[k0 : k0 + step]
         t = len(block)
@@ -245,13 +267,14 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
         # Only squares before the first one with an out-of-range entry are
         # counted; their entries narrow to the type of m without wrapping.
         ok = int(np.argmax(out)) if out.any() else t
-        grids = block[:ok].astype(narrow, copy=False)
+        grids = block[:ok].astype(narrow, copy=False).reshape(ok, n * n)
         # counts[k, a - 1, 0 or 1, i]: symbol a in row or column i of square k.
         counts = np.empty((ok, m, 2, n), np.float32)
         per = max(1, _BLOCK_ENTRIES // (max(ok, 1) * n * n))
         for low in range(1, m, per):
-            symbols = np.arange(low + 1, min(low + per, m) + 1, dtype=narrow)
-            hits = (grids[:, None] == symbols[:, None, None]).astype(np.float32)
+            symbols = range(low + 1, min(low + per, m) + 1)
+            rows = _indicator_rows(grids, params, np.float32, symbols)
+            hits = rows.reshape(ok, len(symbols), n, n)
             counts[:, low : low + per, 0] = hits @ ones
             counts[:, low : low + per, 1] = ones @ hits
         counts[:, 0] = n - counts[:, 1:].sum(axis=1)
@@ -265,6 +288,9 @@ def _validate_regularity(params: Params, stack: np.ndarray) -> None:
             arr = block[ok]
             i, j = np.argwhere((arr < 1) | (arr > m))[0]
             raise SymbolOutOfRange(f"entry ({i},{j}) = {arr[i, j]} not in 1..{m}")
+        if t == len(stack) and m > 1 and per >= m - 1:
+            whole = rows
+    return whole
 
 
 # Runs an iterator of calls for their effects, at C speed.

@@ -4,16 +4,27 @@ The certificate rests on the mod-2 sum of one indicator square per
 member.  When that parity matrix has, up to row/column permutation, a
 complementary 0/J block structure (a non-constant full relation) and the
 repetition number is odd, the set admits no further orthogonal square.
+
+What "no certificate" covers: :func:`maximality_verdict` and ``mofs
+analyze`` try the m uniform choices (a,) * t.  For m = 2 these cover every
+choice: I_2(S) = J - I_1(S), so changing one square's symbol changes the
+parity matrix by J, and any choice's matrix is a uniform one's or its
+complement, which has a full relation exactly when it does.  For m >= 4
+they do not: a square's indicators satisfy only I_1 + ... + I_m = J, so a
+mixed choice's matrix is in general neither, and the absence of a uniform
+certificate says nothing of the other choices (``extra_choices`` tries
+them).  For m = 3 and lam odd no choice has one: a full relation needs
+m lam even (Lemma 6(ii), one of the five congruences).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .core import MofsError, Params, SymbolOutOfRange, _as_int
+from . import core
+from .core import MofsError, Params, SymbolOutOfRange, _as_int, _tile
 from .verify import MofsSet
 
 
@@ -169,9 +180,40 @@ def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
 def _certificates(mset: MofsSet, extra=()):
     """The full-relation certificate, or None, of each uniform symbol
     choice (a,) * t for a = 1..m in order, then of each choice in
-    ``extra``, built as they are read."""
-    uniform = ((a,) * mset.t for a in range(1, mset.params.m + 1))
-    return (detect_full_relation(parity_matrix(mset, c)) for c in chain(uniform, extra))
+    ``extra``; none is built before the first is read.
+
+    The uniform choices' parity matrices are built together
+    (:func:`_uniform_parities`), as many symbols at once as one block
+    holds (all m of every set whose m n^2 cells fit it), and the block form
+    is tested on all of them at once: every row equals the first or its
+    complement.  :func:`detect_full_relation` runs only where that holds."""
+    params, t, n = mset.params, mset.t, mset.params.n
+    per = max(1, core._BLOCK_ENTRIES // (n * n))
+    for low in range(1, params.m + 1, per):
+        symbols = range(low, min(low + per, params.m + 1))
+        bits = _uniform_parities(mset, symbols)
+        first = bits[:, :1]
+        blocks = ((bits == first).all(axis=2) | (bits != first).all(axis=2)).all(axis=1)
+        for a, pm_bits, block in zip(symbols, bits, blocks):
+            if not block:
+                yield None
+                continue
+            yield detect_full_relation(ParityMatrix(params, t, (a,) * t, pm_bits.astype(np.int64)))
+    for choice in extra:
+        yield detect_full_relation(parity_matrix(mset, choice))
+
+
+def _uniform_parities(mset: MofsSet, symbols) -> np.ndarray:
+    """The parity matrices of the uniform choices of ``symbols``, as one
+    (len(symbols), n, n) bool array: (sum_k I_a(S_k)) mod 2, one XOR-reduce
+    over the squares a block (:func:`core._tile`) at a time."""
+    grids, n = mset.grids, mset.params.n
+    hot = np.array(symbols, grids.dtype)[:, None, None]
+    bits = np.zeros((len(hot), n, n), bool)
+    step = _tile(mset.params)
+    for k0 in range(0, mset.t, step):
+        bits ^= np.logical_xor.reduce(grids[k0 : k0 + step, None] == hot, axis=0)
+    return bits
 
 
 def _verdict(params: Params, certs) -> MaximalityVerdict:

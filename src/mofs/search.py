@@ -44,13 +44,14 @@ that adding a row and checking every bound is a few integer operations.
 The patterns that fit the column counts depend on those counts alone, so
 a per-type column-fit table, filled as the search meets new counts and
 kept between searches, lists them for each node; a node tests only their
-pair counts.  The last two rows are not searched node by node: a square is
-orthogonal to every member iff each pair count ends at exactly lam^2, so a
-per-search tail table maps the pair counts that the two rows can add,
-under the column counts they complete, to those rows, and one lookup of
-what the counts still lack finds them.  Each square comes out as the
-joined int64 bytes of its rows, its key; ``count_fsquares`` builds none,
-as it reads the counting DP (:func:`_count_arrays`).  The streams wrap
+pair counts.  The last two rows are not searched node by node: the rows
+that complete each column state also depend on it alone, and a per-type
+table, kept like the column-fit table, lists them.  A square is
+orthogonal to every member iff each pair count ends at exactly lam^2, so
+a search maps the pair counts that those rows add to the rows, and one
+lookup of what the counts still lack finds them.  Each square comes out
+as the joined int64 bytes of its rows, its key; ``count_fsquares`` builds
+none, as it reads the counting DP (:func:`_count_arrays`).  The streams wrap
 keys as ``FSquare``s without calling the validating constructor
 (``core._batches``): a batch of up to 256 keys (fewer when one block,
 ``core._tile``, is smaller) is joined and read as one int64 array, and
@@ -62,6 +63,7 @@ batches, so no Python code runs per square.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import random
 from dataclasses import dataclass, replace
@@ -79,9 +81,10 @@ from .core import (
     Params,
     _as_int,
     _batches,
+    _indicator_rows,
     _tile,
 )
-from .verify import MofsSet, UndefinedForMOne, _indicator_rows, _meets
+from .verify import MofsSet, UndefinedForMOne, _meets
 
 DEFAULT_MAX_ENUM = 10_000_000
 
@@ -188,15 +191,17 @@ def count_binary_matrices(n: int, k: int) -> int:
     return _count_arrays((n - k, k))
 
 
-# Entries a type's column-fit table holds before it is cleared.  An entry
-# takes a few hundred bytes.  Enumerating F(6;3) meets 902 column states
-# and 20 greedy F(6;2) growths about 11 000, so the cap bounds memory on
-# larger types without clearing on these.
+# Entries a type's column-fit table, or its table of two-row completions,
+# holds before both are cleared.  A fit entry takes a few hundred bytes; a
+# completion entry lists one column state's completions, at most 20 on
+# F(6;3), 10 on F(6;2) and 4 on F(5;1).  Enumerating F(6;3) meets 902
+# column states and 20 greedy F(6;2) growths about 11 000, so the cap
+# bounds memory on larger types without clearing on these.
 _FIT_CAP = 1 << 14
-# Column states a search's tail table holds before it is cleared.  An entry
-# holds the completions of one state: at most 20 two-row completions on
-# F(6;3), 10 on F(6;2) and 4 on F(5;1), whose whole enumeration meets
-# 2 040 states in one search (F(6;3) 141).
+# Column states a search's tail lookup holds before it is cleared.  An
+# entry maps the pair counts of one state's completions to their rows;
+# a whole enumeration of F(6;2) meets 2 040 states in one search (F(6;3)
+# 141).
 _TAIL_CAP = 1 << 12
 # The most free cells (D) for which the linear-dual search replaces the
 # engine.  Greedy growth of 8 F(6;3) sets from one random square took
@@ -221,7 +226,9 @@ def _pattern_tables(m: int, lam: int):
     the rows with each symbol exactly lam times (the patterns, in
     lexicographic order), the counters' field dtype, the patterns'
     read-only one-hot array, their packed column increments, their native
-    int64 bytes, and the column-fit table the engine fills as it goes."""
+    int64 bytes, and the two tables the engine fills as it goes: the
+    completions of the rows below its loop, then the column-fit table
+    (see :func:`_engine`)."""
     # Each pattern after the sorted first is the next permutation of the
     # last: raise the rightmost cell that a later cell exceeds to the
     # least such later symbol, then sort the cells after it.
@@ -254,7 +261,7 @@ def _pattern_tables(m: int, lam: int):
     hot_cols = pattern_hot.transpose(0, 2, 1).reshape(len(patterns), -1)
     col_inc = tuple(_pack(hot_cols, dtype))
     row_bytes = tuple(row.tobytes() for row in np.array(patterns, dtype=np.int64))
-    return patterns, dtype, pattern_hot, col_inc, row_bytes, {}
+    return patterns, dtype, pattern_hot, col_inc, row_bytes, {}, {}
 
 
 def _guard(params: Params, config: SearchConfig) -> None:
@@ -342,56 +349,75 @@ def _engine(params, members, first_order, prefix):
     below it (two, or fewer when n < 3) are looked up, so the first row
     always keeps its order and prefix.  Their column counts force the last
     row, and a square is orthogonal to every member iff each pair field
-    ends at exactly ``full``, its bias plus lam^2.  So the per-call tail
-    table maps each ``cols`` met below ``stop`` to a dict from the packed
-    pair counts the remaining rows add to the ascending tuple of those
-    rows' bytes, listed one row at a time from the column-fit table, and a
-    surviving node at ``stop`` yields the hits of one lookup of
+    ends at exactly ``full``, its bias plus lam^2.  Which rows complete a
+    ``cols`` met below ``stop`` depends on the type alone, so the type's
+    completion table maps it to those rows, in lexicographic order, listed
+    one row at a time from the column-fit table: one tuple of pattern
+    indices per row, then each completion's joined bytes.  It is cleared
+    with the column-fit table.  A call adds up its members' pair
+    increments per completion, and its tail lookup maps each such ``cols``
+    to a dict from those sums to the ascending tuple of the completions'
+    bytes; a surviving node at ``stop`` yields the hits of one lookup of
     ``full - pairs``.  The packed compare is exact: a field is
     at most its bias plus lam^2 = top - 1 before the lookup and the rows
     add at most 2 lam <= lam^2 + 1 <= top to it, so no add carries and no
     subtract borrows between fields; with no members every completion
-    matches 0.  The increments depend on the members, so the table lives
-    for one call, cleared when it holds ``_TAIL_CAP`` entries.
+    matches 0.  The sums depend on the members, so the lookup lives for
+    one call, cleared when it holds ``_TAIL_CAP`` entries.
     """
     m, lam, n = params.m, params.lam, params.n
-    patterns, dtype, _, col_inc, row_bytes, fit = _pattern_tables(m, lam)
+    patterns, dtype, _, col_inc, row_bytes, ends_of, fit = _pattern_tables(m, lam)
     pair_inc = _pair_increments(params, members)
     n_pairs = len(members) * m * m
     top = 1 << (8 * dtype.itemsize - 1)
 
     def fields(value, count):
-        return _pack(np.full((1, count), value), dtype)[0]
+        return int.from_bytes(value.to_bytes(dtype.itemsize, "little") * count, "little")
 
     col_guard, pair_guard = fields(top, m * n), fields(top, n_pairs)
     full = fields(top - 1, n_pairs)
     every = range(len(patterns))
     stop = max(n - 3, 0)
+    last_inc = pair_inc[stop + 1 :]
     tail = {}
 
-    def fits(cols):
-        found = tuple(p for p in every if not (cols + col_inc[p]) & col_guard)
-        if len(fit) >= _FIT_CAP:
+    def keep(table, cols, found):
+        # The two type-wide tables are cleared together, when either is full.
+        if len(table) >= _FIT_CAP:
             fit.clear()
-        fit[cols] = found
+            ends_of.clear()
+        table[cols] = found
         return found
 
-    def tail_of(cols):
-        # (columns, pair increment, bytes) of every completion of the rows
-        # below stop, extended one row at a time in lexicographic order.
-        ends = [(cols, 0, b"")]
-        for i in range(stop + 1, n):
+    def fits(cols):
+        return keep(fit, cols, tuple(p for p in every if not (cols + col_inc[p]) & col_guard))
+
+    def completions(cols):
+        # (columns, patterns, bytes) of every completion of the rows below
+        # stop, extended one row at a time in lexicographic order.
+        ends = [(cols, (), b"")]
+        for _ in range(stop + 1, n):
             ends = [
-                (done + col_inc[p], added + pair_inc[i][p], rest + row_bytes[p])
-                for done, added, rest in ends
+                (done + col_inc[p], picked + (p,), rest + row_bytes[p])
+                for done, picked, rest in ends
                 for p in fit.get(done) or fits(done)
             ]
-        found = {}
-        for _, added, rest in ends:
-            found.setdefault(added, []).append(rest)
+        by_row = tuple(zip(*(picked for _, picked, _ in ends)))
+        return keep(ends_of, cols, (by_row, tuple(rest for *_, rest in ends)))
+
+    def tail_of(cols):
+        by_row, rests = ends_of.get(cols) or completions(cols)
+        if n_pairs:
+            found, sums = {}, [0] * len(rests)
+            for inc, row in zip(last_inc, by_row):
+                sums = list(map(operator.add, sums, map(inc.__getitem__, row)))
+            for added, rest in zip(sums, rests):
+                found[added] = found.get(added, ()) + (rest,)
+        else:
+            found = {0: rests}
         if len(tail) >= _TAIL_CAP:
             tail.clear()
-        tail[cols] = found = {added: tuple(rests) for added, rests in found.items()}
+        tail[cols] = found
         return found
 
     order = every if first_order is None else first_order
@@ -459,7 +485,7 @@ def _project(params: Params, members: np.ndarray, z: np.ndarray) -> np.ndarray:
     I_a(S_k) - J/m lie in Z, those of different members are orthogonal,
     and a member's sum to 0 with Gram matrix n lam I - lam^2, so
     (1/(n lam)) sum_a c_a c_a^T projects onto their span.  In the reduced
-    symbols 2..m of :func:`verify._indicator_rows`, A, with s_k the sum of
+    symbols 2..m of :func:`core._indicator_rows`, A, with s_k the sum of
     member k's entries of A z, the sum is A^T(A z + s_k) - J sum_k s_k: two
     float64 products against d columns per tile of squares, exact as
     n^2 p < 2^53.  For m = 1 the one row is J, which meets every point of
@@ -631,11 +657,13 @@ def _zero_one(params: Params, members: np.ndarray, free, basis: np.ndarray):
     over the other cells (:func:`_half`), the halves are joined on two
     cells (both residues must come out 0 or 1) by one sorted lookup of a
     combined key for the four pairs of 0/1 values, and the pairs that pass
-    both are filtered 4 cells at a time, so no array outgrows 4 times
-    those pairs.  Every survivor is then checked exactly: row and column
-    sums lam, and then lam^2 against every indicator of every member, by
-    the kernel that verifies sets (:func:`verify._meets`); the row and
-    column sums make its reduced symbols enough.
+    both are filtered on every cell at once when one block
+    (``core._BLOCK_ENTRIES``) holds their residues, else 4 cells at a
+    time, so no array outgrows 4 times those pairs.  Every survivor is
+    then checked exactly: row and column sums lam, and then lam^2 against
+    every indicator of every member, by the kernel that verifies sets
+    (:func:`verify._meets`); the row and column sums make its reduced
+    symbols enough.
     """
     lam, n, p, d = params.lam, params.n, _PRIME, len(free)
     fixed = np.delete(np.arange(n * n), free)
@@ -666,23 +694,36 @@ def _zero_one(params: Params, members: np.ndarray, free, basis: np.ndarray):
     ends = keys(right, 0, 0)
     by = np.argsort(ends, kind="stable")
     ends = ends[by]
+    # The needles are looked up sorted, which keeps each search near the
+    # last, and their results are scattered back to the needles' order.
     want = np.concatenate([keys(left, d0, d1) for d0 in (0, 1) for d1 in (0, 1)])
-    lo = np.searchsorted(ends, want)
-    many = np.searchsorted(ends, want, "right") - lo
+    sort = np.argsort(want)
+    needles, lo, many = want[sort], np.empty_like(sort), np.empty_like(sort)
+    lo[sort] = np.searchsorted(ends, needles)
+    many[sort] = np.searchsorted(ends, needles, "right")
+    many -= lo
     u = np.repeat(np.arange(len(want)) % left.shape[1], many)
     w = by[np.arange(many.sum()) + np.repeat(lo - np.cumsum(many) + many, many)]
 
     def residues(rows):
         # left - right lies in (-p, p), where adding p is a cheap mod p.
-        diff = left[rows, u] - right[rows, w]
-        return diff + p * (diff < 0)
+        diff = left[rows, u]
+        diff -= right[rows, w]
+        return np.add(diff, p, out=diff, where=diff < 0)
 
-    for i in range(0, len(reduced), 4):
-        keep = (residues(slice(i, i + 4)) <= 1).all(axis=0)
-        u, w = u[keep], w[keep]
+    # Filtered in one piece when one block holds it, else 4 cells at a time.
+    if len(reduced) * len(u) <= core._BLOCK_ENTRIES:
+        found = residues(slice(None))
+        keep = (found <= 1).all(axis=0)
+        u, w, found = u[keep], w[keep], found[:, keep]
+    else:
+        for i in range(0, len(reduced), 4):
+            keep = (residues(slice(i, i + 4)) <= 1).all(axis=0)
+            u, w = u[keep], w[keep]
+        found = residues(slice(None))
     # Built a cell per row, then turned: a row write is the fast one.
     x = np.empty((n * n, len(u)), np.uint8)
-    x[fixed] = residues(slice(None))
+    x[fixed] = found
     x[free[: d // 2]] = u >> np.arange(len(low))[:, None] & 1
     x[free[d // 2 :]] = w >> np.arange(len(high))[:, None] & 1
     x = np.ascontiguousarray(x.T)
@@ -866,16 +907,19 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     """Greedy growth to a maximal set.
 
     ``seed_set`` is a MofsSet, or a Params to start from nothing.  Each
-    step permutes the first-row pattern order by the seed and adds the
-    extension whose first row comes first in it, the lowest in grid order
-    on a tie: the engine's first find, or the same square picked from the
-    covers.  Steps are searched (:func:`_search`) until candidates are
-    found (:func:`_candidates`); their covers are then kept, less at each
-    step those whose label classes fail :func:`verify._meets` against the
-    square added (a cover's m! squares are all orthogonal to it or none
-    are).  Up front only the row-pattern table that the seeded order
-    shuffles is guarded, as for a capped stream.  The loop ends when no extension
-    exists, so the result is maximal by construction (and re-verified).
+    step permutes the first-row pattern order by the seed, as
+    ``random.Random(seed).shuffle`` would (:func:`_seeded_order`), and adds
+    the extension whose first row comes first in it, the lowest in grid
+    order on a tie: the engine's first find, or the same square picked
+    from the covers.  Steps are searched (:func:`_search`) until
+    candidates are found (:func:`_candidates`); their covers are then
+    kept, less at each step those whose label classes fail
+    :func:`verify._meets` against the square added (a cover's m! squares
+    are all orthogonal to it or none are).  Up front only the row-pattern
+    table that the seeded order shuffles is guarded, as for a capped
+    stream.  The loop ends when no extension exists, with no draw once
+    the kept covers are empty, so the result is maximal by construction
+    (and re-verified).
     For m = 1 the only square is orthogonal to itself, so growth would
     never end; it raises ``UndefinedForMOne`` instead.
     """
@@ -892,11 +936,10 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     _guard(params, replace(config, max_results=0))
     rng = random.Random(config.seed)
     m, n = params.m, params.n
-    patterns = _pattern_tables(m, params.lam)[0]
+    size = len(_pattern_tables(m, params.lam)[0])
     covers = None
-    while True:
-        first_order = list(range(len(patterns)))
-        rng.shuffle(first_order)
+    while covers is None or len(covers):
+        first_order = _seeded_order(rng, size)
         if covers is None:
             covers, keys = _search(params, grids, config, first_order)
         if covers is None:
@@ -912,6 +955,23 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
             covers = covers[meets.reshape(-1, m).all(axis=1)]
         grids = np.concatenate((grids, grid)) if len(grids) else grid
     return MofsSet(params, grids)
+
+
+def _seeded_order(rng: random.Random, size: int) -> list:
+    """``list(range(size))`` permuted as ``rng.shuffle`` permutes it, from
+    the same draws: Fisher-Yates from the top, position i swapped with
+    j < i + 1 drawn by rejection from ``(i + 1).bit_length()`` random bits,
+    which is how ``random.Random`` draws an index below i + 1.  Inline it
+    saves about 40 % of ``shuffle``'s time."""
+    order = list(range(size))
+    bits = rng.getrandbits
+    for i in range(size - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def random_fsquare(params: Params, rng: random.Random) -> FSquare:

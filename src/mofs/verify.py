@@ -21,6 +21,7 @@ from .core import (
     Params,
     _ArrayValued,
     _as_grid,
+    _indicator_rows,
     _tile,
     _validate_regularity,
     _wrap,
@@ -71,7 +72,7 @@ class MofsSet(_ArrayValued):
         params = self.params
         grids = _as_grid(params, self.grids, stacked=True)
         # Before the narrowing cast, so an entry above m cannot wrap into range.
-        _validate_regularity(params, grids)
+        rows = _validate_regularity(params, grids)
         grids = grids.astype(np.min_scalar_type(params.m), copy=False)
         grids.flags.writeable = False
         object.__setattr__(self, "grids", grids)
@@ -81,7 +82,7 @@ class MofsSet(_ArrayValued):
         # A set larger than the bound always has a failing pair with k below
         # the bound, and the kernel stops at the first row tile holding a
         # failure, so such a set costs O(bound * t) pair checks, not O(t^2).
-        pair = _first_failing_pair(grids.reshape(t, -1), params)
+        pair = _first_failing_pair(grids.reshape(t, -1), params, rows)
         if pair is not None:
             k, l = pair
             target = params.lam * params.lam
@@ -154,19 +155,6 @@ def orthogonal(s: FSquare, s2: FSquare) -> bool:
     return bool((superposition_counts(s, s2) == lam * lam).all())
 
 
-def _indicator_rows(grids: np.ndarray, params: Params, dtype=None) -> np.ndarray:
-    """The reduced indicator squares (symbols 2..m; symbol 1 when m = 1) of
-    the flattened ``grids``, one row per (square, symbol) with the symbols
-    varying fastest, in ``dtype``; by default float32 (float64 once
-    n^2 >= 2^24), in which every product of two rows is exact."""
-    cells = grids.shape[1]
-    if dtype is None:
-        dtype = np.float32 if cells < 1 << 24 else np.float64
-    symbols = np.arange(min(2, params.m), params.m + 1, dtype=grids.dtype)
-    hits = grids[:, None, :] == symbols[:, None]
-    return hits.reshape(-1, cells).astype(dtype)
-
-
 def _hits(x: np.ndarray, rows: np.ndarray, params: Params) -> np.ndarray:
     """The one product site of the orthogonality kernel: a (len(x), len(rows))
     bool array, true where flattened 0/1 row i of ``x`` meets indicator row j
@@ -209,10 +197,12 @@ def _meets(x: np.ndarray, grids: np.ndarray, params: Params) -> np.ndarray:
     return out
 
 
-def _first_failing_pair(grids: np.ndarray, params: Params):
+def _first_failing_pair(grids: np.ndarray, params: Params, built=None):
     """0-based (k, l) of the lexicographically first non-orthogonal pair of
     the flattened regular ``grids`` (one square per row), or None when the
-    set is pairwise orthogonal.
+    set is pairwise orthogonal.  ``built`` is the set's indicator rows when
+    the regularity check has them (a set of one block, see
+    :func:`core._validate_regularity`), so that they are not built again.
 
     Each strip of a tile of squares (:func:`_tile`) has its indicator rows
     built once and multiplied (:func:`_hits`) by themselves, in one
@@ -240,7 +230,7 @@ def _first_failing_pair(grids: np.ndarray, params: Params):
                 return k, l
         return None
     for k0 in range(0, t, tile):
-        strip = _indicator_rows(grids[k0 : k0 + tile], params)
+        strip = _indicator_rows(grids[k0 : k0 + tile], params) if built is None else built
         # Each k's first failing l, t while none is found.  The strip is
         # scanned to its end before reporting, so a failure at a lower k in a
         # later column tile wins over a higher k in an earlier one; only a

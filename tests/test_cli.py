@@ -89,6 +89,65 @@ class TestDecode:
             decode("MOFS m=2 lambda=1 count=1\n1 1\n2 2\n")
 
 
+# The whole `mofs analyze` output of the complete sets built from the
+# prime powers 3, 5 and 8 (`construct --prime-power` arguments in
+# PRIME_POWERS) and of the one-square F(6;3) set that greedy growth from
+# seed 8 stops at.
+PRIME_POWERS = {"3": ("3", "1"), "5": ("5", "1"), "8": ("2", "3")}
+ANALYZE_PINS = {
+    "3": (
+        "type F(3;1): 2 mutually orthogonal squares\n"
+        "upper bound: 2 (exact)\n"
+        "complete: yes\n"
+        "completeness block structure matches: True\n"
+        "symbol 1: parity matrix has no full-relation block form\n"
+        "symbol 2: parity matrix has no full-relation block form\n"
+        "symbol 3: parity matrix has no full-relation block form\n"
+        "maximal: undetermined (no parity certificate; not a claim)\n"
+    ),
+    "5": (
+        "type F(5;1): 4 mutually orthogonal squares\n"
+        "upper bound: 4 (exact)\n"
+        "complete: yes\n"
+        "completeness block structure matches: True\n"
+        "symbol 1: parity matrix has no full-relation block form\n"
+        "symbol 2: parity matrix has no full-relation block form\n"
+        "symbol 3: parity matrix has no full-relation block form\n"
+        "symbol 4: parity matrix has no full-relation block form\n"
+        "symbol 5: parity matrix has no full-relation block form\n"
+        "maximal: undetermined (no parity certificate; not a claim)\n"
+    ),
+    "8": (
+        "type F(8;4): 49 mutually orthogonal squares\n"
+        "upper bound: 49 (exact)\n"
+        "complete: yes\n"
+        "completeness block structure matches: True\n"
+        "symbol 1: parity matrix has no full-relation block form\n"
+        "symbol 2: parity matrix has no full-relation block form\n"
+        "maximal: undetermined (no parity certificate; not a claim)\n"
+    ),
+    "seed-8": (
+        "type F(6;3): 1 mutually orthogonal squares\n"
+        "upper bound: 25 (exact)\n"
+        "complete: no\n"
+        "completeness block structure matches: False\n"
+        "symbol 1: full relation with x=3 y=3 (canonical orientation)\n"
+        "  x = y = t*lambda (mod 2): pass\n"
+        "  m*lambda even: pass\n"
+        "  t odd: pass\n"
+        "  t = m(x+y) - (m+1) (mod 8): pass\n"
+        "  t = m - 1 (mod 4): pass\n"
+        "symbol 2: full relation with x=3 y=3 (canonical orientation)\n"
+        "  x = y = t*lambda (mod 2): pass\n"
+        "  m*lambda even: pass\n"
+        "  t odd: pass\n"
+        "  t = m(x+y) - (m+1) (mod 8): pass\n"
+        "  t = m - 1 (mod 4): pass\n"
+        "maximal: yes (parity certificate, symbols 1, x=3, y=3)\n"
+    ),
+}
+
+
 class TestCli:
     def test_bound(self, capsys):
         assert main(["bound", "2", "3"]) == 0
@@ -286,21 +345,35 @@ class TestCli:
         assert main(["extend", str(path), "--exhaustive"]) == 0
         assert capsys.readouterr().out == "extensions: 0\nmaximal: yes (exhaustive search)\n"
 
-    @pytest.mark.parametrize("m", [3, 5])
-    def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, m):
+    @pytest.mark.parametrize("name", list(ANALYZE_PINS))
+    def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, capsys, name):
+        # The m uniform parity matrices come from one batched build, and no
+        # uniform choice goes through parity_matrix; the output is pinned.
         path = tmp_path / "set.mofs"
-        main(["construct", "--prime-power", str(m), "1", "-o", str(path)])
-        t = decode(path.read_text()).t
-        choices = []
-        build = maximality.parity_matrix
+        if name == "seed-8":
+            grown = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
+            path.write_text(encode(grown))
+        else:
+            main(["construct", "--prime-power", *PRIME_POWERS[name], "-o", str(path)])
+        mset = decode(path.read_text())
+        choices, batches = [], []
+        build, batched = maximality.parity_matrix, maximality._uniform_parities
 
         def counted(mset, choice):
             choices.append(tuple(choice))
             return build(mset, choice)
 
+        def counted_batch(mset, symbols):
+            batches.append(tuple(symbols))
+            return batched(mset, symbols)
+
         monkeypatch.setattr(maximality, "parity_matrix", counted)
+        monkeypatch.setattr(maximality, "_uniform_parities", counted_batch)
+        capsys.readouterr()
         assert main(["analyze", str(path)]) == 0
-        assert choices == [(a,) * t for a in range(1, m + 1)]
+        assert capsys.readouterr().out == ANALYZE_PINS[name]
+        assert choices == []
+        assert batches == [tuple(range(1, mset.params.m + 1))]
 
 
 def _run_cli(*argv, timeout=60):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
+from mofs import core, maximality
 from mofs.core import SymbolOutOfRange
 from mofs.maximality import LengthMismatch
 
@@ -313,6 +314,28 @@ class TestMaximalityVerdict:
                 assert rep.all_hold
                 return
         pytest.fail("no certified maximal set found in 40 seeds")
+
+    @pytest.mark.parametrize("budget", [None, 1, 2])
+    def test_uniform_certificates_match_one_choice_at_a_time(self, monkeypatch, budget):
+        # The batched build and block-form test against parity_matrix and
+        # detect_full_relation per choice; with a budget of 1 or 2 squares'
+        # cells, the symbols go 1 or 2 to a batch and the squares 1 to a
+        # block.
+        p = mofs.Params(2, 3)
+        sets = [mofs.grow_maximal(p, mofs.SearchConfig(seed=seed)) for seed in (0, 8, 9)]
+        sets += [mofs.construct_prime_power(5, 1), mofs.construct_prime_power(3, 1)]
+        for mset in sets:
+            n, t, symbols = mset.params.n, mset.t, range(1, mset.params.m + 1)
+            pms = [mofs.parity_matrix(mset, (a,) * t) for a in symbols]
+            with monkeypatch.context() as patch:
+                if budget:
+                    patch.setattr(core, "_BLOCK_ENTRIES", budget * n * n)
+                bits = maximality._uniform_parities(mset, symbols)
+                assert np.array_equal(bits, [pm.bits for pm in pms])
+                got = list(maximality._certificates(mset))
+            assert got == [mofs.detect_full_relation(pm) for pm in pms]
+        # Seed 8's one square is certified, so the batches meet a certificate.
+        assert any(maximality._certificates(sets[1]))
 
     def test_user_supplied_choice(self, cyclic_triple_set):
         verdict = mofs.maximality_verdict(

@@ -573,7 +573,8 @@ class TestEngineTables:
     def test_fit_table_matches_brute_force(self, m, lam):
         p = mofs.Params(m, lam)
         patterns, *_, fit = search._pattern_tables(m, lam)
-        fit.clear()
+        for table in search._pattern_tables(m, lam)[-2:]:
+            table.clear()
         rng = random.Random(100 * m + lam)
         for _ in range(4):
             start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
@@ -613,6 +614,46 @@ class TestEngineTables:
         grown = pinned_growth(2, 3, 1)
         assert (grown.t, set_digest(grown)) == GROW_PINS[(2, 3, 1)]
         assert search._count(mset.params, mset.grids, SearchConfig()) == count >= 1
+
+    @pytest.mark.parametrize("m,lam", [(2, 3), (3, 2), (4, 1), (5, 1)])
+    def test_completion_table_matches_brute_force(self, m, lam):
+        # Every cached entry lists the two rows that complete its column
+        # counts, in lexicographic order, with their joined bytes.
+        p = mofs.Params(m, lam)
+        patterns, _, pattern_hot, _, row_bytes, ends_of, fit = search._pattern_tables(m, lam)
+        ends_of.clear()
+        fit.clear()
+        rng = random.Random(10 * m + lam)
+        for _ in range(3):
+            start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
+            next(search._engine(p, start.grids, None, ()), None)
+            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
+            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=100)))
+        assert ends_of
+        hot = pattern_hot.transpose(0, 2, 1).astype(np.int64)
+        two_rows = hot[:, None] + hot[None, :]
+        for cols, (picked, rests) in ends_of.items():
+            counts = column_counts(p, cols)
+            assert (counts.sum(axis=0) == p.n - 2).all()
+            pairs = [tuple(q) for q in np.argwhere((two_rows == lam - counts).all(axis=(2, 3)))]
+            assert pairs and list(zip(*picked)) == pairs
+            assert rests == tuple(row_bytes[q1] + row_bytes[q2] for q1, q2 in pairs)
+
+    def test_completion_table_overflow_keeps_results(self, monkeypatch):
+        members = pinned_growth(2, 3, 1).grids[:4]
+        count = search._count(F63, members, SearchConfig())
+        # Every new entry of either type-wide table now clears both first.
+        monkeypatch.setattr(search, "_FIT_CAP", 1)
+        for m, lam in [(2, 3), (3, 2), (5, 1)]:
+            for table in search._pattern_tables(m, lam)[-2:]:
+                table.clear()
+        assert_pinned_streams()
+        for key in [(2, 3, 0), (2, 3, 1), (2, 3, 2), (5, 1, 0)]:
+            grown = pinned_growth(*key)
+            assert (grown.t, set_digest(grown)) == GROW_PINS[key]
+        assert search._count(F63, members, SearchConfig()) == count >= 1
+        for m, lam in [(2, 3), (3, 2), (5, 1)]:
+            assert [len(table) for table in search._pattern_tables(m, lam)[-2:]] <= [1, 1]
 
     @pytest.mark.parametrize("m,lam", [(2, 2), (2, 3), (5, 1), (3, 2)])
     def test_pair_increments_match_a_row_at_a_time(self, m, lam):
@@ -769,6 +810,17 @@ def pinned_growth(m, lam, seed):
 
 
 class TestGrowMaximal:
+    def test_seeded_order_is_random_shuffle(self):
+        # The inline draw gives shuffle's order and leaves the generator in
+        # shuffle's state, for every length, from 200 seeds.
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for size in range(131):
+                want = list(range(size))
+                theirs.shuffle(want)
+                assert search._seeded_order(ours, size) == want
+                assert ours.random() == theirs.random()
+
     @pytest.mark.parametrize("m,lam,seed", sorted(GROW_PINS))
     def test_pinned_sets(self, m, lam, seed):
         grown = pinned_growth(m, lam, seed)

@@ -701,3 +701,36 @@ class TestNoSquaresBuilt:
         grown = mofs.grow_maximal(start, SearchConfig(seed=3))
         assert grown.t > 1 and "squares" not in vars(grown)
         assert "squares" not in vars(mofs.grow_maximal(mofs.Params(2, 2), SearchConfig(seed=3)))
+
+
+class TestIndicatorRowsBuiltOnce:
+    """A set of one block builds its reduced indicator rows once, for the
+    regularity check, and the Gram kernel reuses them; a set of several
+    blocks builds them per block for each."""
+
+    @staticmethod
+    def rows_built(monkeypatch, mset):
+        built, build = [], core._indicator_rows
+
+        def counted(grids, params, *args):
+            built.append(len(grids))
+            return build(grids, params, *args)
+
+        monkeypatch.setattr(core, "_indicator_rows", counted)
+        monkeypatch.setattr(verify, "_indicator_rows", counted)
+        assert mofs.MofsSet(mset.params, mset.grids) == mset
+        return built
+
+    @pytest.mark.parametrize("m,h", [(2, 3), (3, 2), (5, 1)])
+    def test_one_block(self, monkeypatch, m, h):
+        mset = mofs.construct_prime_power(m, h)
+        assert mset.t <= _tile(mset.params)
+        assert self.rows_built(monkeypatch, mset) == [mset.t]
+
+    def test_several_blocks(self, monkeypatch):
+        mset = mofs.construct_prime_power(2, 3)
+        blocks_of(monkeypatch, mset.params, 16)
+        regularity = [16, 16, 16, 1]
+        # Each strip, then each later tile against it.
+        gram = [16, 16, 16, 1] + [16, 16, 1] + [16, 1] + [1]
+        assert self.rows_built(monkeypatch, mset) == regularity + gram
