@@ -16,7 +16,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -297,19 +297,37 @@ def _validate_regularity(params: Params, stack: np.ndarray):
 _drain = deque(maxlen=0).extend
 
 
-def _batches(params: Params, keys):
-    """FSquares for ``keys``, without validation, as one list per batch for
-    a C-level chain to flatten: each key holds the native int64 cells, row
-    by row, of one square of the type that is valid by construction.  Keys
-    are read a batch at a time, joined and wrapped (:func:`_wrap`), so no
-    Python code runs per square.  Batches double from one key, so a
-    stream's first square costs one key, up to the lesser of one block
-    (:func:`_tile`) and ``_STREAM_BATCH`` keys: 256 squares, 74 KB, on
-    F(6;3).  No local name holds a batch's squares, so a batch the consumer
-    has dropped is freed before the next is read."""
+def _batches(params: Params, runs, limit=None):
+    """FSquares for the keys that ``runs`` join, up to ``limit`` of them,
+    without validation, as one list per batch for a C-level chain to
+    flatten: each key holds the native int64 cells, row by row, of one
+    square of the type that is valid by construction, and each run the
+    keys of one search lookup.  Batches are cut from the runs, inside one
+    or across several, joined and wrapped (:func:`_wrap`), so no Python
+    code runs per square.  Batches double from one square, so a stream's
+    first square costs one run, up to the lesser of one block
+    (:func:`_tile`) and ``_STREAM_BATCH`` squares: 256 squares, 74 KB, on
+    F(6;3).  A run is read only when a batch needs its keys.  No local
+    name holds a batch's squares, so a batch the consumer has dropped is
+    freed before the next is read."""
+    runs, width = iter(runs), 8 * params.n**2
     size, cap = 1, min(_tile(params), _STREAM_BATCH)
-    while chunk := b"".join(islice(keys, size)):
-        yield _wrap(params, chunk)
+    run, at, left = b"", 0, math.inf if limit is None else limit
+    while left > 0:
+        want = min(size, left)
+        pieces, need = [], want * width
+        while need:
+            if at == len(run):
+                run, at = next(runs, b""), 0
+                if not run:
+                    break
+            take = min(need, len(run) - at)
+            pieces.append(run if take == len(run) else memoryview(run)[at : at + take])
+            at, need = at + take, need - take
+        if not pieces:
+            return
+        yield _wrap(params, b"".join(pieces))
+        left -= want
         size = min(2 * size, cap)
 
 

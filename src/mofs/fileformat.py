@@ -171,7 +171,9 @@ def _parse_rows(block, n: int) -> list:
 
 def _decode_lines(text: str) -> MofsSet:
     """Parse a file line by line into a set, raising at the first fault in
-    file order."""
+    file order.  Regularity is checked once, on the stack of the squares
+    read: by ``MofsSet``, or on those before a later fault
+    (:func:`_checked`)."""
     numbered = [
         (i + 1, line)
         for i, line in enumerate(text.split("\n"))
@@ -198,33 +200,52 @@ def _decode_lines(text: str) -> MofsSet:
     n = params.n
     pos += 1
 
-    grids = []
-    for _ in range(count):
+    grids, firsts = [], []
+    try:
+        for _ in range(count):
+            while pos < len(numbered) and numbered[pos][1] == "":
+                pos += 1
+            block = []
+            while len(block) < n and pos < len(numbered) and numbered[pos][1] != "":
+                block.append(numbered[pos])
+                pos += 1
+            if len(block) < n:
+                _parse_rows(block, n)  # a bad line before the gap is reported first
+                raise ParseError(
+                    numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
+                    f"square {len(grids) + 1} is truncated",
+                )
+            rows = _parse_rows(block, n)
+            try:
+                grids.append(_as_grid(params, rows))
+            except MofsError as exc:
+                raise ParseError(block[0][0], str(exc)) from exc
+            firsts.append(block[0][0])
+
         while pos < len(numbered) and numbered[pos][1] == "":
             pos += 1
-        block = []
-        while len(block) < n and pos < len(numbered) and numbered[pos][1] != "":
-            block.append(numbered[pos])
-            pos += 1
-        if len(block) < n:
-            _parse_rows(block, n)  # a bad line before the gap is reported first
-            raise ParseError(
-                numbered[pos][0] if pos < len(numbered) else numbered[-1][0],
-                f"square {len(grids) + 1} is truncated",
-            )
-        rows = _parse_rows(block, n)
-        try:
-            grid = _as_grid(params, rows)
-            _validate_regularity(params, grid[None])
-        except MofsError as exc:
-            raise ParseError(block[0][0], str(exc)) from exc
-        grids.append(grid)
-
-    while pos < len(numbered) and numbered[pos][1] == "":
-        pos += 1
-    if pos < len(numbered):
-        raise ParseError(numbered[pos][0], "trailing content after the last square")
+        if pos < len(numbered):
+            raise ParseError(numbered[pos][0], "trailing content after the last square")
+    except ParseError:
+        if grids:
+            _checked(_validate_regularity, params, grids, firsts)
+        raise
     if not count:
         # MofsSet's refusal, before a (0, n, n) stack that a huge n cannot shape.
         raise MofsError("a MOFS set needs at least one square")
-    return MofsSet(params, np.array(grids, np.int64))
+    return _checked(MofsSet, params, grids, firsts)
+
+
+def _checked(check, params: Params, grids: list, firsts: list):
+    """``check(params, stack)`` on the parsed ``grids``; a square that is
+    not regular is found again and raises its own check's error as a
+    ``ParseError`` at its first line, from ``firsts``."""
+    try:
+        return check(params, np.array(grids, np.int64))
+    except (SymbolOutOfRange, RowRegularityViolation, ColumnRegularityViolation):
+        for grid, line_no in zip(grids, firsts):
+            try:
+                _validate_regularity(params, grid[None])
+            except MofsError as exc:
+                raise ParseError(line_no, str(exc)) from exc
+        raise

@@ -49,15 +49,18 @@ that complete each column state also depend on it alone, and a per-type
 table, kept like the column-fit table, lists them.  A square is
 orthogonal to every member iff each pair count ends at exactly lam^2, so
 a search maps the pair counts that those rows add to the rows, and one
-lookup of what the counts still lack finds them.  Each square comes out
-as the joined int64 bytes of its rows, its key; ``count_fsquares`` builds
-none, as it reads the counting DP (:func:`_count_arrays`).  The streams wrap
-keys as ``FSquare``s without calling the validating constructor
-(``core._batches``): a batch of up to 256 keys (fewer when one block,
-``core._tile``, is smaller) is joined and read as one int64 array, and
-each square's grid is a view of it, so a square that is kept keeps its
-batch's bytes alive (74 KB for F(6;3)).  A C-level chain flattens the
-batches, so no Python code runs per square.
+lookup of what the counts still lack finds them.  A search without
+members tests nothing there, so one lookup reads the last three rows.
+Each square comes out as the joined int64 bytes of its rows, its key,
+and each lookup as one run, the joined keys of all it finds;
+``count_fsquares`` builds none, as it reads the counting DP
+(:func:`_count_arrays`).  The streams wrap keys as ``FSquare``s without
+calling the validating constructor (``core._batches``): a batch of up to
+256 keys (fewer when one block, ``core._tile``, is smaller) is cut from
+the runs, joined and read as one int64 array, and each square's grid is
+a view of it, so a square that is kept keeps its batch's bytes alive (74
+KB for F(6;3)).  A C-level chain flattens the batches, so no Python code
+runs per square.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, count, islice, permutations
+from itertools import chain, count, permutations
 from math import comb, factorial, prod
 
 import numpy as np
@@ -191,12 +194,15 @@ def count_binary_matrices(n: int, k: int) -> int:
     return _count_arrays((n - k, k))
 
 
-# Entries a type's column-fit table, or its table of two-row completions,
-# holds before both are cleared.  A fit entry takes a few hundred bytes; a
-# completion entry lists one column state's completions, at most 20 on
-# F(6;3), 10 on F(6;2) and 4 on F(5;1).  Enumerating F(6;3) meets 902
-# column states and 20 greedy F(6;2) growths about 11 000, so the cap
-# bounds memory on larger types without clearing on these.
+# Entries a type's column-fit table, or either of its tables of
+# completions, holds before all three are cleared.  A fit entry takes a few
+# hundred bytes; a two-row entry lists one column state's completions, at
+# most 20 on F(6;3), 10 on F(6;2) and 4 on F(5;1).  Enumerating F(6;3)
+# meets 902 column states and 20 greedy F(6;2) growths about 11 000, so the
+# cap bounds memory on larger types without clearing on these.  A
+# three-row entry lists up to 93 completions on F(6;3) and more on larger
+# types, so all three are also cleared before that table would hold more
+# than core._BLOCK_ENTRIES completions.
 _FIT_CAP = 1 << 14
 # Column states a search's tail lookup holds before it is cleared.  An
 # entry maps the pair counts of one state's completions to their rows;
@@ -226,9 +232,9 @@ def _pattern_tables(m: int, lam: int):
     the rows with each symbol exactly lam times (the patterns, in
     lexicographic order), the counters' field dtype, the patterns'
     read-only one-hot array, their packed column increments, their native
-    int64 bytes, and the two tables the engine fills as it goes: the
-    completions of the rows below its loop, then the column-fit table
-    (see :func:`_engine`)."""
+    int64 bytes, and the three tables the engine fills as it goes: the
+    completions of the last three rows and of the last two, then the
+    column-fit table (see :func:`_engine`)."""
     # Each pattern after the sorted first is the next permutation of the
     # last: raise the rightmost cell that a later cell exceeds to the
     # least such later symbol, then sort the cells after it.
@@ -261,7 +267,7 @@ def _pattern_tables(m: int, lam: int):
     hot_cols = pattern_hot.transpose(0, 2, 1).reshape(len(patterns), -1)
     col_inc = tuple(_pack(hot_cols, dtype))
     row_bytes = tuple(row.tobytes() for row in np.array(patterns, dtype=np.int64))
-    return patterns, dtype, pattern_hot, col_inc, row_bytes, {}, {}
+    return patterns, dtype, pattern_hot, col_inc, row_bytes, {}, {}, {}
 
 
 def _guard(params: Params, config: SearchConfig) -> None:
@@ -325,7 +331,8 @@ def _engine(params, members, first_order, prefix):
     """Depth-first enumerator over row patterns, with packed counters, for
     squares orthogonal to the (k, n, n) ``members``, whose pair increments
     (see :func:`_pair_increments`) it builds on its first ``next()``.
-    Yields each square's key: its rows' native int64 bytes, joined.
+    Yields one run per tail lookup: the joined keys (each square's rows'
+    native int64 bytes, joined) of the squares it finds, in order.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -339,34 +346,43 @@ def _engine(params, members, first_order, prefix):
 
     Which patterns fit the columns depends on ``cols`` alone, so the type's
     column-fit table maps each ``cols`` met to the ascending tuple of the
-    patterns that fit it; it outlives the call and is cleared when it holds
-    ``_FIT_CAP`` entries.  The first row takes ``first_order`` (or
+    patterns that fit it.  The first row takes ``first_order`` (or
     ascending order) filtered by ``prefix``, all of which fit; lower rows
     take their node's tuple.  One explicit stack holds, per row, the
     iterator over those patterns and the counters above it.
 
-    The loop places rows 0..``stop``, ``stop`` = max(n - 3, 0); the rows
-    below it (two, or fewer when n < 3) are looked up, so the first row
-    always keeps its order and prefix.  Their column counts force the last
-    row, and a square is orthogonal to every member iff each pair field
-    ends at exactly ``full``, its bias plus lam^2.  Which rows complete a
-    ``cols`` met below ``stop`` depends on the type alone, so the type's
-    completion table maps it to those rows, in lexicographic order, listed
-    one row at a time from the column-fit table: one tuple of pattern
-    indices per row, then each completion's joined bytes.  It is cleared
-    with the column-fit table.  A call adds up its members' pair
-    increments per completion, and its tail lookup maps each such ``cols``
-    to a dict from those sums to the ascending tuple of the completions'
-    bytes; a surviving node at ``stop`` yields the hits of one lookup of
-    ``full - pairs``.  The packed compare is exact: a field is
-    at most its bias plus lam^2 = top - 1 before the lookup and the rows
-    add at most 2 lam <= lam^2 + 1 <= top to it, so no add carries and no
-    subtract borrows between fields; with no members every completion
-    matches 0.  The sums depend on the members, so the lookup lives for
-    one call, cleared when it holds ``_TAIL_CAP`` entries.
+    The loop places rows 0..``stop`` and looks up the rows below, so the
+    first row always keeps its order and prefix.  With members, ``stop``
+    = max(n - 3, 0), leaving two rows (fewer when n < 3).  Their column
+    counts force the last row, and a square is orthogonal to every member
+    iff each pair field ends at exactly ``full``, its bias plus lam^2.
+    Which rows complete a ``cols`` met below ``stop`` depends on the type
+    alone, so the type's two-row table maps it to those rows, in
+    lexicographic order, listed one row at a time from the column-fit
+    table: one tuple of pattern indices per row, then each completion's
+    joined bytes.  A call adds up its members' pair increments per
+    completion, and its tail lookup maps each such ``cols`` to a dict from
+    those sums to the ascending tuple of the completions' bytes; a
+    surviving node at ``stop`` yields the hits of one lookup of
+    ``full - pairs``.  The packed compare is exact: a field is at most its
+    bias plus lam^2 = top - 1 before the lookup and the rows add at most
+    2 lam <= lam^2 + 1 <= top to it, so no add carries and no subtract
+    borrows between fields.  The sums depend on the members, so the
+    lookup lives for one call, cleared when it holds ``_TAIL_CAP``
+    entries.
+
+    Without members every completion matches, so for n >= 4 the loop stops
+    a row higher, ``stop`` = n - 4, and the type's three-row table maps
+    each ``cols`` met to (None, row, completion) slots: each row that fits
+    it, then the two-row completions of the state it leaves.  They are
+    references, not new bytes; a run fills the None slots with the node's
+    rows and joins once.  (With members, each search would add pair
+    increments over all completions of each state it meets.)  The three
+    type-wide tables outlive the call and are cleared together (see
+    ``_FIT_CAP``).
     """
     m, lam, n = params.m, params.lam, params.n
-    patterns, dtype, _, col_inc, row_bytes, ends_of, fit = _pattern_tables(m, lam)
+    patterns, dtype, _, col_inc, row_bytes, runs_of, ends_of, fit = _pattern_tables(m, lam)
     pair_inc = _pair_increments(params, members)
     n_pairs = len(members) * m * m
     top = 1 << (8 * dtype.itemsize - 1)
@@ -377,15 +393,22 @@ def _engine(params, members, first_order, prefix):
     col_guard, pair_guard = fields(top, m * n), fields(top, n_pairs)
     full = fields(top - 1, n_pairs)
     every = range(len(patterns))
-    stop = max(n - 3, 0)
+    three = not n_pairs and n >= 4
+    stop = n - 4 if three else max(n - 3, 0)
     last_inc = pair_inc[stop + 1 :]
     tail = {}
+    # The completions that the three-row table holds.
+    held = sum(map(len, runs_of.values())) // 3 if three else 0
+
+    def clear():
+        nonlocal held
+        for table in (runs_of, ends_of, fit):
+            table.clear()
+        held = 0
 
     def keep(table, cols, found):
-        # The two type-wide tables are cleared together, when either is full.
         if len(table) >= _FIT_CAP:
-            fit.clear()
-            ends_of.clear()
+            clear()
         table[cols] = found
         return found
 
@@ -393,10 +416,11 @@ def _engine(params, members, first_order, prefix):
         return keep(fit, cols, tuple(p for p in every if not (cols + col_inc[p]) & col_guard))
 
     def completions(cols):
-        # (columns, patterns, bytes) of every completion of the rows below
-        # stop, extended one row at a time in lexicographic order.
+        # (columns, patterns, bytes) of every completion of the last two
+        # rows (fewer when n < 3), extended one row at a time in
+        # lexicographic order.
         ends = [(cols, (), b"")]
-        for _ in range(stop + 1, n):
+        for _ in range(min(n - 1, 2)):
             ends = [
                 (done + col_inc[p], picked + (p,), rest + row_bytes[p])
                 for done, picked, rest in ends
@@ -404,6 +428,21 @@ def _engine(params, members, first_order, prefix):
             ]
         by_row = tuple(zip(*(picked for _, picked, _ in ends)))
         return keep(ends_of, cols, (by_row, tuple(rest for *_, rest in ends)))
+
+    def three_rows(cols):
+        # The three-row entry of cols: (None, row, completion) per square.
+        nonlocal held
+        slots = []
+        for p in fit.get(cols) or fits(cols):
+            below, row = cols + col_inc[p], row_bytes[p]
+            for rest in (ends_of.get(below) or completions(below))[1]:
+                slots += (None, row, rest)
+        found = tuple(slots)
+        if held + len(found) // 3 > core._BLOCK_ENTRIES:
+            clear()
+        keep(runs_of, cols, found)
+        held += len(found) // 3
+        return found
 
     def tail_of(cols):
         by_row, rests = ends_of.get(cols) or completions(cols)
@@ -443,6 +482,13 @@ def _engine(params, members, first_order, prefix):
             continue
         stack.pop()
         head = b"".join(rows)
+        if three:
+            for p in patterns_left:
+                next_cols = cols + col_inc[p]
+                slots = list(runs_of.get(next_cols) or three_rows(next_cols))
+                slots[::3] = [head + row_bytes[p]] * (len(slots) // 3)
+                yield b"".join(slots)
+            continue
         for p in patterns_left:
             next_pairs = pairs + inc[p]
             if next_pairs & pair_guard:
@@ -451,8 +497,7 @@ def _engine(params, members, first_order, prefix):
             hits = (tail.get(next_cols) or tail_of(next_cols)).get(full - next_pairs)
             if hits:
                 node = head + row_bytes[p]
-                for rest in hits:
-                    yield node + rest
+                yield node + node.join(hits)
 
 
 def _draw(seed: int, d: int, k: int) -> np.ndarray:
@@ -767,10 +812,11 @@ def _covers(params: Params, candidates: np.ndarray) -> np.ndarray:
 
 def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
     """The keys of the squares of ``covers``, in lexicographic order, whose
-    first row starts with ``prefix``.  The prefix fixes the symbols of the
-    labels it covers, and each cover walks the assignments of the other
-    symbols to the other labels lazily, in order, so a stream builds only
-    the keys it yields."""
+    first row starts with ``prefix``, each a run of one key (see
+    :func:`_engine`).  The prefix fixes the symbols of the labels it
+    covers, and each cover walks the assignments of the other symbols to
+    the other labels lazily, in order, so a stream builds only the keys it
+    yields."""
     prefix, symbols = list(prefix), range(1, params.m + 1)
 
     def squares(labels):
@@ -813,10 +859,11 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
 def _search(params: Params, members: np.ndarray, config: SearchConfig, first_order=None):
     """The one place a search is decided and guarded: ``(covers, keys)`` for
     the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
-    their keys, lazy and uncapped, from the covers of the candidates
-    (:func:`_candidates`: the permutation-matrix table or the linear dual)
-    or from the engine, whose first row takes ``first_order`` (see
-    :func:`_engine`); in lexicographic order when that is None.  ``covers`` are those covers
+    runs of their keys, lazy and uncapped, from the covers of the
+    candidates (:func:`_candidates`: the permutation-matrix table or the
+    linear dual), one key a run, or from the engine, whose first row takes
+    ``first_order`` (see :func:`_engine`); in lexicographic order when that
+    is None.  ``covers`` are those covers
     when they alone give the answer, m! squares each; otherwise they are
     None, the keys must be walked, and the size guard runs first."""
     candidates = _candidates(params, members)
@@ -846,19 +893,28 @@ def _streamed(params: Params, members: np.ndarray, config: SearchConfig):
     # The batches of a stream (core._batches), for a C-level chain to flatten
     # so that no Python frame runs per square.  As a generator it searches,
     # and the size guard runs, on the stream's first next(), not at the call.
-    keys = _search(params, members, config)[1]
-    yield from _batches(params, islice(keys, config.max_results))
+    runs = _search(params, members, config)[1]
+    yield from _batches(params, runs, config.max_results)
 
 
 def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     """Number of squares orthogonal to the (k, n, n) ``members``, up to
     ``config.max_results``, counted without building the squares: m! per
-    cover of the candidates, else from the keys."""
-    covers, keys = _search(params, members, config)
-    if covers is None:
-        return sum(1 for _ in islice(keys, config.max_results))
-    found = len(covers) * factorial(params.m)
-    return found if config.max_results is None else min(found, config.max_results)
+    cover of the candidates, else from the lengths of the runs of keys,
+    none of which is read once the count reaches the limit."""
+    covers, runs = _search(params, members, config)
+    limit, width = config.max_results, 8 * params.n**2
+    if covers is not None:
+        found = len(covers) * factorial(params.m)
+    elif limit is None:
+        found = sum(map(len, runs)) // width
+    else:
+        found = 0
+        for run in runs if limit else ():
+            found += len(run) // width
+            if found >= limit:
+                break
+    return found if limit is None else min(found, limit)
 
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
@@ -948,7 +1004,8 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
             key = _first_by_rank(params, covers, first_order)
         if key is None:
             break
-        grid = np.frombuffer(key, np.int64).reshape(1, n, n)
+        # The first key of the run.
+        grid = np.frombuffer(key, np.int64, n * n).reshape(1, n, n)
         if covers is not None:
             classes = covers.reshape(-1, 1, n * n) == np.arange(m)[:, None]
             meets = _meets(classes.reshape(-1, n * n), grid, params)

@@ -441,6 +441,33 @@ class TestBulkPath:
                 ParseError, str(exc.value), line_no
             )
 
+    def test_commented_file_checks_each_square_once(self, monkeypatch):
+        # A comment sends the file to the line parser, which checks the
+        # regularity of its 225 squares once, on their stack.
+        text = "# a comment\n" + encode(FEDERER16)
+        checked, check = [], mofs.core._validate_regularity
+
+        def counted(params, stack):
+            checked.append(len(stack))
+            return check(params, stack)
+
+        for module in (mofs.fileformat, mofs.verify):
+            monkeypatch.setattr(module, "_validate_regularity", counted)
+        assert decode(text) == FEDERER16
+        assert sum(checked) == 225
+
+    def test_bad_square_in_a_commented_file_is_named_by_its_first_line(self):
+        # Square 3 has a row with nine 1s, and square 6 a token that is no
+        # integer: the earlier fault is the one raised, at square 3's first
+        # line, line 3 + 2 * 17 after the comment and the header.
+        lines = ("# a comment\n" + encode(FEDERER16)).split("\n")
+        lines[36] = lines[36].replace("2", "1", 1)
+        lines[3 + 5 * 17] = lines[3 + 5 * 17].replace("2", "x", 1)
+        with pytest.raises(ParseError) as exc:
+            decode("\n".join(lines))
+        assert exc.value.line_no == 37
+        assert str(exc.value) == "line 37: row 0: symbol 1 occurs 9 times, expected 8"
+
     def test_wide_token_does_not_wrap_into_range(self):
         # In an m = 255 file a cell is one byte; 999 would wrap to 231, the
         # value it replaces, and the square would pass as valid.

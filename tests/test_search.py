@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import os
 import random
 import subprocess
@@ -106,6 +107,20 @@ class TestEnumerate:
         flat = [sum(g, ()) for g in out]
         assert flat == sorted(flat)
 
+    @pytest.mark.parametrize(
+        "m,lam", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)]
+    )
+    def test_small_types_stream_every_square_in_order(self, m, lam):
+        # n <= 4 leaves the loop at most the first row above its lookups.
+        p = mofs.Params(m, lam)
+        last = search._pattern_tables(m, lam)[0][-1]
+        for prefix in [(), (1,), last[:2], last, (m + 1,), (1,) * (lam + 1)]:
+            config = SearchConfig(prefix=prefix)
+            flat = [sum(g, ()) for g in grids(mofs.enumerate_fsquares(p, config))]
+            assert len(flat) == mofs.count_fsquares(p, config)
+            assert all(map(operator.lt, flat, flat[1:]))
+            assert bool(flat) == (prefix in [(), (1,), last[:2], last])
+
     def test_prefix_partition_soundness(self):
         p = mofs.Params(2, 2)
         whole = grids(mofs.enumerate_fsquares(p))
@@ -157,7 +172,8 @@ class TestEnumerate:
         p = mofs.Params(1, lam)
         only = mofs.make_fsquare(p, np.ones((lam, lam), int))
         for members in (search._NO_MEMBERS, mofs.verify_mofs([only]).grids):
-            engine = sum(1 for _ in search._engine(p, members, None, ()))
+            runs = search._engine(p, members, None, ())
+            engine = sum(map(len, runs)) // (8 * p.n**2)
             for limit in (None, 0, 1, 2):
                 config = SearchConfig(max_results=limit)
                 want = engine if limit is None else min(engine, limit)
@@ -573,7 +589,7 @@ class TestEngineTables:
     def test_fit_table_matches_brute_force(self, m, lam):
         p = mofs.Params(m, lam)
         patterns, *_, fit = search._pattern_tables(m, lam)
-        for table in search._pattern_tables(m, lam)[-2:]:
+        for table in search._pattern_tables(m, lam)[-3:]:
             table.clear()
         rng = random.Random(100 * m + lam)
         for _ in range(4):
@@ -620,9 +636,9 @@ class TestEngineTables:
         # Every cached entry lists the two rows that complete its column
         # counts, in lexicographic order, with their joined bytes.
         p = mofs.Params(m, lam)
-        patterns, _, pattern_hot, _, row_bytes, ends_of, fit = search._pattern_tables(m, lam)
-        ends_of.clear()
-        fit.clear()
+        patterns, _, pattern_hot, _, row_bytes, _, ends_of, _ = search._pattern_tables(m, lam)
+        for table in search._pattern_tables(m, lam)[-3:]:
+            table.clear()
         rng = random.Random(10 * m + lam)
         for _ in range(3):
             start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
@@ -639,13 +655,62 @@ class TestEngineTables:
             assert pairs and list(zip(*picked)) == pairs
             assert rests == tuple(row_bytes[q1] + row_bytes[q2] for q1, q2 in pairs)
 
+    @pytest.mark.parametrize("m,lam", [(2, 2), (2, 3), (3, 2), (4, 1), (5, 1)])
+    def test_three_row_table_matches_brute_force(self, m, lam):
+        # Every cached entry of a search without members lists the three
+        # rows that complete its column counts, in lexicographic order:
+        # the third-last row's bytes, then the last two rows' bytes, after
+        # an empty slot for the rows above.
+        p = mofs.Params(m, lam)
+        patterns, _, pattern_hot, _, row_bytes, runs_of, _, _ = search._pattern_tables(m, lam)
+        for table in search._pattern_tables(m, lam)[-3:]:
+            table.clear()
+        rng = random.Random(20 * m + lam)
+        for _ in range(3):
+            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
+            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=300)))
+        assert runs_of
+        hot = pattern_hot.transpose(0, 2, 1).astype(np.int64)
+        pairs = {}
+        for q2, q3 in product(range(len(patterns)), repeat=2):
+            pairs.setdefault((hot[q2] + hot[q3]).tobytes(), []).append((q2, q3))
+        for cols, slots in runs_of.items():
+            counts = column_counts(p, cols)
+            assert (counts.sum(axis=0) == p.n - 3).all()
+            triples = [
+                (q1, q2, q3)
+                for q1 in range(len(patterns))
+                for q2, q3 in pairs.get((lam - counts - hot[q1]).tobytes(), [])
+            ]
+            assert triples and len(slots) == 3 * len(triples)
+            assert slots[::3] == (None,) * len(triples)
+            assert slots[1::3] == tuple(row_bytes[q1] for q1, _, _ in triples)
+            assert slots[2::3] == tuple(row_bytes[q2] + row_bytes[q3] for _, q2, q3 in triples)
+
+    def test_three_row_table_is_bounded_in_completions(self, monkeypatch):
+        # The three-row table is cleared, with the others, before it would
+        # hold more than one block of completions; no F(6;3) entry alone
+        # holds more than 93.
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 200)
+        runs_of = search._pattern_tables(2, 3)[-3]
+        for table in search._pattern_tables(2, 3)[-3:]:
+            table.clear()
+        keys, held = 0, []
+        for run in search._engine(F63, search._NO_MEMBERS, None, ()):
+            keys += len(run) // (8 * F63.n**2)
+            held.append(sum(map(len, runs_of.values())) // 3)
+        assert keys == 297200
+        assert max(held) <= 200
+        assert any(map(operator.gt, held, held[1:]))
+        assert_pinned_streams()
+
     def test_completion_table_overflow_keeps_results(self, monkeypatch):
         members = pinned_growth(2, 3, 1).grids[:4]
         count = search._count(F63, members, SearchConfig())
         # Every new entry of either type-wide table now clears both first.
         monkeypatch.setattr(search, "_FIT_CAP", 1)
         for m, lam in [(2, 3), (3, 2), (5, 1)]:
-            for table in search._pattern_tables(m, lam)[-2:]:
+            for table in search._pattern_tables(m, lam)[-3:]:
                 table.clear()
         assert_pinned_streams()
         for key in [(2, 3, 0), (2, 3, 1), (2, 3, 2), (5, 1, 0)]:
@@ -653,7 +718,7 @@ class TestEngineTables:
             assert (grown.t, set_digest(grown)) == GROW_PINS[key]
         assert search._count(F63, members, SearchConfig()) == count >= 1
         for m, lam in [(2, 3), (3, 2), (5, 1)]:
-            assert [len(table) for table in search._pattern_tables(m, lam)[-2:]] <= [1, 1]
+            assert all(len(table) <= 1 for table in search._pattern_tables(m, lam)[-3:])
 
     @pytest.mark.parametrize("m,lam", [(2, 2), (2, 3), (5, 1), (3, 2)])
     def test_pair_increments_match_a_row_at_a_time(self, m, lam):
@@ -725,7 +790,7 @@ class TestLeafBatches:
     block (``core._tile``); a capped stream ends at any point of a batch."""
 
     @pytest.mark.parametrize(
-        "limit", [0, 1, 2, 3, 4, 7, 8, LEAF_BATCH - 1, LEAF_BATCH, LEAF_BATCH + 1]
+        "limit", [0, 1, 2, 3, 4, 7, 8, 37, 38, LEAF_BATCH - 1, LEAF_BATCH, LEAF_BATCH + 1]
     )
     def test_capped_streams_are_prefixes(self, limit, monkeypatch):
         config = SearchConfig(max_results=limit)
@@ -760,15 +825,41 @@ class TestLeafBatches:
         squares = stream()
         assert not pulled
         first = next(squares)
-        assert pulled == [first.grid.tobytes()]
-        # Then batches of 2 and 4 keys.
-        seen = []
-        for _ in range(3):
-            next(squares)
-            seen.append(len(pulled))
-        assert seen == [3, 3, 7]
-        rest = [sq.grid.tobytes() for sq in squares]
-        assert len(pulled) == 4 + len(rest) and pulled[4:] == rest
+        width = len(first.grid.tobytes())
+        assert len(pulled) == 1 and pulled[0][:width] == first.grid.tobytes()
+        # Then batches of 2 and 4 squares, 3, 3 and 7 squares in all after
+        # each next(): each batch reads runs only until they hold its keys.
+        keys = [first.grid.tobytes()]
+        for want in [3, 3, 7]:
+            keys.append(next(squares).grid.tobytes())
+            held = sum(map(len, pulled))
+            assert held - len(pulled[-1]) < want * width <= held
+        keys += [sq.grid.tobytes() for sq in squares]
+        assert b"".join(pulled) == b"".join(keys)
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 4, 5, 37, 38, 256, 10**6])
+    def test_capped_count_reads_no_run_past_the_cap(self, limit, monkeypatch):
+        pulled = []
+        found = search._search
+
+        def counted(*args):
+            covers, runs = found(*args)
+            return covers, (pulled.append(len(run)) or run for run in runs)
+
+        monkeypatch.setattr(search, "_search", counted)
+        start = mofs.verify_mofs([mofs.random_fsquare(F63, random.Random(0))])
+        assert not uses_dual(start)
+        width = 8 * F63.n**2
+        for members, total in [(search._NO_MEMBERS, 297200), (start.grids, 64864)]:
+            pulled.clear()
+            count = search._count(F63, members, SearchConfig(max_results=limit))
+            assert count == min(limit, total)
+            if limit > total:
+                assert sum(pulled) == total * width
+            elif limit:
+                assert sum(pulled) - pulled[-1] < limit * width <= sum(pulled)
+            else:
+                assert not pulled
 
     def test_full_stream_starts_no_collection(self):
         # Batches of at most 256 squares, each dropped before the next is
@@ -1147,11 +1238,13 @@ class TestLinearDual:
         grown = mofs.grow_maximal(p, SearchConfig(seed=seed, force=True))
         members = grown.grids[:t]
         assert (p.n - 1) ** 2 - t * (m - 1) == search._DUAL_MAX_D == 19
-        covers, keys = search._search(p, members, SearchConfig(force=True))
+        covers, runs = search._search(p, members, SearchConfig(force=True))
         assert covers is not None
-        keys = list(keys)
-        assert len(keys) == found
-        assert keys == list(search._engine(p, members, None, ()))
+        runs = list(runs)
+        # The covers give one key a run; keys all have one width, so the
+        # joined runs are equal exactly when the keys are.
+        assert len(runs) == found
+        assert b"".join(runs) == b"".join(search._engine(p, members, None, ()))
 
     @pytest.mark.parametrize("k", range(10))
     def test_half_matches_the_doubling_loop(self, k):
