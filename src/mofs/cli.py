@@ -129,6 +129,11 @@ def _cmd_analyze(args):
                 ("t = m - 1 (mod 4)", rep.cor10),
             ]:
                 print(f"  {name}: {'pass' if flag else 'FAIL'}")
+    # The strongest check first: no MofsSet exceeds the bound, so a set
+    # that meets it has no (t+1)-th square.
+    if params.m >= 2 and mset.t == verify.upper_bound(params).value:
+        print("maximal: yes (the bound is met)")
+        return 0
     verdict = maximality._verdict(params, certs)
     if verdict.certified:
         c = verdict.certificate

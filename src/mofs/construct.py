@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MofsError, Params, _ArrayValued
+from .core import MofsError, Params, _ArrayValued, _symbol_type
 from .verify import MofsSet, completeness_structure
 
 
@@ -211,15 +211,15 @@ def construct_prime_power(m: int, h: int) -> MofsSet:
     trace, conjugate = np.zeros(q, dtype=np.int64), x
     for _ in range(h):
         trace, conjugate = add[trace, conjugate], frobenius[conjugate]
+    params = Params(m, m ** (h - 1))
     # Symbol labeling by element index order: zero -> 1, one -> 2, ...
-    symbol_of = np.zeros(q, dtype=np.min_scalar_type(m))
+    symbol_of = np.zeros(q, dtype=_symbol_type(params))
     symbol_of[subfield] = np.arange(1, m + 1)
 
     # Transversal of the nonzero elements modulo subfield scalars: keep the
     # lowest-index element of each orbit.
     reps = np.flatnonzero(mul[subfield[1:]].min(axis=0) == x)[1:]
 
-    params = Params(m, m ** (h - 1))
     # grids[i, b - 1][x, y] = symbol of L(a x + b y) with a = reps[i], read
     # from one (q, q) table of the symbol of L(u + v), in the set's narrow
     # type, so the stack is gathered once and never held as int64.

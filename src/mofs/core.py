@@ -6,8 +6,10 @@ every row and in every column.  Its indicator squares I_a(S) are the m
 0/1 arrays marking where each symbol sits, so S = sum_a a * I_a(S), and
 the paper's proofs become exact integer inner products of them.  A square
 is stored once, as its symbol grid (``FSquare.grid``), and a set as its
-stacked grids (``MofsSet.grids``), validated in bulk here; indicator
-squares are plain int64 arrays computed from a grid.
+stacked grids (``MofsSet.grids``), validated in bulk here.  Every grid
+of a type, a square's, a set's or a search key's, is of one dtype, the
+narrowest unsigned type that holds m (:func:`_symbol_type`): uint8 for
+m <= 255.  Indicator squares are plain int64 arrays computed from a grid.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ class Params:
         return f"F({self.n};{self.lam})"
 
 
+def _symbol_type(params: Params) -> np.dtype:
+    """The one dtype of every grid of the type: the narrowest unsigned
+    integer type that holds the symbols 1..m, uint8 for m <= 255 and
+    uint16 above.  ``FSquare.grid``, ``MofsSet.grids`` and the search's
+    keys all take it, so a square has one byte form."""
+    return np.min_scalar_type(params.m)
+
+
 class _ArrayValued:
     """Equality and hashing by value for a frozen dataclass with numpy array
     fields, whose generated ``==`` would compare arrays elementwise."""
@@ -160,23 +170,27 @@ class FSquare:
     1..m.  The constructor always validates, so an FSquare value cannot
     exist in an invalid state; squares that are valid by construction
     (search leaves, validated stacks) are wrapped by the private
-    :func:`_wrap` instead.  Either way ``grid`` is a C-contiguous int64
-    (n, n) array whose memory is an immutable ``bytes`` object, so it is
-    read-only and cannot be made writeable.  The constructor's grid views
-    bytes of its own; a wrapped square's views the bytes of its stream
-    batch or set block, which it keeps alive.
+    :func:`_wrap` instead.  Either way ``grid`` is a C-contiguous (n, n)
+    array of the type's narrow symbol type (:func:`_symbol_type`, as
+    ``MofsSet.grids``: uint8 for m <= 255), whose memory is an immutable
+    ``bytes`` object, so it is read-only and cannot be made writeable.
+    The constructor's grid views bytes of its own; a wrapped square's
+    views the bytes of its stream batch or set, which it keeps alive.
+    Arithmetic on ``grid`` wraps in that narrow type (uint8 ``255 + 1``
+    is 0), so cast it first, as :func:`indicator` does.
     """
 
     __slots__ = ("params", "grid")
 
     def __init__(self, params: Params, grid):
         arr = _as_grid(params, grid)
-        # Before the cast, so a uint64 entry >= 2**63 is named unwrapped.
+        # Before the narrowing cast, so no entry outside 1..m can wrap into it.
         _validate_regularity(params, arr[None])
-        key = arr.astype(np.int64, copy=False).tobytes()
+        narrow = _symbol_type(params)
+        key = arr.astype(narrow, copy=False).tobytes()
         # The grid views immutable bytes, as a leaf's does: read-only for good.
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "grid", np.ndarray(arr.shape, np.int64, key))
+        object.__setattr__(self, "grid", np.ndarray(arr.shape, narrow, key))
 
     def __setattr__(self, name, value):
         raise AttributeError("FSquare is immutable")
@@ -258,7 +272,7 @@ def _validate_regularity(params: Params, stack: np.ndarray):
     m, lam, n = params.m, params.lam, params.n
     step = _tile(params)
     ones = np.ones(n, np.float32)
-    narrow = np.min_scalar_type(m)
+    narrow = _symbol_type(params)
     whole = None
     for k0 in range(0, len(stack), step):
         block = stack[k0 : k0 + step]
@@ -300,17 +314,18 @@ _drain = deque(maxlen=0).extend
 def _batches(params: Params, runs, limit=None):
     """FSquares for the keys that ``runs`` join, up to ``limit`` of them,
     without validation, as one list per batch for a C-level chain to
-    flatten: each key holds the native int64 cells, row by row, of one
-    square of the type that is valid by construction, and each run the
+    flatten: each key holds the cells, row by row, of one square of the
+    type that is valid by construction, in its native narrow symbol type
+    (:func:`_symbol_type`), itemsize n^2 bytes, and each run the
     keys of one search lookup.  Batches are cut from the runs, inside one
     or across several, joined and wrapped (:func:`_wrap`), so no Python
     code runs per square.  Batches double from one square, so a stream's
     first square costs one run, up to the lesser of one block
-    (:func:`_tile`) and ``_STREAM_BATCH`` squares: 256 squares, 74 KB, on
+    (:func:`_tile`) and ``_STREAM_BATCH`` squares: 256 squares, 9 KB, on
     F(6;3).  A run is read only when a batch needs its keys.  No local
     name holds a batch's squares, so a batch the consumer has dropped is
     freed before the next is read."""
-    runs, width = iter(runs), 8 * params.n**2
+    runs, width = iter(runs), _symbol_type(params).itemsize * params.n**2
     size, cap = 1, min(_tile(params), _STREAM_BATCH)
     run, at, left = b"", 0, math.inf if limit is None else limit
     while left > 0:
@@ -332,11 +347,12 @@ def _batches(params: Params, runs, limit=None):
 
 
 def _wrap(params: Params, chunk: bytes) -> list:
-    """The squares whose native int64 cells ``chunk`` joins, unvalidated,
-    built by C-level maps.  Each grid is a view of ``chunk``, read-only and
-    never writeable, which lives while any of its squares does; equality
-    and hashing match the constructor's."""
-    grids = np.frombuffer(chunk, np.int64).reshape(-1, params.n, params.n)
+    """The squares whose cells, in the type's native narrow symbol type
+    (:func:`_symbol_type`), ``chunk`` joins, unvalidated, built by C-level
+    maps.  Each grid is a view of ``chunk``, read-only and never writeable,
+    which lives while any of its squares does; equality and hashing match
+    the constructor's."""
+    grids = np.frombuffer(chunk, _symbol_type(params)).reshape(-1, params.n, params.n)
     squares = list(map(object.__new__, repeat(FSquare, len(grids))))
     _drain(map(FSquare.params.__set__, squares, repeat(params)))
     _drain(map(FSquare.grid.__set__, squares, grids))
@@ -364,7 +380,8 @@ def indicators(s: FSquare) -> np.ndarray:
 
 
 def _read_only(mask: np.ndarray) -> np.ndarray:
-    # int64 like FSquare.grid and all_ones, so a * I_a and sums cannot wrap.
+    # int64 like all_ones, not the grid's narrow type, so a * I_a and sums
+    # cannot wrap.
     arr = mask.astype(np.int64)
     arr.flags.writeable = False
     return arr

@@ -51,14 +51,15 @@ orthogonal to every member iff each pair count ends at exactly lam^2, so
 a search maps the pair counts that those rows add to the rows, and one
 lookup of what the counts still lack finds them.  A search without
 members tests nothing there, so one lookup reads the last three rows.
-Each square comes out as the joined int64 bytes of its rows, its key,
-and each lookup as one run, the joined keys of all it finds;
+Each square comes out as the joined bytes of its rows in the type's
+narrow symbol type (``core._symbol_type``, as ``FSquare.grid``), its
+key, and each lookup as one run, the joined keys of all it finds;
 ``count_fsquares`` builds none, as it reads the counting DP
 (:func:`_count_arrays`).  The streams wrap keys as ``FSquare``s without
 calling the validating constructor (``core._batches``): a batch of up to
 256 keys (fewer when one block, ``core._tile``, is smaller) is cut from
-the runs, joined and read as one int64 array, and each square's grid is
-a view of it, so a square that is kept keeps its batch's bytes alive (74
+the runs, joined and read as one narrow array, and each square's grid is
+a view of it, so a square that is kept keeps its batch's bytes alive (9
 KB for F(6;3)).  A C-level chain flattens the batches, so no Python code
 runs per square.
 """
@@ -231,10 +232,11 @@ def _pattern_tables(m: int, lam: int):
     """What the engine derives from the type alone, built once per type:
     the rows with each symbol exactly lam times (the patterns, in
     lexicographic order), the counters' field dtype, the patterns'
-    read-only one-hot array, their packed column increments, their native
-    int64 bytes, and the three tables the engine fills as it goes: the
-    completions of the last three rows and of the last two, then the
-    column-fit table (see :func:`_engine`)."""
+    read-only one-hot array, their packed column increments, their bytes
+    in the type's narrow symbol type (``core._symbol_type``), and the three
+    tables the engine fills as it goes: the completions of the last three
+    rows and of the last two, then the column-fit table (see
+    :func:`_engine`)."""
     # Each pattern after the sorted first is the next permutation of the
     # last: raise the rightmost cell that a later cell exceeds to the
     # least such later symbol, then sort the cells after it.
@@ -266,7 +268,8 @@ def _pattern_tables(m: int, lam: int):
     pattern_hot.flags.writeable = False
     hot_cols = pattern_hot.transpose(0, 2, 1).reshape(len(patterns), -1)
     col_inc = tuple(_pack(hot_cols, dtype))
-    row_bytes = tuple(row.tobytes() for row in np.array(patterns, dtype=np.int64))
+    narrow = core._symbol_type(Params(m, lam))
+    row_bytes = tuple(row.tobytes() for row in np.array(patterns, dtype=narrow))
     return patterns, dtype, pattern_hot, col_inc, row_bytes, {}, {}, {}
 
 
@@ -332,7 +335,7 @@ def _engine(params, members, first_order, prefix):
     squares orthogonal to the (k, n, n) ``members``, whose pair increments
     (see :func:`_pair_increments`) it builds on its first ``next()``.
     Yields one run per tail lookup: the joined keys (each square's rows'
-    native int64 bytes, joined) of the squares it finds, in order.
+    narrow bytes, joined) of the squares it finds, in order.
 
     The state after each row is two ints of fixed-width fields, each field
     biased so that its top bit turns on exactly when its count passes its
@@ -827,7 +830,7 @@ def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
         # symbols, two labels one symbol, or a symbol outside 1..m.
         if [fixed[c] for c in head] != prefix or len(rest) != params.m - len(fixed):
             return
-        assign = np.zeros(params.m, np.int64)
+        assign = np.zeros(params.m, core._symbol_type(params))
         assign[list(fixed)] = list(fixed.values())
         free = [c for c in range(params.m) if c not in fixed]
         for symbols_left in permutations(rest):
@@ -903,7 +906,7 @@ def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
     cover of the candidates, else from the lengths of the runs of keys,
     none of which is read once the count reaches the limit."""
     covers, runs = _search(params, members, config)
-    limit, width = config.max_results, 8 * params.n**2
+    limit, width = config.max_results, core._symbol_type(params).itemsize * params.n**2
     if covers is not None:
         found = len(covers) * factorial(params.m)
     elif limit is None:
@@ -1005,7 +1008,7 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
         if key is None:
             break
         # The first key of the run.
-        grid = np.frombuffer(key, np.int64, n * n).reshape(1, n, n)
+        grid = np.frombuffer(key, core._symbol_type(params), n * n).reshape(1, n, n)
         if covers is not None:
             classes = covers.reshape(-1, 1, n * n) == np.arange(m)[:, None]
             meets = _meets(classes.reshape(-1, n * n), grid, params)

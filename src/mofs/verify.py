@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     _ArrayValued,
     _as_grid,
     _indicator_rows,
+    _symbol_type,
     _tile,
     _validate_regularity,
     _wrap,
@@ -57,7 +58,8 @@ class MofsSet(_ArrayValued):
     """A set of mutually orthogonal frequency squares with shared
     parameters, verified on construction and stored as its stack: ``grids``
     is a read-only (t, n, n) array of the narrowest unsigned type that
-    holds the symbols 1..m.
+    holds the symbols 1..m (``core._symbol_type``), the dtype of every
+    member's ``FSquare.grid``.
 
     The constructor copies the stack and checks its shape, every square's
     regularity, pairwise orthogonality and the size bound, raising the
@@ -73,7 +75,7 @@ class MofsSet(_ArrayValued):
         grids = _as_grid(params, self.grids, stacked=True)
         # Before the narrowing cast, so an entry above m cannot wrap into range.
         rows = _validate_regularity(params, grids)
-        grids = grids.astype(np.min_scalar_type(params.m), copy=False)
+        grids = grids.astype(_symbol_type(params), copy=False)
         grids.flags.writeable = False
         object.__setattr__(self, "grids", grids)
         t = len(grids)
@@ -106,17 +108,10 @@ class MofsSet(_ArrayValued):
     @cached_property
     def squares(self) -> tuple:
         """The members as FSquares, wrapped from ``grids`` on first use:
-        their grids are views of int64 copies of the stack's blocks
-        (:func:`core._tile`)."""
-        # One batch per block, so no batch joins (copies) its keys: one
-        # copy of the whole stack took 1.3 times as long as these and
-        # twice the memory (295 against 171 MB max RSS on federer(64)).
-        step = _tile(self.params)
-        blocks = (
-            self.grids[k : k + step].astype(np.int64).tobytes()
-            for k in range(0, self.t, step)
-        )
-        return tuple(chain.from_iterable(_wrap(self.params, b) for b in blocks))
+        their grids are views of one immutable copy of the stack's bytes,
+        in its own narrow type, t n^2 itemsize bytes, which any member
+        keeps alive."""
+        return tuple(_wrap(self.params, self.grids.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -268,7 +263,7 @@ def verify_mofs(squares) -> MofsSet:
     for s in squares[1:]:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
-    grids = np.array([s.grid for s in squares], np.min_scalar_type(params.m))
+    grids = np.array([s.grid for s in squares], _symbol_type(params))
     return MofsSet(params, grids)
 
 

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -103,7 +104,7 @@ ANALYZE_PINS = {
         "symbol 1: parity matrix has no full-relation block form\n"
         "symbol 2: parity matrix has no full-relation block form\n"
         "symbol 3: parity matrix has no full-relation block form\n"
-        "maximal: undetermined (no parity certificate; not a claim)\n"
+        "maximal: yes (the bound is met)\n"
     ),
     "5": (
         "type F(5;1): 4 mutually orthogonal squares\n"
@@ -115,7 +116,7 @@ ANALYZE_PINS = {
         "symbol 3: parity matrix has no full-relation block form\n"
         "symbol 4: parity matrix has no full-relation block form\n"
         "symbol 5: parity matrix has no full-relation block form\n"
-        "maximal: undetermined (no parity certificate; not a claim)\n"
+        "maximal: yes (the bound is met)\n"
     ),
     "8": (
         "type F(8;4): 49 mutually orthogonal squares\n"
@@ -124,7 +125,7 @@ ANALYZE_PINS = {
         "completeness block structure matches: True\n"
         "symbol 1: parity matrix has no full-relation block form\n"
         "symbol 2: parity matrix has no full-relation block form\n"
-        "maximal: undetermined (no parity certificate; not a claim)\n"
+        "maximal: yes (the bound is met)\n"
     ),
     "seed-8": (
         "type F(6;3): 1 mutually orthogonal squares\n"
@@ -298,9 +299,8 @@ class TestCli:
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert "complete: yes" in out
-        # Never a bare maximality claim: either a named certificate or
-        # an explicit non-claim.
-        assert ("parity certificate" in out) or ("not a claim" in out)
+        # Never a bare maximality claim: a complete set names the bound.
+        assert out.endswith("\nmaximal: yes (the bound is met)\n")
 
     def test_analyze_uncertified_set(self, tmp_path, capsys, example_square):
         # Even lambda: the parity criterion never applies, so analyze must
@@ -344,6 +344,30 @@ class TestCli:
         assert capsys.readouterr().out.split("\n") == want + [""]
         assert main(["extend", str(path), "--exhaustive"]) == 0
         assert capsys.readouterr().out == "extensions: 0\nmaximal: yes (exhaustive search)\n"
+
+    def test_analyze_says_a_set_that_meets_the_bound_is_maximal(self, tmp_path, capsys):
+        # Every complete set the library builds with n <= 16, and every
+        # greedy F(5;1) set of size 4: no (t+1)-th square exists, as the
+        # exhaustive search agrees.
+        powers = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]
+        powers += [(q, 1) for q in (5, 7, 8, 9, 11, 13, 16)]
+        sets = [mofs.construct_prime_power(m, h) for m, h in powers]
+        sets += [mofs.construct_federer(mofs.hadamard(order)) for order in (4, 8, 12, 16)]
+        f51 = mofs.Params(5, 1)
+        for seed in range(8):
+            start = mofs.verify_mofs([mofs.random_fsquare(f51, random.Random(seed))])
+            grown = mofs.grow_maximal(start, mofs.SearchConfig(seed=seed, force=True))
+            assert grown.t == 4
+            sets.append(grown)
+        path = tmp_path / "set.mofs"
+        for mset in sets:
+            assert mset.t == mofs.upper_bound(mset.params).value
+            path.write_text(encode(mset))
+            capsys.readouterr()
+            assert main(["analyze", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith("\nmaximal: yes (the bound is met)\n"), (mset.params, out)
+            assert mofs.exhaustive_maximality(mset)
 
     @pytest.mark.parametrize("name", list(ANALYZE_PINS))
     def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, capsys, name):

@@ -198,7 +198,8 @@ class TestMakeFSquare:
     def test_integer_dtypes_accepted(self, dtype):
         grid = np.array(EXAMPLE_GRID, dtype=dtype)
         s = mofs.make_fsquare(mofs.Params(3, 2), grid)
-        assert s.grid.dtype == np.int64
+        # The narrowest unsigned type that holds m = 3, whatever the input.
+        assert s.grid.dtype == np.uint8
         assert s.grid.tolist() == EXAMPLE_GRID
 
 
@@ -340,8 +341,11 @@ class TestIndicator:
             assert (got == np.array(want)).all()
 
     def test_read_only_int64(self, example_square):
+        # Indicators are int64, so sums and a * I_a cannot wrap; the grid
+        # they come from is in the narrow symbol type.
+        assert example_square.grid.dtype == np.uint8
         for arr in (mofs.indicator(example_square, 1), mofs.indicators(example_square)):
-            assert arr.dtype == example_square.grid.dtype == np.int64
+            assert arr.dtype == np.int64
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1

@@ -173,7 +173,8 @@ class TestEnumerate:
         only = mofs.make_fsquare(p, np.ones((lam, lam), int))
         for members in (search._NO_MEMBERS, mofs.verify_mofs([only]).grids):
             runs = search._engine(p, members, None, ())
-            engine = sum(map(len, runs)) // (8 * p.n**2)
+            # One uint8 byte a cell.
+            engine = sum(map(len, runs)) // p.n**2
             for limit in (None, 0, 1, 2):
                 config = SearchConfig(max_results=limit)
                 want = engine if limit is None else min(engine, limit)
@@ -558,7 +559,7 @@ class TestEngineTables:
             n = sq.params.n
             again = mofs.make_fsquare(sq.params, sq.grid.tolist())
             assert sq == again and hash(sq) == hash(again)
-            assert sq.grid.dtype == np.int64 and sq.grid.shape == (n, n)
+            assert sq.grid.dtype == np.uint8 and sq.grid.shape == (n, n)
             assert sq.grid.flags.c_contiguous
             assert not sq.grid.flags.writeable
             with pytest.raises(ValueError):
@@ -567,15 +568,14 @@ class TestEngineTables:
             # make writeable either.
             assert type(root_buffer(sq.grid)) is bytes
         # A streamed square keeps alive at most one batch of squares, and a
-        # set's squares share one int64 copy of each block of its stack.
+        # set's squares share one uint8 copy of its whole stack.
         for sq in streamed:
             cells = sq.params.n**2
-            assert len(root_buffer(sq.grid)) <= core._tile(sq.params) * cells * 8
+            assert len(root_buffer(sq.grid)) <= core._tile(sq.params) * cells
         for mset in sets:
-            step = core._tile(mset.params)
             roots = [root_buffer(sq.grid) for sq in mset.squares]
-            assert all(roots[k] is roots[k - k % step] for k in range(mset.t))
-            assert sum(map(len, roots[::step])) == mset.grids.size * 8
+            assert all(root is roots[0] for root in roots)
+            assert len(roots[0]) == mset.grids.size
 
     def test_constructor_always_validates(self):
         p = mofs.Params(2, 2)
@@ -697,7 +697,7 @@ class TestEngineTables:
             table.clear()
         keys, held = 0, []
         for run in search._engine(F63, search._NO_MEMBERS, None, ()):
-            keys += len(run) // (8 * F63.n**2)
+            keys += len(run) // F63.n**2  # one uint8 byte a cell
             held.append(sum(map(len, runs_of.values())) // 3)
         assert keys == 297200
         assert max(held) <= 200
@@ -849,7 +849,7 @@ class TestLeafBatches:
         monkeypatch.setattr(search, "_search", counted)
         start = mofs.verify_mofs([mofs.random_fsquare(F63, random.Random(0))])
         assert not uses_dual(start)
-        width = 8 * F63.n**2
+        width = F63.n**2  # one uint8 byte a cell
         for members, total in [(search._NO_MEMBERS, 297200), (start.grids, 64864)]:
             pulled.clear()
             count = search._count(F63, members, SearchConfig(max_results=limit))
@@ -887,7 +887,69 @@ class TestLeafBatches:
             if not enabled:
                 gc.disable()
         assert len(started) <= 2, started
-        assert max(roots) == 256 * F63.n**2 * 8
+        # 256 squares of one uint8 byte a cell: 9 216 bytes.
+        assert max(roots) == 256 * F63.n**2 == 9216
+
+
+class TestGridType:
+    """Every grid of a type is in one dtype, its set's (``core._symbol_type``):
+    the narrowest unsigned type that holds m."""
+
+    @pytest.mark.parametrize("p", [F63, mofs.Params(5, 1)])
+    def test_every_grid_source_has_the_sets_type(self, p, monkeypatch):
+        # Greedy growth's member stack stays narrow from step to step.
+        stacks, found = [], search._search
+
+        def recorded(params, members, *args):
+            stacks.append(members.dtype)
+            return found(params, members, *args)
+
+        monkeypatch.setattr(search, "_search", recorded)
+        grown = mofs.grow_maximal(p, SearchConfig(seed=3, force=True))
+        start = mofs.verify_mofs([mofs.random_fsquare(p, random.Random(p.n))])
+        want = start.grids.dtype
+        assert want == np.uint8
+        grid = start.grids[0].tolist()
+        capped = SearchConfig(max_results=300)
+        inds = mofs.indicators(start.squares[0])
+        sets = [
+            start,
+            grown,
+            mofs.grow_maximal(start, SearchConfig(seed=0, force=True)),
+            mofs.decode(mofs.encode(start)),
+            mofs.construct_prime_power(2, 3) if p.m == 2 else mofs.construct_prime_power(5, 1),
+            mofs.construct_federer(mofs.hadamard(8)),
+        ]
+        sources = [
+            mofs.make_fsquare(p, np.array(grid, np.int64)),
+            mofs.make_fsquare(p, np.array(grid, np.uint64)),
+            *mofs.enumerate_fsquares(p, capped),
+            *mofs.extensions(start, capped),
+            mofs.reconstruct(inds),
+            *(sq for mset in sets for sq in mset.squares),
+        ]
+        assert all(mset.grids.dtype == want for mset in sets)
+        assert {sq.grid.dtype for sq in sources} == {want}
+        assert len(stacks) >= 3 and set(stacks) == {want}
+
+    def test_f256_square_is_uint16(self):
+        p = mofs.Params(256, 1)
+        sq = mofs.random_fsquare(p, random.Random(0))
+        mset = mofs.verify_mofs([sq])
+        assert sq.grid.dtype == mset.grids.dtype == mset.squares[0].grid.dtype == np.uint16
+        assert mset.squares[0] == sq
+        assert core._wrap(p, sq.grid.tobytes()) == [sq]
+
+    def test_multi_block_set_shares_one_narrow_buffer(self, monkeypatch):
+        p = mofs.Params(2, 4)
+        blocks_of(monkeypatch, p, 4)
+        full = mofs.construct_prime_power(2, 3)
+        assert full.t == 49 > core._tile(p)
+        roots = [root_buffer(sq.grid) for sq in full.squares]
+        assert type(roots[0]) is bytes and all(root is roots[0] for root in roots)
+        # t n^2 cells of one uint8 byte each.
+        assert len(roots[0]) == full.t * p.n**2 * np.dtype(np.uint8).itemsize == 3136
+        assert roots[0] == full.grids.tobytes()
 
 
 def pinned_growth(m, lam, seed):
