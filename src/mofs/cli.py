@@ -131,7 +131,7 @@ def _cmd_analyze(args):
                 print(f"  {name}: {'pass' if flag else 'FAIL'}")
     # The strongest check first: no MofsSet exceeds the bound, so a set
     # that meets it has no (t+1)-th square.
-    if params.m >= 2 and mset.t == verify.upper_bound(params).value:
+    if params.m >= 2 and mset.t == report.bound.value:
         print("maximal: yes (the bound is met)")
         return 0
     verdict = maximality._verdict(params, certs)

@@ -184,21 +184,14 @@ def _certificates(mset: MofsSet, extra=()):
 
     The uniform choices' parity matrices are built together
     (:func:`_uniform_parities`), as many symbols at once as one block
-    holds (all m of every set whose m n^2 cells fit it), and the block form
-    is tested on all of them at once: every row equals the first or its
-    complement.  :func:`detect_full_relation` runs only where that holds."""
+    holds (all m of every set whose m n^2 cells fit it), and
+    :func:`detect_full_relation` tests each for the block form."""
     params, t, n = mset.params, mset.t, mset.params.n
     per = max(1, core._BLOCK_ENTRIES // (n * n))
     for low in range(1, params.m + 1, per):
         symbols = range(low, min(low + per, params.m + 1))
-        bits = _uniform_parities(mset, symbols)
-        first = bits[:, :1]
-        blocks = ((bits == first).all(axis=2) | (bits != first).all(axis=2)).all(axis=1)
-        for a, pm_bits, block in zip(symbols, bits, blocks):
-            if not block:
-                yield None
-                continue
-            yield detect_full_relation(ParityMatrix(params, t, (a,) * t, pm_bits.astype(np.int64)))
+        for a, bits in zip(symbols, _uniform_parities(mset, symbols)):
+            yield detect_full_relation(ParityMatrix(params, t, (a,) * t, bits.astype(np.int64)))
     for choice in extra:
         yield detect_full_relation(parity_matrix(mset, choice))
 

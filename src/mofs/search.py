@@ -33,8 +33,8 @@ or neither method, runs the engine below; all give the same squares in
 the same order.
 :func:`_search` alone calls :func:`_candidates`, the covers and the
 engine: every stream, extension count, maximality check and greedy step
-is decided there, and guarded wherever keys are walked (on the engine, or
-through the covers to a prefix), not where covers are counted or picked.
+is decided there, under one rule: the engine is guarded, and covers never
+are.
 
 The engine generates squares in lexicographic grid order, depth first
 over the valid row patterns, for every m.  It keeps per-column
@@ -73,7 +73,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, count, permutations
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
 
@@ -98,17 +98,15 @@ class SearchConfig:
     """Knobs for the search operations.
 
     Identical seed and config give identical outcomes; ``seed`` is None or
-    an integer, and ``force`` a bool.  ``prefix`` restricts the first row to
-    start with the given symbols, which partitions the search space between
-    runs; ``max_results`` caps a stream or a count.  Greedy growth and the
-    exhaustive maximality check need the whole space and refuse both.
+    an integer, and ``force`` a bool.  ``max_results`` caps a stream or a
+    count; greedy growth and the exhaustive maximality check need the whole
+    space and refuse it.
     ``force`` lifts the size guard: the ``MOFS_MAX_ENUM`` ceiling on the
     row patterns and on the count, exact or a lower bound.
     """
 
     seed: int | None = None
     max_results: int | None = None
-    prefix: tuple = ()
     force: bool = False
 
     def __post_init__(self):
@@ -122,15 +120,6 @@ class SearchConfig:
             if limit < 0:
                 raise MofsError(f"max_results must be >= 0, got {limit}")
             object.__setattr__(self, "max_results", limit)
-        try:
-            prefix = tuple(self.prefix)
-        except TypeError:
-            raise MofsError(
-                f"prefix must be an iterable of integers, got {self.prefix!r}"
-            ) from None
-        object.__setattr__(
-            self, "prefix", tuple(_as_int(a, "a prefix symbol") for a in prefix)
-        )
 
 
 @lru_cache(maxsize=None)
@@ -330,7 +319,7 @@ def _pair_increments(params: Params, members: np.ndarray) -> list:
     return [packed[i : i + size] for i in range(0, len(packed), size)]
 
 
-def _engine(params, members, first_order, prefix):
+def _engine(params, members, first_order):
     """Depth-first enumerator over row patterns, with packed counters, for
     squares orthogonal to the (k, n, n) ``members``, whose pair increments
     (see :func:`_pair_increments`) it builds on its first ``next()``.
@@ -350,13 +339,13 @@ def _engine(params, members, first_order, prefix):
     Which patterns fit the columns depends on ``cols`` alone, so the type's
     column-fit table maps each ``cols`` met to the ascending tuple of the
     patterns that fit it.  The first row takes ``first_order`` (or
-    ascending order) filtered by ``prefix``, all of which fit; lower rows
-    take their node's tuple.  One explicit stack holds, per row, the
-    iterator over those patterns and the counters above it.
+    ascending order), all of which fit; lower rows take their node's
+    tuple.  One explicit stack holds, per row, the iterator over those
+    patterns and the counters above it.
 
     The loop places rows 0..``stop`` and looks up the rows below, so the
-    first row always keeps its order and prefix.  With members, ``stop``
-    = max(n - 3, 0), leaving two rows (fewer when n < 3).  Their column
+    first row always keeps its order.  With members, ``stop`` =
+    max(n - 3, 0), leaving two rows (fewer when n < 3).  Their column
     counts force the last row, and a square is orthogonal to every member
     iff each pair field ends at exactly ``full``, its bias plus lam^2.
     Which rows complete a ``cols`` met below ``stop`` depends on the type
@@ -462,8 +451,7 @@ def _engine(params, members, first_order, prefix):
         tail[cols] = found
         return found
 
-    order = every if first_order is None else first_order
-    row0 = [p for p in order if patterns[p][: len(prefix)] == prefix]
+    row0 = every if first_order is None else first_order
     rows = [b""] * stop
     cols0 = fields(top - 1 - lam, m * n)
     stack = [(iter(row0), cols0, fields(top - 1 - lam * lam, n_pairs))]
@@ -813,29 +801,17 @@ def _covers(params: Params, candidates: np.ndarray) -> np.ndarray:
     return candidates[chosen].argmax(axis=1).reshape(-1, n, n)
 
 
-def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
-    """The keys of the squares of ``covers``, in lexicographic order, whose
-    first row starts with ``prefix``, each a run of one key (see
-    :func:`_engine`).  The prefix fixes the symbols of the labels it
-    covers, and each cover walks the assignments of the other symbols to
-    the other labels lazily, in order, so a stream builds only the keys it
-    yields."""
-    prefix, symbols = list(prefix), range(1, params.m + 1)
+def _cover_keys(params: Params, covers: np.ndarray):
+    """The keys of the squares of ``covers``, in lexicographic order, each a
+    run of one key (see :func:`_engine`).  Each cover walks its m! symbol
+    assignments lazily, in ``permutations`` order, which is its squares'
+    order (see :func:`_covers`), and the covers are merged, so a stream
+    builds only the keys it yields."""
+    symbols, narrow = range(1, params.m + 1), core._symbol_type(params)
 
     def squares(labels):
-        head = labels[0, : len(prefix)].tolist()
-        fixed = dict(zip(head, prefix))
-        rest = [a for a in symbols if a not in fixed.values()]
-        # No square of the cover fits a prefix that gives one label two
-        # symbols, two labels one symbol, or a symbol outside 1..m.
-        if [fixed[c] for c in head] != prefix or len(rest) != params.m - len(fixed):
-            return
-        assign = np.zeros(params.m, core._symbol_type(params))
-        assign[list(fixed)] = list(fixed.values())
-        free = [c for c in range(params.m) if c not in fixed]
-        for symbols_left in permutations(rest):
-            assign[free] = symbols_left
-            yield assign[labels].tobytes()
+        for assign in permutations(symbols):
+            yield np.array(assign, narrow)[labels].tobytes()
 
     yield from heapq.merge(*map(squares, covers))
 
@@ -843,8 +819,9 @@ def _cover_keys(params: Params, covers: np.ndarray, prefix: tuple):
 def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
     """The key the engine finds first when its first row takes
     ``first_order``: the square whose first row comes first in that order,
-    then the lowest in grid order: with that whole row as their prefix,
-    the covers of its shape give one key each, the least first."""
+    then the lowest in grid order.  A whole first row fixes the symbol of
+    every label of a cover of its shape, so each such cover gives one key,
+    and the least is taken."""
     patterns = _pattern_tables(params.m, params.lam)[0]
     by_row = {}
     for labels in covers:
@@ -855,30 +832,28 @@ def _first_by_rank(params: Params, covers: np.ndarray, first_order: list):
         relabel = {}
         shape = tuple(relabel.setdefault(a, len(relabel)) for a in patterns[q])
         if shape in by_row:
-            return next(_cover_keys(params, by_row[shape], patterns[q]))
+            # Label c takes the c-th symbol to appear in the row.
+            assign = np.array(list(relabel), core._symbol_type(params))
+            return min(assign[labels].tobytes() for labels in by_row[shape])
     return None
 
 
 def _search(params: Params, members: np.ndarray, config: SearchConfig, first_order=None):
     """The one place a search is decided and guarded: ``(covers, keys)`` for
     the squares orthogonal to the (k, n, n) ``members``.  ``keys`` are
-    runs of their keys, lazy and uncapped, from the covers of the
-    candidates (:func:`_candidates`: the permutation-matrix table or the
-    linear dual), one key a run, or from the engine, whose first row takes
-    ``first_order`` (see :func:`_engine`); in lexicographic order when that
-    is None.  ``covers`` are those covers
-    when they alone give the answer, m! squares each; otherwise they are
-    None, the keys must be walked, and the size guard runs first."""
+    runs of their keys, lazy and uncapped.  Where there are candidates
+    (:func:`_candidates`: the permutation-matrix table or the linear dual),
+    ``covers`` are their covers, m! squares each, and the keys come from
+    them, one key a run, in lexicographic order.  Otherwise ``covers`` is
+    None, the size guard runs, and the keys come from the engine, whose
+    first row takes ``first_order`` (see :func:`_engine`), ascending when
+    that is None.  So the engine is guarded, and covers never are."""
     candidates = _candidates(params, members)
-    if candidates is None:
-        keys = _engine(params, members, first_order, config.prefix)
-    else:
+    if candidates is not None:
         covers = _covers(params, candidates)
-        keys = _cover_keys(params, covers, config.prefix)
-        if not config.prefix:
-            return covers, keys
+        return covers, _cover_keys(params, covers)
     _guard(params, config)
-    return None, keys
+    return None, _engine(params, members, first_order)
 
 
 def enumerate_fsquares(params: Params, config: SearchConfig = SearchConfig()):
@@ -922,17 +897,11 @@ def _count(params: Params, members: np.ndarray, config: SearchConfig) -> int:
 
 def count_fsquares(params: Params, config: SearchConfig = SearchConfig()) -> int:
     """Number of F-squares of the type, up to ``config.max_results``, from
-    the counting DP (:func:`_count_arrays`), which builds no square.  Every
-    first row leaves the same column state, so the rows that start with
-    ``config.prefix`` start their share of the squares."""
+    the counting DP (:func:`_count_arrays`), which builds no square and
+    stops at its first partial count past the cap."""
     _guard(params, config)
-    m, lam, prefix, limit = params.m, params.lam, config.prefix, config.max_results
-    left = [lam - prefix.count(a) for a in range(1, m + 1)]
-    if min(left) < 0 or sum(left) + len(prefix) != params.n:
-        return 0
-    rows = factorial(sum(left)) // prod(map(factorial, left))
-    whole = factorial(params.n) // factorial(lam) ** m
-    found = _count_arrays((lam,) * m, limit and limit * whole // rows) * rows // whole
+    limit = config.max_results
+    found = _count_arrays((params.lam,) * params.m, limit)
     return found if limit is None else min(found, limit)
 
 
@@ -944,11 +913,8 @@ _NO_MEMBERS.flags.writeable = False
 
 def _require_whole_space(config: SearchConfig) -> None:
     """A maximality verdict is only sound over every candidate square."""
-    if config.prefix or config.max_results is not None:
-        raise MofsError(
-            "maximality needs the whole search space;"
-            " prefix and max_results are not allowed"
-        )
+    if config.max_results is not None:
+        raise MofsError("maximality needs the whole search space; max_results is not allowed")
 
 
 def exhaustive_maximality(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import operator
@@ -113,23 +114,9 @@ class TestEnumerate:
     def test_small_types_stream_every_square_in_order(self, m, lam):
         # n <= 4 leaves the loop at most the first row above its lookups.
         p = mofs.Params(m, lam)
-        last = search._pattern_tables(m, lam)[0][-1]
-        for prefix in [(), (1,), last[:2], last, (m + 1,), (1,) * (lam + 1)]:
-            config = SearchConfig(prefix=prefix)
-            flat = [sum(g, ()) for g in grids(mofs.enumerate_fsquares(p, config))]
-            assert len(flat) == mofs.count_fsquares(p, config)
-            assert all(map(operator.lt, flat, flat[1:]))
-            assert bool(flat) == (prefix in [(), (1,), last[:2], last])
-
-    def test_prefix_partition_soundness(self):
-        p = mofs.Params(2, 2)
-        whole = grids(mofs.enumerate_fsquares(p))
-        parts = []
-        for sym in (1, 2):
-            parts += grids(
-                mofs.enumerate_fsquares(p, SearchConfig(prefix=(sym,)))
-            )
-        assert sorted(parts) == sorted(whole)
+        flat = [sum(g, ()) for g in grids(mofs.enumerate_fsquares(p))]
+        assert flat and len(flat) == mofs.count_fsquares(p)
+        assert all(map(operator.lt, flat, flat[1:]))
 
     def test_max_results_cap(self):
         p = mofs.Params(2, 2)
@@ -172,7 +159,7 @@ class TestEnumerate:
         p = mofs.Params(1, lam)
         only = mofs.make_fsquare(p, np.ones((lam, lam), int))
         for members in (search._NO_MEMBERS, mofs.verify_mofs([only]).grids):
-            runs = search._engine(p, members, None, ())
+            runs = search._engine(p, members, None)
             # One uint8 byte a cell.
             engine = sum(map(len, runs)) // p.n**2
             for limit in (None, 0, 1, 2):
@@ -227,29 +214,27 @@ class TestEnumerate:
 
 
 class TestSearchConfig:
+    # Ids are fixed by hand: cases 4-9 were the removed ``prefix`` field's.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_results": -1},
-            {"max_results": 2.5},
-            {"max_results": True},
-            {"max_results": "3"},
-            {"prefix": 5},
-            {"prefix": None},
-            {"prefix": (1, "2")},
-            {"prefix": "12"},
-            {"prefix": (1.0,)},
-            {"prefix": (np.True_,)},
-            {"seed": [1]},
-            {"seed": {"a": 1}},
-            {"seed": 1.5},
-            {"seed": "1"},
-            {"seed": b"1"},
-            {"seed": True},
-            {"force": "no"},
-            {"force": 0.5},
-            {"force": 0},
-            {"force": None},
+            pytest.param(kwargs, id=f"kwargs{i}")
+            for i, kwargs in [
+                (0, {"max_results": -1}),
+                (1, {"max_results": 2.5}),
+                (2, {"max_results": True}),
+                (3, {"max_results": "3"}),
+                (10, {"seed": [1]}),
+                (11, {"seed": {"a": 1}}),
+                (12, {"seed": 1.5}),
+                (13, {"seed": "1"}),
+                (14, {"seed": b"1"}),
+                (15, {"seed": True}),
+                (16, {"force": "no"}),
+                (17, {"force": 0.5}),
+                (18, {"force": 0}),
+                (19, {"force": None}),
+            ]
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -258,15 +243,23 @@ class TestSearchConfig:
             SearchConfig(**kwargs)
 
     def test_values_stored_as_plain_ints(self):
-        config = SearchConfig(max_results=np.int64(3), prefix=[np.uint8(2), 1])
+        config = SearchConfig(max_results=np.int64(3))
         assert config.max_results == 3 and type(config.max_results) is int
-        assert config.prefix == (2, 1) and {type(a) for a in config.prefix} == {int}
-        assert SearchConfig(prefix=iter([1])).prefix == (1,)
         assert SearchConfig(max_results=0).max_results == 0
         config = SearchConfig(seed=np.int32(7), force=np.True_)
         assert config.seed == 7 and type(config.seed) is int
         assert config.force is True
         assert SearchConfig().seed is None and SearchConfig().force is False
+
+    def test_fields_are_seed_cap_and_force(self):
+        # Every search covers the whole space: there is no first-row prefix.
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+            "seed",
+            "max_results",
+            "force",
+        ]
+        with pytest.raises(TypeError):
+            SearchConfig(prefix=(1,))
 
 
 class TestEstimateCount:
@@ -280,14 +273,6 @@ class TestEstimateCount:
 
 class TestCountingDP:
     """The one counter (streams and the m = 2 counts are checked above)."""
-
-    @pytest.mark.parametrize("prefix", [(0,), (1, 2, 1, 2, 1), (1, 1, 1)])
-    def test_a_prefix_no_row_starts_with_counts_none(self, prefix):
-        # A symbol out of range, a prefix longer than n, or a symbol more
-        # than lam times: no F(4;2) row starts with it.
-        p, config = mofs.Params(2, 2), SearchConfig(prefix=prefix)
-        assert mofs.count_fsquares(p, config) == 0
-        assert list(mofs.enumerate_fsquares(p, config)) == []
 
     def test_latin_square_count_over_the_ceiling(self):
         # L(6) of OEIS A002860; L(4) and L(5) are counted unforced above.
@@ -305,7 +290,7 @@ class TestCountingDP:
             raise AssertionError("the engine ran")
 
         monkeypatch.setattr(search, "_engine", walked)
-        for config in (SearchConfig(), SearchConfig(prefix=(2, 1)), SearchConfig(max_results=7)):
+        for config in (SearchConfig(), SearchConfig(max_results=7)):
             mofs.count_fsquares(mofs.Params(2, 3), config)
         assert mofs.count_fsquares(mofs.Params(3, 2), SearchConfig(max_results=10**6)) == 10**6
 
@@ -465,21 +450,6 @@ class TestEdgeTypes:
             oracle = as_tuples(every[orthogonal_mask(p, members, every)])
             assert grids(mofs.extensions(mset)) == oracle
 
-    @pytest.mark.parametrize("m,lam", EDGE_TYPES)
-    def test_prefix_partitions_concatenate(self, m, lam, edge_squares):
-        p = mofs.Params(m, lam)
-        member = mofs.verify_mofs([mofs.make_fsquare(p, edge_squares[(m, lam)][-1])])
-        for stream in (
-            lambda config: mofs.enumerate_fsquares(p, config),
-            lambda config: mofs.extensions(member, config),
-        ):
-            whole = grids(stream(SearchConfig()))
-            for length in range(p.n + 1):
-                parts = []
-                for prefix in product(range(1, m + 1), repeat=length):
-                    parts += grids(stream(SearchConfig(prefix=prefix)))
-                assert parts == whole
-
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("seed", range(3))
     def test_greedy_follows_first_row_order(self, m, seed, edge_squares):
@@ -508,7 +478,8 @@ class TestEdgeTypes:
 
 def assert_pinned_streams():
     """Two streams' digests, recorded with the engine before it had a
-    column-fit table."""
+    column-fit table: F(6;2) capped, and every F(5;1) square whose first
+    row starts 3, 1, from the engine with those first rows alone."""
     f62 = mofs.enumerate_fsquares(
         mofs.Params(3, 2), SearchConfig(force=True, max_results=20000)
     )
@@ -516,13 +487,28 @@ def assert_pinned_streams():
         20000,
         "2f5b5ac92573290e714a659a0c8d043796df45cbd4509a9e4a0b8c72f8d35a92",
     )
-    f51 = mofs.enumerate_fsquares(
-        mofs.Params(5, 1), SearchConfig(prefix=(3, 1), force=True)
-    )
-    assert stream_digest(f51) == (
+    p = mofs.Params(5, 1)
+    patterns = search._pattern_tables(5, 1)[0]
+    first = [q for q, row in enumerate(patterns) if row[:2] == (3, 1)]
+    keys = b"".join(search._engine(p, search._NO_MEMBERS, first))
+    # The digest is of the int64 grids, one after another.
+    f51 = np.frombuffer(keys, np.uint8).astype(np.int64)
+    assert (len(keys) // p.n**2, hashlib.sha256(f51.tobytes()).hexdigest()) == (
         8064,
         "e7dc4c02c360e60584811d7cabc13a57fdeed6f1a11fc42e6f571a55e68a6ce9",
     )
+
+
+def walk_from_random_rows(p, rng, keys):
+    """Run the engine without members, its first row in a random order,
+    until it has found ``keys`` squares, filling the type-wide tables."""
+    order = list(range(len(search._pattern_tables(p.m, p.lam)[0])))
+    rng.shuffle(order)
+    found = 0
+    for run in search._engine(p, search._NO_MEMBERS, order):
+        found += len(run) // p.n**2  # one uint8 byte a cell
+        if found >= keys:
+            break
 
 
 def column_counts(p, cols):
@@ -595,8 +581,7 @@ class TestEngineTables:
         for _ in range(4):
             start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
             list(mofs.extensions(start, SearchConfig(max_results=100)))
-            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
-            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=100)))
+            walk_from_random_rows(p, rng, 100)
         assert len(fit) >= p.n - 1
         for cols, fits in fit.items():
             counts = column_counts(p, cols)
@@ -636,15 +621,14 @@ class TestEngineTables:
         # Every cached entry lists the two rows that complete its column
         # counts, in lexicographic order, with their joined bytes.
         p = mofs.Params(m, lam)
-        patterns, _, pattern_hot, _, row_bytes, _, ends_of, _ = search._pattern_tables(m, lam)
+        _, _, pattern_hot, _, row_bytes, _, ends_of, _ = search._pattern_tables(m, lam)
         for table in search._pattern_tables(m, lam)[-3:]:
             table.clear()
         rng = random.Random(10 * m + lam)
         for _ in range(3):
             start = mofs.verify_mofs([mofs.random_fsquare(p, rng)])
-            next(search._engine(p, start.grids, None, ()), None)
-            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
-            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=100)))
+            next(search._engine(p, start.grids, None), None)
+            walk_from_random_rows(p, rng, 100)
         assert ends_of
         hot = pattern_hot.transpose(0, 2, 1).astype(np.int64)
         two_rows = hot[:, None] + hot[None, :]
@@ -667,8 +651,7 @@ class TestEngineTables:
             table.clear()
         rng = random.Random(20 * m + lam)
         for _ in range(3):
-            prefix = rng.choice(patterns)[: rng.randrange(p.n)]
-            list(mofs.enumerate_fsquares(p, SearchConfig(prefix=prefix, max_results=300)))
+            walk_from_random_rows(p, rng, 300)
         assert runs_of
         hot = pattern_hot.transpose(0, 2, 1).astype(np.int64)
         pairs = {}
@@ -696,7 +679,7 @@ class TestEngineTables:
         for table in search._pattern_tables(2, 3)[-3:]:
             table.clear()
         keys, held = 0, []
-        for run in search._engine(F63, search._NO_MEMBERS, None, ()):
+        for run in search._engine(F63, search._NO_MEMBERS, None):
             keys += len(run) // F63.n**2  # one uint8 byte a cell
             held.append(sum(map(len, runs_of.values())) // 3)
         assert keys == 297200
@@ -738,26 +721,37 @@ class TestEngineTables:
             ]
             assert search._pair_increments(p, members) == want
 
+    # Ids are fixed by hand: cases 2, 7 and 8 were F(6;2) first-row
+    # prefixes, now test_each_first_row_starts_its_share.
     @pytest.mark.parametrize(
-        "m,lam,config",
+        "m,lam",
         [
-            (3, 1, SearchConfig()),
-            (2, 2, SearchConfig()),
-            (3, 2, SearchConfig(prefix=(3, 3, 2, 2), force=True)),
-            (2, 1, SearchConfig()),
-            (4, 1, SearchConfig()),
-            (2, 3, SearchConfig()),
-            (5, 1, SearchConfig()),
-            # Each full F(6;2) first row starts 35 599 500 / 90 = 395 550.
-            (3, 2, SearchConfig(prefix=(1, 2, 3, 3, 2, 1), force=True)),
-            (3, 2, SearchConfig(prefix=(3, 1, 1, 2, 3, 2), force=True)),
+            pytest.param(3, 1, id="3-1-config0"),
+            pytest.param(2, 2, id="2-2-config1"),
+            pytest.param(2, 1, id="2-1-config3"),
+            pytest.param(4, 1, id="4-1-config4"),
+            pytest.param(2, 3, id="2-3-config5"),
+            pytest.param(5, 1, id="5-1-config6"),
         ],
     )
-    def test_count_matches_enumeration(self, m, lam, config):
+    def test_count_matches_enumeration(self, m, lam):
         p = mofs.Params(m, lam)
-        # Streamed, not listed: the F(6;2) slice has 395 550 squares.
-        streamed = sum(1 for _ in mofs.enumerate_fsquares(p, config))
-        assert mofs.count_fsquares(p, config) == streamed > 0
+        streamed = sum(1 for _ in mofs.enumerate_fsquares(p))
+        assert mofs.count_fsquares(p) == streamed > 0
+
+    @pytest.mark.parametrize("row", [(1, 2, 3, 3, 2, 1), (3, 1, 1, 2, 3, 2), (3, 3, 2, 2, 1, 1)])
+    def test_each_first_row_starts_its_share(self, row):
+        # Every first row leaves the same column state, so each of the 90
+        # F(6;2) rows starts 35 599 500 / 90 = 395 550 squares.
+        p = mofs.Params(3, 2)
+        patterns = search._pattern_tables(3, 2)[0]
+        keys = b"".join(search._engine(p, search._NO_MEMBERS, [patterns.index(row)]))
+        width = p.n**2  # one uint8 byte a cell
+        squares = [keys[i : i + width] for i in range(0, len(keys), width)]
+        share = mofs.count_fsquares(p, SearchConfig(force=True)) // len(patterns)
+        assert len(squares) == share == 395550
+        assert all(map(operator.lt, squares, squares[1:]))
+        assert {key[: p.n] for key in squares} == {bytes(row)}
 
 
 # SHA-256 of the int64 grids of grow_maximal's sets, in set order, recorded
@@ -990,10 +984,11 @@ class TestGrowMaximal:
                 mofs.grow_maximal(seed_set, SearchConfig(seed=0))
 
     @pytest.mark.parametrize(
-        "config", [SearchConfig(seed=0, prefix=(2, 1, 2)), SearchConfig(seed=0, max_results=0)]
+        "config", [SearchConfig(seed=0, max_results=10**9), SearchConfig(seed=0, max_results=0)]
     )
     def test_rejects_restricted_search(self, config):
-        # A restricted search can stop before the set is maximal.
+        # A capped search can stop before the set is maximal: any cap is
+        # refused, even one above every count.
         with pytest.raises(mofs.MofsError, match="whole search space"):
             mofs.grow_maximal(mofs.Params(2, 3), config)
 
@@ -1044,7 +1039,7 @@ class TestExhaustiveMaximality:
         assert not mofs.exhaustive_maximality(mset)
 
     @pytest.mark.parametrize(
-        "config", [SearchConfig(prefix=(2,)), SearchConfig(max_results=0)]
+        "config", [SearchConfig(max_results=10**9), SearchConfig(max_results=0)]
     )
     def test_rejects_restricted_search(self, config):
         p = mofs.Params(2, 2)
@@ -1063,9 +1058,8 @@ class TestExhaustiveMaximality:
 
 
 class TestGuardRule:
-    """The size guard runs exactly where keys are walked: on the engine, or
-    through the linear-dual covers to a prefix.  Counting covers, or a
-    capped stream over them, needs none."""
+    """One rule: the size guard runs exactly where the engine runs, and
+    never where covers answer (counted, streamed or picked from)."""
 
     @pytest.fixture
     def guarded(self, monkeypatch):
@@ -1085,21 +1079,14 @@ class TestGuardRule:
         assert guarded == [p, p]
 
     @pytest.mark.parametrize(
-        "config,walked",
-        [
-            (SearchConfig(force=True), False),
-            (SearchConfig(force=True, prefix=(1,)), True),
-            (SearchConfig(force=True, max_results=3), False),
-        ],
+        "config", [SearchConfig(force=True), SearchConfig(force=True, max_results=3)]
     )
-    def test_dual_path_is_guarded_through_a_prefix(self, config, walked, guarded):
+    def test_dual_path_is_never_guarded(self, config, guarded):
         mset = f51_singleton()
         assert uses_dual(mset)
         assert list(mofs.extensions(mset, config))
-        assert guarded == [mset.params] * walked
-        guarded.clear()
         assert search._count(mset.params, mset.grids, config)
-        assert guarded == [mset.params] * walked
+        assert not guarded
 
     def test_maximality_is_guarded_on_the_engine(self, guarded):
         assert not mofs.exhaustive_maximality(f51_singleton())
@@ -1155,17 +1142,18 @@ def dual_inputs(m, lam, seed):
 
 
 def search_outcomes(mset):
-    """What every search entry point makes of ``mset``."""
+    """What every search entry point makes of ``mset``: greedy growth under
+    three seeds picks by three first-row orders."""
     config = SearchConfig(force=True)
-    whole = grids(mofs.extensions(mset, config))
-    prefix = whole[0][0][:2] if whole else (1, 2)
     return (
         search._count(mset.params, mset.grids, config),
-        whole,
-        grids(mofs.extensions(mset, SearchConfig(force=True, prefix=prefix))),
+        grids(mofs.extensions(mset, config)),
         grids(mofs.extensions(mset, SearchConfig(force=True, max_results=3))),
         mofs.exhaustive_maximality(mset, config),
-        grids(mofs.grow_maximal(mset, SearchConfig(seed=7, force=True)).squares),
+        *(
+            grids(mofs.grow_maximal(mset, SearchConfig(seed=seed, force=True)).squares)
+            for seed in (7, 8, 9)
+        ),
     )
 
 
@@ -1239,38 +1227,6 @@ class TestWideSymbolSets:
         seconds = [float(word) for word in done.stdout.split()]
         assert len(seconds) == 4 and max(seconds) < 1, seconds
 
-    def test_late_prefix_comes_at_once(self):
-        # A prefix fixes the symbols of the labels it meets, so each cover
-        # walks only the other symbols' assignments: a prefix late in the
-        # order of all 11! no longer waits for the ones before it.
-        script = textwrap.dedent(
-            """
-            import time
-            import mofs
-            full = mofs.construct_prime_power(11, 1)
-            mset = mofs.verify_mofs(full.squares[:-1])
-            for prefix in ((11, 10), (2,)):
-                config = mofs.SearchConfig(prefix=prefix, force=True)
-                start = time.perf_counter()
-                square = next(mofs.extensions(mset, config))
-                print(time.perf_counter() - start, *square.grid.ravel().tolist())
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(mofs.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        lines = [line.split() for line in done.stdout.splitlines()]
-        firsts = ([11, 10, *range(1, 10)], [2, 1, *range(3, 12)])
-        assert len(lines) == 2
-        for (seconds, *cells), first in zip(lines, firsts):
-            # Both squares are circulant: each row is the one above turned
-            # one cell right.
-            want = [np.roll(first, i).tolist() for i in range(11)]
-            assert np.array(cells, int).reshape(11, 11).tolist() == want
-            assert float(seconds) < 1, seconds
-
 
 class TestLinearDual:
     """The linear-dual search against the engine, which runs wherever the
@@ -1306,7 +1262,7 @@ class TestLinearDual:
         # The covers give one key a run; keys all have one width, so the
         # joined runs are equal exactly when the keys are.
         assert len(runs) == found
-        assert b"".join(runs) == b"".join(search._engine(p, members, None, ()))
+        assert b"".join(runs) == b"".join(search._engine(p, members, None))
 
     @pytest.mark.parametrize("k", range(10))
     def test_half_matches_the_doubling_loop(self, k):
@@ -1517,12 +1473,6 @@ class TestLinearDual:
         n = complete.params.n
         removed_hot = complete.grids[-removed:].reshape(-1, 1, n * n) == np.arange(1, m + 1)[:, None]
         assert set(map(bytes, removed_hot.reshape(-1, n * n).astype(np.uint8))) <= set(by_draws)
-
-    @pytest.mark.parametrize("prefix", [(0,), (6,), (2, 0), (1, 2, 3, 4, 5, 1)])
-    def test_prefixes_outside_the_first_row_find_nothing(self, prefix):
-        mset = dual_inputs(5, 1, 0)[1]
-        assert uses_dual(mset)
-        assert list(mofs.extensions(mset, SearchConfig(prefix=prefix, force=True))) == []
 
     @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
     def test_one_symbol_sets_keep_their_one_candidate(self, lam):
