@@ -64,9 +64,12 @@ def _cmd_construct(args):
     return 0
 
 
+def _bound_text(bound):
+    return f"{bound.value} ({'exact' if bound.exact else 'floor'})"
+
+
 def _print_completeness(report):
-    exact = "exact" if report.bound.exact else "floor"
-    print(f"upper bound: {report.bound.value} ({exact})")
+    print(f"upper bound: {_bound_text(report.bound)}")
     print(f"complete: {'yes' if report.is_complete else 'no'}")
 
 
@@ -86,9 +89,7 @@ def _cmd_verify(args):
 def _cmd_bound(args):
     from . import verify
 
-    params = Params(args.m, args.lam)
-    b = verify.upper_bound(params)
-    print(f"{b.value} ({'exact' if b.exact else 'floor'})")
+    print(_bound_text(verify.upper_bound(Params(args.m, args.lam))))
     return 0
 
 
@@ -154,18 +155,12 @@ def _cmd_extend(args):
     if args.exhaustive:
         found = search._count(mset.params, mset.grids, config)
         print(f"extensions: {found}")
-        if found == 0:
-            print("maximal: yes (exhaustive search)")
-        else:
-            print("maximal: no (exhaustive search)")
-        return 0
-    grown = search.grow_maximal(mset, config)
-    _write_set(grown, args.output)
-    print(
-        f"grew from {mset.t} to {grown.t} squares;"
-        f" maximal: yes (exhaustive search)",
-        file=sys.stderr,
-    )
+        lead, verdict, out = "", "no" if found else "yes", sys.stdout
+    else:
+        grown = search.grow_maximal(mset, config)
+        _write_set(grown, args.output)
+        lead, verdict, out = f"grew from {mset.t} to {grown.t} squares; ", "yes", sys.stderr
+    print(f"{lead}maximal: {verdict} (exhaustive search)", file=out)
     return 0
 
 

@@ -20,10 +20,10 @@ m lam even (Lemma 6(ii), one of the five congruences).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import core
 from .core import MofsError, Params, SymbolOutOfRange, _as_int, _tile
 from .verify import MofsSet
 
@@ -116,13 +116,18 @@ def parity_matrix(mset: MofsSet, symbol_choice) -> ParityMatrix:
 
     Only the parity of each cell's count is needed, so the t indicator
     squares are XOR-reduced as booleans, (sum_k I_{a_k}(S_k)) mod 2 =
-    I_{a_1}(S_1) xor ... xor I_{a_t}(S_t), and no count is summed; the
-    bits are returned as an int64 0/1 array."""
+    I_{a_1}(S_1) xor ... xor I_{a_t}(S_t), a block of squares
+    (:func:`core._tile`) at a time, and no count is summed; the bits are
+    returned as an int64 0/1 array."""
     choice = _symbol_choice(mset, symbol_choice)
+    grids, n = mset.grids, mset.params.n
     # Symbols in 1..m fit the stack's narrow type, so no side is widened.
-    hits = mset.grids == np.asarray(choice, mset.grids.dtype).reshape(-1, 1, 1)
-    bits = np.logical_xor.reduce(hits, axis=0).astype(np.int64)
-    return ParityMatrix(mset.params, mset.t, choice, bits)
+    hot = np.asarray(choice, grids.dtype).reshape(-1, 1, 1)
+    bits = np.zeros((n, n), bool)
+    step = _tile(mset.params)
+    for k0 in range(0, mset.t, step):
+        bits ^= np.logical_xor.reduce(grids[k0 : k0 + step] == hot[k0 : k0 + step], axis=0)
+    return ParityMatrix(mset.params, mset.t, choice, bits.astype(np.int64))
 
 
 def detect_full_relation(pm: ParityMatrix) -> FullRelationCertificate | None:
@@ -180,33 +185,11 @@ def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
 def _certificates(mset: MofsSet, extra=()):
     """The full-relation certificate, or None, of each uniform symbol
     choice (a,) * t for a = 1..m in order, then of each choice in
-    ``extra``; none is built before the first is read.
-
-    The uniform choices' parity matrices are built together
-    (:func:`_uniform_parities`), as many symbols at once as one block
-    holds (all m of every set whose m n^2 cells fit it), and
-    :func:`detect_full_relation` tests each for the block form."""
-    params, t, n = mset.params, mset.t, mset.params.n
-    per = max(1, core._BLOCK_ENTRIES // (n * n))
-    for low in range(1, params.m + 1, per):
-        symbols = range(low, min(low + per, params.m + 1))
-        for a, bits in zip(symbols, _uniform_parities(mset, symbols)):
-            yield detect_full_relation(ParityMatrix(params, t, (a,) * t, bits.astype(np.int64)))
-    for choice in extra:
+    ``extra``: :func:`detect_full_relation` of its :func:`parity_matrix`,
+    each built only once the one before it is read."""
+    uniform = ((a,) * mset.t for a in range(1, mset.params.m + 1))
+    for choice in chain(uniform, extra):
         yield detect_full_relation(parity_matrix(mset, choice))
-
-
-def _uniform_parities(mset: MofsSet, symbols) -> np.ndarray:
-    """The parity matrices of the uniform choices of ``symbols``, as one
-    (len(symbols), n, n) bool array: (sum_k I_a(S_k)) mod 2, one XOR-reduce
-    over the squares a block (:func:`core._tile`) at a time."""
-    grids, n = mset.grids, mset.params.n
-    hot = np.array(symbols, grids.dtype)[:, None, None]
-    bits = np.zeros((len(hot), n, n), bool)
-    step = _tile(mset.params)
-    for k0 in range(0, mset.t, step):
-        bits ^= np.logical_xor.reduce(grids[k0 : k0 + step, None] == hot, axis=0)
-    return bits
 
 
 def _verdict(params: Params, certs) -> MaximalityVerdict:

@@ -932,11 +932,11 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     """Greedy growth to a maximal set.
 
     ``seed_set`` is a MofsSet, or a Params to start from nothing.  Each
-    step permutes the first-row pattern order by the seed, as
-    ``random.Random(seed).shuffle`` would (:func:`_seeded_order`), and adds
-    the extension whose first row comes first in it, the lowest in grid
-    order on a tie: the engine's first find, or the same square picked
-    from the covers.  Steps are searched (:func:`_search`) until
+    step draws the first-row pattern order by ``random.Random.shuffle``,
+    from one ``random.Random(seed)`` for the whole growth, and adds the
+    extension whose first row comes first in it, the lowest in grid order
+    on a tie: the engine's first find, or the same square picked from the
+    covers.  Steps are searched (:func:`_search`) until
     candidates are found (:func:`_candidates`); their covers are then
     kept, less at each step those whose label classes fail
     :func:`verify._meets` against the square added (a cover's m! squares
@@ -964,7 +964,8 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
     size = len(_pattern_tables(m, params.lam)[0])
     covers = None
     while covers is None or len(covers):
-        first_order = _seeded_order(rng, size)
+        first_order = list(range(size))
+        rng.shuffle(first_order)
         if covers is None:
             covers, keys = _search(params, grids, config, first_order)
         if covers is None:
@@ -981,23 +982,6 @@ def grow_maximal(seed_set, config: SearchConfig = SearchConfig()) -> MofsSet:
             covers = covers[meets.reshape(-1, m).all(axis=1)]
         grids = np.concatenate((grids, grid)) if len(grids) else grid
     return MofsSet(params, grids)
-
-
-def _seeded_order(rng: random.Random, size: int) -> list:
-    """``list(range(size))`` permuted as ``rng.shuffle`` permutes it, from
-    the same draws: Fisher-Yates from the top, position i swapped with
-    j < i + 1 drawn by rejection from ``(i + 1).bit_length()`` random bits,
-    which is how ``random.Random`` draws an index below i + 1.  Inline it
-    saves about 40 % of ``shuffle``'s time."""
-    order = list(range(size))
-    bits = rng.getrandbits
-    for i in range(size - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = bits(k)
-        while j > i:
-            j = bits(k)
-        order[i], order[j] = order[j], order[i]
-    return order
 
 
 def random_fsquare(params: Params, rng: random.Random) -> FSquare:

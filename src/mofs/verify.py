@@ -263,8 +263,8 @@ def verify_mofs(squares) -> MofsSet:
     for s in squares[1:]:
         if s.params != params:
             raise ParamMismatch(f"{s.params} vs {params}")
-    grids = np.array([s.grid for s in squares], _symbol_type(params))
-    return MofsSet(params, grids)
+    # MofsSet stacks the grids into its one private copy.
+    return MofsSet(params, [s.grid for s in squares])
 
 
 def upper_bound(params: Params) -> UpperBound:

@@ -95,6 +95,12 @@ def federer4():
 
 
 @pytest.fixture(scope="session")
+def federer64():
+    """The complete set of 3969 F(64;32) squares, 16 MB of grids."""
+    return mofs.construct_federer(mofs.hadamard(64))
+
+
+@pytest.fixture(scope="session")
 def workload_complete_sets():
     """The three complete sets of the benchmark's complete-sets workload."""
     return {

@@ -371,8 +371,8 @@ class TestCli:
 
     @pytest.mark.parametrize("name", list(ANALYZE_PINS))
     def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, capsys, name):
-        # The m uniform parity matrices come from one batched build, and no
-        # uniform choice goes through parity_matrix; the output is pinned.
+        # Each uniform choice's parity matrix is built once, by parity_matrix,
+        # in symbol order; the output is pinned.
         path = tmp_path / "set.mofs"
         if name == "seed-8":
             grown = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
@@ -380,24 +380,17 @@ class TestCli:
         else:
             main(["construct", "--prime-power", *PRIME_POWERS[name], "-o", str(path)])
         mset = decode(path.read_text())
-        choices, batches = [], []
-        build, batched = maximality.parity_matrix, maximality._uniform_parities
+        choices, build = [], maximality.parity_matrix
 
         def counted(mset, choice):
             choices.append(tuple(choice))
             return build(mset, choice)
 
-        def counted_batch(mset, symbols):
-            batches.append(tuple(symbols))
-            return batched(mset, symbols)
-
         monkeypatch.setattr(maximality, "parity_matrix", counted)
-        monkeypatch.setattr(maximality, "_uniform_parities", counted_batch)
         capsys.readouterr()
         assert main(["analyze", str(path)]) == 0
         assert capsys.readouterr().out == ANALYZE_PINS[name]
-        assert choices == []
-        assert batches == [tuple(range(1, mset.params.m + 1))]
+        assert choices == [(a,) * mset.t for a in range(1, mset.params.m + 1)]
 
 
 def _run_cli(*argv, timeout=60):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
-from mofs import core, maximality
+from mofs import maximality
 from mofs.core import SymbolOutOfRange
 from mofs.maximality import LengthMismatch
 
-from conftest import brute_force_full_relation, hand_built_sets
+from conftest import blocks_of, brute_force_full_relation, hand_built_sets
 
 
 def pm_from_bits(bits, t=1, choice=None):
@@ -317,25 +318,44 @@ class TestMaximalityVerdict:
 
     @pytest.mark.parametrize("budget", [None, 1, 2])
     def test_uniform_certificates_match_one_choice_at_a_time(self, monkeypatch, budget):
-        # The batched build and block-form test against parity_matrix and
-        # detect_full_relation per choice; with a budget of 1 or 2 squares'
-        # cells, the symbols go 1 or 2 to a batch and the squares 1 to a
-        # block.
+        # parity_matrix against the XOR of the members' indicator squares,
+        # with the squares 1 or 2 to a block, or as many as one default block
+        # holds; _certificates against detect_full_relation per choice, the
+        # uniform choices in symbol order, then the extra ones.
         p = mofs.Params(2, 3)
         sets = [mofs.grow_maximal(p, mofs.SearchConfig(seed=seed)) for seed in (0, 8, 9)]
         sets += [mofs.construct_prime_power(5, 1), mofs.construct_prime_power(3, 1)]
         for mset in sets:
-            n, t, symbols = mset.params.n, mset.t, range(1, mset.params.m + 1)
-            pms = [mofs.parity_matrix(mset, (a,) * t) for a in symbols]
+            n, t, m = mset.params.n, mset.t, mset.params.m
+            rng = random.Random(t)
+            extra = [tuple(rng.randint(1, m) for _ in range(t)) for _ in range(3)]
+            choices = [(a,) * t for a in range(1, m + 1)] + extra
             with monkeypatch.context() as patch:
                 if budget:
-                    patch.setattr(core, "_BLOCK_ENTRIES", budget * n * n)
-                bits = maximality._uniform_parities(mset, symbols)
-                assert np.array_equal(bits, [pm.bits for pm in pms])
-                got = list(maximality._certificates(mset))
+                    blocks_of(patch, mset.params, budget)
+                pms = [mofs.parity_matrix(mset, choice) for choice in choices]
+                got = list(maximality._certificates(mset, extra))
+            for pm, choice in zip(pms, choices):
+                want = np.zeros((n, n), np.int64)
+                for s, a in zip(mset.squares, choice):
+                    want ^= mofs.indicator(s, a)
+                assert pm.symbol_choice == choice
+                assert pm.bits.dtype == np.int64 and np.array_equal(pm.bits, want)
             assert got == [mofs.detect_full_relation(pm) for pm in pms]
-        # Seed 8's one square is certified, so the batches meet a certificate.
+        # Seed 8's one square is certified, so the choices meet a certificate.
         assert any(maximality._certificates(sets[1]))
+
+    def test_parity_matrix_builds_one_block_at_a_time(self, federer64):
+        # 3969 squares of 64^2 cells: the whole stack's hits would take
+        # 16 MB, one block (256 squares) 1 MB.
+        tracemalloc.start()
+        try:
+            pm = mofs.parity_matrix(federer64, (1,) * federer64.t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pm.bits.shape == (64, 64)
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_user_supplied_choice(self, cyclic_triple_set):
         verdict = mofs.maximality_verdict(

@@ -957,17 +957,6 @@ def pinned_growth(m, lam, seed):
 
 
 class TestGrowMaximal:
-    def test_seeded_order_is_random_shuffle(self):
-        # The inline draw gives shuffle's order and leaves the generator in
-        # shuffle's state, for every length, from 200 seeds.
-        for seed in range(200):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            for size in range(131):
-                want = list(range(size))
-                theirs.shuffle(want)
-                assert search._seeded_order(ours, size) == want
-                assert ours.random() == theirs.random()
-
     @pytest.mark.parametrize("m,lam,seed", sorted(GROW_PINS))
     def test_pinned_sets(self, m, lam, seed):
         grown = pinned_growth(m, lam, seed)

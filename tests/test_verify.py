@@ -409,6 +409,19 @@ class TestSquaresOverTheBudget:
             tracemalloc.stop()
         assert peak < 20 * 2**20, f"{peak / 2**20:.0f} MiB"
 
+    def test_verify_mofs_copies_the_stack_once(self, federer64):
+        # MofsSet stacks the members' grids into its one private copy, 16 MB
+        # for 3969 squares of 64^2 cells; a second copy would pass the bound.
+        squares = federer64.squares
+        tracemalloc.start()
+        try:
+            mset = mofs.verify_mofs(squares)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mset == federer64
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
 
 class TestMeets:
     """The one orthogonality kernel against cell-by-cell superposition
