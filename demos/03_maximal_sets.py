@@ -3,10 +3,10 @@
 A set of mutually orthogonal frequency squares is maximal when no further
 square is orthogonal to all of its members — it may still be far below
 the completeness bound.  For odd lam there is a cheap sufficient
-condition: reduce each square's symbols mod 2, stack one row of parity
-bits per square, and look for a specific complementary block pattern.
-If it appears (and is not constant), the set is provably maximal with no
-search at all.
+condition: choose one symbol a per square, add up the n x n indicator
+squares I_a(S) of the members mod 2, and look for a complementary 0/J
+block pattern in that n x n parity matrix.  If it appears (and is not
+constant), the set is provably maximal with no search at all.
 """
 
 import mofs
@@ -39,9 +39,9 @@ for seed, (mset, verdict) in enumerate(grown):
         print(f"all parity congruences hold: {rep.all_hold}")
         break
 
-# The certificate must be non-constant: an all-ones parity matrix (three
-# cyclic order-3 Latin squares, each contributing an all-ones parity row
-# pattern) proves nothing, and the detector returns None.  The three are
+# The certificate must be non-constant: an all-ones parity matrix (the
+# symbol-1 indicator squares of three cyclic order-3 Latin squares sum to
+# J) proves nothing, and the detector returns None.  The three are
 # not mutually orthogonal, so no MofsSet holds them; their parity matrix is
 # built here from their symbol-1 indicator squares.
 p3 = mofs.Params(3, 1)

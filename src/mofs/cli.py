@@ -112,8 +112,8 @@ def _cmd_analyze(args):
         report = verify.completeness_structure(mset)
         _print_completeness(report)
         print(f"completeness block structure matches: {report.structure_matches}")
-    certs = list(maximality._certificates(mset))
-    for a, cert in enumerate(certs, start=1):
+    verdict = maximality.maximality_verdict(mset)
+    for a, cert in enumerate(verdict.uniform, start=1):
         if cert is None:
             print(f"symbol {a}: parity matrix has no full-relation block form")
         else:
@@ -135,7 +135,6 @@ def _cmd_analyze(args):
     if params.m >= 2 and mset.t == report.bound.value:
         print("maximal: yes (the bound is met)")
         return 0
-    verdict = maximality._verdict(params, certs)
     if verdict.certified:
         c = verdict.certificate
         print(

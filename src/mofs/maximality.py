@@ -5,22 +5,23 @@ member.  When that parity matrix has, up to row/column permutation, a
 complementary 0/J block structure (a non-constant full relation) and the
 repetition number is odd, the set admits no further orthogonal square.
 
-What "no certificate" covers: :func:`maximality_verdict` and ``mofs
-analyze`` try the m uniform choices (a,) * t.  For m = 2 these cover every
-choice: I_2(S) = J - I_1(S), so changing one square's symbol changes the
-parity matrix by J, and any choice's matrix is a uniform one's or its
-complement, which has a full relation exactly when it does.  For m >= 4
-they do not: a square's indicators satisfy only I_1 + ... + I_m = J, so a
-mixed choice's matrix is in general neither, and the absence of a uniform
-certificate says nothing of the other choices (``extra_choices`` tries
-them).  For m = 3 and lam odd no choice has one: a full relation needs
-m lam even (Lemma 6(ii), one of the five congruences).
+What "no certificate" covers: :func:`maximality_verdict`, which ``mofs
+analyze`` prints, tries the m uniform choices (a,) * t.  For m = 2 these
+cover every choice: I_2(S) = J - I_1(S), so changing one square's symbol
+changes the parity matrix by J, and any choice's matrix is a uniform one's
+or its complement, which has a full relation exactly when it does.  For
+m >= 4 they do not: a square's indicators satisfy only
+I_1 + ... + I_m = J, so a mixed choice's matrix is in general neither,
+and the absence of a uniform certificate says nothing of the other
+choices; test one with
+``detect_full_relation(parity_matrix(mset, choice))``.  For m = 3 and
+lam odd no choice has one: a full relation needs m lam even (Lemma
+6(ii), one of the five congruences).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -84,11 +85,15 @@ class ParityReport:
 class MaximalityVerdict:
     """CertifiedMaximal when ``certificate`` is set, NoCertificate otherwise.
 
-    A certificate proves maximality; its absence proves nothing (the
-    parity criterion is sufficient, not necessary).
+    ``uniform`` holds the full-relation certificate, or None, of each
+    uniform symbol choice (a,) * t for a = 1..m in order.  ``certificate``
+    is the first of them that is not None when lam is odd, and None when
+    lam is even.  A certificate proves maximality; its absence proves
+    nothing (the parity criterion is sufficient, not necessary).
     """
 
     certificate: FullRelationCertificate | None
+    uniform: tuple
 
     @property
     def certified(self) -> bool:
@@ -170,31 +175,14 @@ def parity_report(
     )
 
 
-def maximality_verdict(mset: MofsSet, extra_choices=()) -> MaximalityVerdict:
-    """Certify maximality via a full relation, or report no certificate.
-
-    Only applicable for odd lam.  The m uniform symbol choices are tried
-    in order (plus any user-supplied per-square choices, each checked up
-    front); the first certificate found wins, which keeps the outcome
-    deterministic.
-    """
-    extra = [_symbol_choice(mset, c) for c in extra_choices]
-    return _verdict(mset.params, _certificates(mset, extra))
-
-
-def _certificates(mset: MofsSet, extra=()):
-    """The full-relation certificate, or None, of each uniform symbol
-    choice (a,) * t for a = 1..m in order, then of each choice in
-    ``extra``: :func:`detect_full_relation` of its :func:`parity_matrix`,
-    each built only once the one before it is read."""
-    uniform = ((a,) * mset.t for a in range(1, mset.params.m + 1))
-    for choice in chain(uniform, extra):
-        yield detect_full_relation(parity_matrix(mset, choice))
-
-
-def _verdict(params: Params, certs) -> MaximalityVerdict:
-    """The first certificate of the iterable ``certs`` (None where a
-    choice has none), read lazily and only when lam is odd."""
-    if params.lam % 2 == 0:
-        return MaximalityVerdict(None)
-    return MaximalityVerdict(next((c for c in certs if c is not None), None))
+def maximality_verdict(mset: MofsSet) -> MaximalityVerdict:
+    """The parity verdict of ``mset``: :func:`detect_full_relation` of the
+    :func:`parity_matrix` of each uniform choice, built for every lam, and
+    for odd lam the first certificate among them, which keeps the outcome
+    deterministic."""
+    uniform = tuple(
+        detect_full_relation(parity_matrix(mset, (a,) * mset.t))
+        for a in range(1, mset.params.m + 1)
+    )
+    first = next((c for c in uniform if c is not None), None)
+    return MaximalityVerdict(first if mset.params.lam % 2 else None, uniform)

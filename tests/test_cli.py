@@ -92,8 +92,10 @@ class TestDecode:
 
 # The whole `mofs analyze` output of the complete sets built from the
 # prime powers 3, 5 and 8 (`construct --prime-power` arguments in
-# PRIME_POWERS) and of the one-square F(6;3) set that greedy growth from
-# seed 8 stops at.
+# PRIME_POWERS), of the complete F(8;4) set minus its last 2 squares
+# ("8-2", which extends: lam is even, so its full relations certify
+# nothing), and of the F(6;3) sets that greedy growth from nothing stops at
+# with seed 8 (one certified square) and seed 0 (8 uncertified squares).
 PRIME_POWERS = {"3": ("3", "1"), "5": ("5", "1"), "8": ("2", "3")}
 ANALYZE_PINS = {
     "3": (
@@ -145,6 +147,34 @@ ANALYZE_PINS = {
         "  t = m(x+y) - (m+1) (mod 8): pass\n"
         "  t = m - 1 (mod 4): pass\n"
         "maximal: yes (parity certificate, symbols 1, x=3, y=3)\n"
+    ),
+    "8-2": (
+        "type F(8;4): 47 mutually orthogonal squares\n"
+        "upper bound: 49 (exact)\n"
+        "complete: no\n"
+        "completeness block structure matches: False\n"
+        "symbol 1: full relation with x=0 y=4 (canonical orientation)\n"
+        "  x = y = t*lambda (mod 2): pass\n"
+        "  m*lambda even: pass\n"
+        "  t odd: pass\n"
+        "  t = m(x+y) - (m+1) (mod 8): FAIL\n"
+        "  t = m - 1 (mod 4): FAIL\n"
+        "symbol 2: full relation with x=0 y=4 (canonical orientation)\n"
+        "  x = y = t*lambda (mod 2): pass\n"
+        "  m*lambda even: pass\n"
+        "  t odd: pass\n"
+        "  t = m(x+y) - (m+1) (mod 8): FAIL\n"
+        "  t = m - 1 (mod 4): FAIL\n"
+        "maximal: undetermined (no parity certificate; not a claim)\n"
+    ),
+    "seed-0": (
+        "type F(6;3): 8 mutually orthogonal squares\n"
+        "upper bound: 25 (exact)\n"
+        "complete: no\n"
+        "completeness block structure matches: False\n"
+        "symbol 1: parity matrix has no full-relation block form\n"
+        "symbol 2: parity matrix has no full-relation block form\n"
+        "maximal: undetermined (no parity certificate; not a claim)\n"
     ),
 }
 
@@ -371,25 +401,36 @@ class TestCli:
 
     @pytest.mark.parametrize("name", list(ANALYZE_PINS))
     def test_analyze_builds_each_parity_matrix_once(self, tmp_path, monkeypatch, capsys, name):
-        # Each uniform choice's parity matrix is built once, by parity_matrix,
-        # in symbol order; the output is pinned.
+        # One maximality_verdict call, also when the bound decides, builds
+        # each uniform choice's parity matrix once, by parity_matrix, in
+        # symbol order; the output is pinned.
         path = tmp_path / "set.mofs"
-        if name == "seed-8":
-            grown = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
-            path.write_text(encode(grown))
-        else:
+        if name in PRIME_POWERS:
             main(["construct", "--prime-power", *PRIME_POWERS[name], "-o", str(path)])
+        elif name == "8-2":
+            full = mofs.construct_prime_power(2, 3)
+            path.write_text(encode(mofs.verify_mofs(full.squares[:-2])))
+        else:
+            config = mofs.SearchConfig(seed=int(name.removeprefix("seed-")))
+            path.write_text(encode(mofs.grow_maximal(mofs.Params(2, 3), config)))
         mset = decode(path.read_text())
-        choices, build = [], maximality.parity_matrix
+        choices, verdicts = [], []
+        build, verdict = maximality.parity_matrix, maximality.maximality_verdict
 
         def counted(mset, choice):
             choices.append(tuple(choice))
             return build(mset, choice)
 
+        def counted_verdict(mset):
+            verdicts.append(mset.t)
+            return verdict(mset)
+
         monkeypatch.setattr(maximality, "parity_matrix", counted)
+        monkeypatch.setattr(maximality, "maximality_verdict", counted_verdict)
         capsys.readouterr()
         assert main(["analyze", str(path)]) == 0
         assert capsys.readouterr().out == ANALYZE_PINS[name]
+        assert verdicts == [mset.t]
         assert choices == [(a,) * mset.t for a in range(1, mset.params.m + 1)]
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mofs
-from mofs import maximality
 from mofs.core import SymbolOutOfRange
 from mofs.maximality import LengthMismatch
 
@@ -30,7 +29,6 @@ def latin3():
 SYMBOL_CALLS = {
     "indicator": lambda mset, a: mofs.indicator(mset.squares[0], a),
     "parity_matrix": lambda mset, a: mofs.parity_matrix(mset, [a]),
-    "extra_choices": lambda mset, a: mofs.maximality_verdict(mset, [(a,)]),
 }
 
 
@@ -39,19 +37,6 @@ SYMBOL_CALLS = {
 def test_non_integer_symbols_are_refused(latin3, call, bad):
     with pytest.raises(mofs.MofsError, match="a symbol must be an integer"):
         SYMBOL_CALLS[call](latin3, bad)
-
-
-@pytest.mark.parametrize(
-    "extra,error",
-    [(("x",), mofs.MofsError), ((99,), SymbolOutOfRange), ((1, 1), LengthMismatch)],
-)
-def test_bad_extra_choice_is_refused_after_a_certificate(extra, error):
-    # Seed 8 grows a one-square F(6;3) set that a uniform choice certifies,
-    # so the extra choice is never needed, but is still checked.
-    mset = mofs.grow_maximal(mofs.Params(2, 3), mofs.SearchConfig(seed=8))
-    assert mofs.maximality_verdict(mset).certified
-    with pytest.raises(error):
-        mofs.maximality_verdict(mset, [extra])
 
 
 def test_numpy_integer_symbols_are_symbols(latin3):
@@ -320,30 +305,47 @@ class TestMaximalityVerdict:
     def test_uniform_certificates_match_one_choice_at_a_time(self, monkeypatch, budget):
         # parity_matrix against the XOR of the members' indicator squares,
         # with the squares 1 or 2 to a block, or as many as one default block
-        # holds; _certificates against detect_full_relation per choice, the
-        # uniform choices in symbol order, then the extra ones.
+        # holds, on the uniform choices and three drawn ones; the verdict's
+        # uniform entries against detect_full_relation per uniform choice, in
+        # symbol order, and its certificate the first of them (lam is odd).
         p = mofs.Params(2, 3)
         sets = [mofs.grow_maximal(p, mofs.SearchConfig(seed=seed)) for seed in (0, 8, 9)]
         sets += [mofs.construct_prime_power(5, 1), mofs.construct_prime_power(3, 1)]
         for mset in sets:
             n, t, m = mset.params.n, mset.t, mset.params.m
             rng = random.Random(t)
-            extra = [tuple(rng.randint(1, m) for _ in range(t)) for _ in range(3)]
-            choices = [(a,) * t for a in range(1, m + 1)] + extra
+            drawn = [tuple(rng.randint(1, m) for _ in range(t)) for _ in range(3)]
+            choices = [(a,) * t for a in range(1, m + 1)] + drawn
             with monkeypatch.context() as patch:
                 if budget:
                     blocks_of(patch, mset.params, budget)
                 pms = [mofs.parity_matrix(mset, choice) for choice in choices]
-                got = list(maximality._certificates(mset, extra))
+                verdict = mofs.maximality_verdict(mset)
             for pm, choice in zip(pms, choices):
                 want = np.zeros((n, n), np.int64)
                 for s, a in zip(mset.squares, choice):
                     want ^= mofs.indicator(s, a)
                 assert pm.symbol_choice == choice
                 assert pm.bits.dtype == np.int64 and np.array_equal(pm.bits, want)
-            assert got == [mofs.detect_full_relation(pm) for pm in pms]
+            certs = tuple(mofs.detect_full_relation(pm) for pm in pms[:m])
+            assert verdict.uniform == certs
+            assert verdict.certificate == next((c for c in certs if c is not None), None)
         # Seed 8's one square is certified, so the choices meet a certificate.
-        assert any(maximality._certificates(sets[1]))
+        assert mofs.maximality_verdict(sets[1]).certified
+
+    def test_even_lam_full_relations_certify_nothing(self):
+        # F(8;4) minus its last 2 squares extends, yet both of its uniform
+        # parity matrices are full relations: lam = 4 is even, so the
+        # criterion does not apply.
+        mset = mofs.verify_mofs(mofs.construct_prime_power(2, 3).squares[:-2])
+        verdict = mofs.maximality_verdict(mset)
+        assert [(c.x, c.y) for c in verdict.uniform] == [(0, 4), (0, 4)]
+        assert verdict.certificate is None and not verdict.certified
+
+    def test_takes_no_choices(self, latin3):
+        # A mixed choice is tested by detect_full_relation(parity_matrix(...)).
+        with pytest.raises(TypeError):
+            mofs.maximality_verdict(latin3, [(1,)])
 
     def test_parity_matrix_builds_one_block_at_a_time(self, federer64):
         # 3969 squares of 64^2 cells: the whole stack's hits would take
@@ -356,11 +358,3 @@ class TestMaximalityVerdict:
             tracemalloc.stop()
         assert pm.bits.shape == (64, 64)
         assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
-
-    def test_user_supplied_choice(self, cyclic_triple_set):
-        verdict = mofs.maximality_verdict(
-            cyclic_triple_set, extra_choices=[(1, 2, 3)]
-        )
-        # Whatever the outcome, supplying choices must not crash; the
-        # cyclic triple stays uncertified for every uniform choice.
-        assert isinstance(verdict, mofs.MaximalityVerdict)
